@@ -207,13 +207,14 @@ class BufferSystem:
         bulk message is sequence-numbered and recoverable, so the
         exchange stays bit-identical under any non-crash fault schedule.
     tree:
-        Optional timing tree; pack/wire/unpack times are recorded under
-        the caller's current scope and the ``comm.messages_coalesced`` /
-        ``comm.coalesced_bytes`` counters accumulate.
+        Optional timing tree; pack/local copy/wire/unpack times are
+        recorded under the caller's current scope and the
+        ``comm.messages_coalesced`` / ``comm.coalesced_bytes`` /
+        ``comm.remote_bytes`` counters accumulate.
 
-    Use :meth:`exchange` for the fused path or the
-    :meth:`start` / :meth:`local` / :meth:`finish` triple to overlap
-    interior computation with the in-flight messages.
+    Use :meth:`exchange` for the fused path or the :meth:`start` /
+    :meth:`finish` pair to overlap interior computation with the
+    in-flight messages.
     """
 
     def __init__(
@@ -236,10 +237,6 @@ class BufferSystem:
         }
         self._recv_channels = [(msg.peer, BULK_TAG) for msg in plan.recvs]
         self._requests: list = []
-        #: Seconds spent blocked waiting for messages in the last
-        #: :meth:`finish` (the exposed wire time an overlap schedule
-        #: tries to hide).
-        self.last_wait_seconds = 0.0
 
     # -- accounting ---------------------------------------------------------
     def _record(self, name: str, seconds: float) -> None:
@@ -250,12 +247,13 @@ class BufferSystem:
         if self.tree is not None:
             self.tree.add_counter(name, value)
 
-    # -- the three phases ---------------------------------------------------
-    def start(self) -> int:
-        """Pack all outgoing payloads and post one isend per peer.
+    # -- the two phases -----------------------------------------------------
+    def start(self) -> None:
+        """Pack all outgoing payloads, post one isend per peer, and run
+        the direct copies between blocks owned by this rank.
 
-        Returns the bytes posted.  Buffers are owned by this object and
-        reused next step (see the module's buffer-reuse contract).
+        Send buffers are owned by this object and reused next step (see
+        the module's buffer-reuse contract).
         """
         t0 = time.perf_counter()
         sent = 0
@@ -274,10 +272,7 @@ class BufferSystem:
         self._record("pack", time.perf_counter() - t0)
         self._count("comm.messages_coalesced", len(self.plan.sends))
         self._count("comm.coalesced_bytes", sent)
-        return sent
-
-    def local(self) -> None:
-        """Direct copies between blocks owned by this rank."""
+        self._count("comm.remote_bytes", sent)
         t0 = time.perf_counter()
         fields = self.fields
         for block_id, ghost_sl, src_id, src_sl in self.plan.local_copies:
@@ -317,16 +312,13 @@ class BufferSystem:
         for req in self._requests:
             req.wait()
         self._requests = []
-        self.last_wait_seconds = wire
         self._record("wire", wire)
         self._record("unpack", unpack)
 
-    def exchange(self) -> int:
-        """One full bulk exchange: ``start`` + ``local`` + ``finish``."""
-        sent = self.start()
-        self.local()
+    def exchange(self) -> None:
+        """One full bulk exchange: ``start`` + ``finish``."""
+        self.start()
         self.finish()
-        return sent
 
 
 class CoalescedGhostExchange:

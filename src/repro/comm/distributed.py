@@ -13,7 +13,6 @@ remote copies so the performance models can attribute MPI cost.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,34 +24,18 @@ from ..core.field import PdfField
 from ..core.flags import FlagField
 from ..core.timeloop import TimeLoop
 from ..errors import ConfigurationError, NumericalError
-from ..exec import (
-    EXEC_MODES,
-    RoundHandle,
-    SweepTask,
-    make_engine,
-    slab_boxes,
-    slabs_per_block,
-)
+from ..exec import EXEC_MODES, make_engine
 from ..geometry.implicit import ImplicitGeometry
 from ..geometry.voxelize import ColorMap, voxelize_block
 from ..lbm.boundary import BoundaryHandling, Condition, NoSlip
 from ..lbm.collision import SRT, TRT
-from ..lbm.kernels.common import box_cells, interior_partition
-from ..lbm.kernels.registry import (
-    KERNEL_TIERS,
-    instrument_kernel,
-    make_kernel,
-    run_kernel_on_region,
-)
-from ..lbm.kernels.sparse import (
-    ConditionalSparseKernel,
-    IndexListSparseKernel,
-    IntervalSparseKernel,
-)
+from ..lbm.kernels.registry import make_kernel
+from ..lbm.kernels.sparse import SPARSE_KERNELS
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..lbm.macroscopic import density as _density, velocity as _velocity
 from .buffersystem import COMM_MODES, CoalescedGhostExchange
 from .ghostlayer import CommStats, CopySpec, GhostExchange
+from .schedule import BlockSweepSchedule
 
 __all__ = [
     "DistributedSimulation",
@@ -62,32 +45,6 @@ __all__ = [
 ]
 
 Collision = Union[SRT, TRT]
-
-
-def _handler_writes_ghosts(handler: BoundaryHandling) -> bool:
-    """True if any boundary link writes a wall cell in the ghost shell.
-
-    Such writes are clobbered when a later unpack refreshes the ghost
-    layer, so the overlap schedule must re-apply the (idempotent)
-    boundary sweep after the exchange completes — see
-    :meth:`DistributedSimulation._finish_comm`.
-    """
-    shape = handler.flag_field.data.shape
-    interior = np.zeros(shape, dtype=bool)
-    interior[(slice(1, -1),) * len(shape)] = True
-    ghost_flat = ~interior.reshape(-1)
-    for per_dir in handler._links:
-        for links in per_dir:
-            if links.wall.size and bool(ghost_flat[links.wall].any()):
-                return True
-    return False
-
-
-_SPARSE = {
-    "conditional": ConditionalSparseKernel,
-    "indexlist": IndexListSparseKernel,
-    "interval": IntervalSparseKernel,
-}
 
 
 def default_vascular_colors() -> ColorMap:
@@ -153,7 +110,7 @@ def build_block_runtime(
     if bool((ff.interior == fl.OUTSIDE).any()):
         if model.name != "D3Q19":
             raise ConfigurationError("sparse kernels require D3Q19")
-        kernel = _SPARSE[sparse_kernel](mask, collision)
+        kernel = SPARSE_KERNELS[sparse_kernel](mask, collision)
         kernel_name = sparse_kernel
     else:
         kernel = make_kernel(dense_kernel, model, collision, blk.cells)
@@ -218,10 +175,10 @@ class DistributedSimulation:
         ``"threads"`` when ``workers > 1``.
     workers:
         Worker threads for ``exec_mode="threads"``.
-    threads:
-        Deprecated alias for ``workers`` (kept for callers of the
-        earlier thread-pool implementation); ignored when ``workers``
-        is given.
+
+    The per-step sweeps come from
+    :class:`~repro.comm.schedule.BlockSweepSchedule`, shared with the
+    SPMD rank program.
     """
 
     def __init__(
@@ -238,14 +195,11 @@ class DistributedSimulation:
         sparse_kernel: str = "interval",
         filtered_communication: bool = False,
         comm_mode: str = "per-face",
-        threads: int = 1,
         exec_mode: Optional[str] = None,
-        workers: Optional[int] = None,
+        workers: int = 1,
     ):
         if forest.n_processes == 0:
             raise ConfigurationError("forest must be balanced first")
-        if workers is None:
-            workers = int(threads)
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if exec_mode is None:
@@ -265,8 +219,6 @@ class DistributedSimulation:
         self.comm_mode = comm_mode
         self.exec_mode = exec_mode
         self.workers = int(workers)
-        #: Back-compat view of the worker count (pre-engine API).
-        self.threads = self.workers
         self.forest = forest
         self.model = model
         self.collision = collision
@@ -280,16 +232,16 @@ class DistributedSimulation:
         self.block_rank: Dict[object, int] = {}
         self.fields: Dict[object, PdfField] = {}
         self.flags: Dict[object, FlagField] = {}
-        self._kernels: Dict[object, Callable] = {}
         self._handlers: Dict[object, BoundaryHandling] = {}
         self.kernel_names: Dict[object, str] = {}
 
+        runtimes: Dict[object, BlockRuntime] = {}
         for view in self.views:
             for blk in view.blocks:
                 key = blk.id
                 self.blocks[key] = blk
                 self.block_rank[key] = view.rank
-                rt = build_block_runtime(
+                rt = runtimes[key] = build_block_runtime(
                     blk,
                     collision,
                     conditions,
@@ -302,7 +254,6 @@ class DistributedSimulation:
                 )
                 self.flags[key] = rt.flags
                 self.fields[key] = rt.field
-                self._kernels[key] = rt.kernel
                 self.kernel_names[key] = rt.kernel_name
                 self._handlers[key] = rt.handler
 
@@ -321,41 +272,16 @@ class DistributedSimulation:
             self.exchange = CoalescedGhostExchange(
                 self.fields, specs, self.block_rank, tree=self.timeloop.tree
             )
-        if comm_mode == "overlap":
-            self._build_overlap_schedule(specs)
-            (
-                self.timeloop
-                .add("communication", self.exchange.start)
-                .add("boundary", self._apply_boundaries)
-                .add("inner kernel", self._run_inner_kernels)
-                .add("communication finish", self._finish_comm)
-                .add("frontier kernel", self._run_frontier_kernels)
-                .add("swap", self._swap_all)
-            )
-        else:
-            (
-                self.timeloop
-                .add("communication", self.exchange.exchange)
-                .add("boundary", self._apply_boundaries)
-                .add("kernel", self._run_kernels)
-                .add("swap", self._swap_all)
-            )
-        # Per-tier kernel timers nest under the "kernel" sweep scope.
-        for key, kern in self._kernels.items():
-            self._kernels[key] = instrument_kernel(
-                kern, self.timeloop.tree, self.kernel_names[key]
-            )
-        self._cells_per_step = sum(
-            getattr(k, "processed_cells", int(np.prod(self.blocks[key].cells)))
-            for key, k in self._kernels.items()
+        self._schedule = BlockSweepSchedule(
+            runtimes,
+            self.blocks,
+            self.exchange,
+            self.engine,
+            self.timeloop.tree,
+            overlap=comm_mode == "overlap",
+            remote_dst={s.dst_key for s in specs if s.remote},
         )
-        self._fluid_per_step = self.total_fluid_cells()
-        # Cumulative accumulators for the overlap-efficiency gauge.
-        self._inner_seconds = 0.0
-        self._exposed_seconds = 0.0
-        # In-flight inner-sweep round (threaded overlap composition).
-        self._inner_handle: Optional[RoundHandle] = None
-        self._build_task_lists()
+        self._schedule.register(self.timeloop)
 
     # -- construction helpers ---------------------------------------------
     def _build_specs(self) -> List[CopySpec]:
@@ -402,201 +328,6 @@ class DistributedSimulation:
                             )
                         )
         return specs
-
-    def _build_overlap_schedule(self, specs: Sequence[CopySpec]) -> None:
-        """Precompute the inner/frontier split for ``comm_mode='overlap'``.
-
-        Dense blocks are partitioned once into an inner box (sweepable
-        before the exchange finishes — its pulls never touch ghost
-        cells) and a one-cell frontier onion.  Sparse blocks keep their
-        index lists valid by sweeping whole-block in the frontier phase.
-        Blocks that receive remote data *and* have boundary links
-        writing into the ghost shell are re-applied after unpack (the
-        sweep is idempotent: it reads only interior fluid cells).
-        """
-        remote_dst = {s.dst_key for s in specs if s.remote}
-        self._inner_boxes: Dict[object, tuple] = {}
-        self._frontier_boxes: Dict[object, list] = {}
-        self._reapply_keys: List[object] = []
-        for key, blk in self.blocks.items():
-            if self.kernel_names[key] in KERNEL_TIERS:
-                inner, frontier = interior_partition(blk.cells)
-                if inner is not None:
-                    self._inner_boxes[key] = inner
-                self._frontier_boxes[key] = frontier
-            if key in remote_dst and _handler_writes_ghosts(self._handlers[key]):
-                self._reapply_keys.append(key)
-
-    def _build_task_lists(self) -> None:
-        """Precompute the engine work items for every parallel sweep.
-
-        Decomposition is hybrid: with at least as many blocks as
-        workers each block is one work item (block-level scheduling);
-        with fewer blocks, each *dense* block's interior is cut into
-        :func:`~repro.exec.slabs_per_block` slabs along the slowest
-        axis (sparse blocks always stay whole — their index lists are
-        built for the full padded shape).  Closures re-read
-        ``field.src`` / ``field.dst`` at call time so the two-grid swap
-        stays transparent; all tasks of one round write disjoint
-        regions, so any worker count is bit-identical to serial.
-        """
-        dense = {k for k in self._kernels if self.kernel_names[k] in KERNEL_TIERS}
-        n_blocks = len(self._kernels)
-        slabs = 1
-        if self.exec_mode == "threads":
-            slabs = slabs_per_block(n_blocks, len(dense), self.workers)
-        self._kernel_tasks: List[SweepTask] = []
-        for key, kern in self._kernels.items():
-            field = self.fields[key]
-            cells = self.blocks[key].cells
-            if key in dense and slabs > 1:
-                full = ((0,) * self.model.dim, cells)
-                for i, box in enumerate(slab_boxes(full, slabs)):
-                    self._kernel_tasks.append(
-                        SweepTask(
-                            (lambda kern=kern, field=field, box=box:
-                             run_kernel_on_region(
-                                 kern, field.src, field.dst, box
-                             )),
-                            cost=box_cells(box),
-                            name=f"{key}:slab{i}",
-                        )
-                    )
-            else:
-                cost = float(
-                    getattr(kern, "processed_cells", int(np.prod(cells)))
-                )
-                self._kernel_tasks.append(
-                    SweepTask(
-                        (lambda kern=kern, field=field:
-                         kern(field.src, field.dst)),
-                        cost=cost,
-                        name=f"{key}:block",
-                    )
-                )
-        # Boundary handling: blocks are independent (each handler writes
-        # only its own block's field), one work item per block.
-        self._boundary_tasks = [
-            SweepTask(
-                (lambda h=handler, field=self.fields[key]: h.apply(field.src)),
-                cost=float(np.prod(self.blocks[key].cells)),
-                name=f"{key}:boundary",
-            )
-            for key, handler in self._handlers.items()
-        ]
-        if self.comm_mode != "overlap":
-            self._inner_tasks: List[SweepTask] = []
-            self._frontier_tasks: List[SweepTask] = []
-            return
-        # Overlap schedule: inner boxes slab-split like full interiors
-        # (they are the bulk of the work and must fill the pool while
-        # the exchange is in flight); frontier shells stay one item per
-        # block — thin onions whose boxes must run back-to-back.
-        inner_slabs = 1
-        if self.exec_mode == "threads" and self._inner_boxes:
-            inner_slabs = slabs_per_block(
-                len(self._inner_boxes), len(self._inner_boxes), self.workers
-            )
-        self._inner_tasks = []
-        for key, box in self._inner_boxes.items():
-            field = self.fields[key]
-            kern = self._kernels[key]
-            for i, sb in enumerate(slab_boxes(box, inner_slabs)):
-                self._inner_tasks.append(
-                    SweepTask(
-                        (lambda kern=kern, field=field, box=sb:
-                         run_kernel_on_region(kern, field.src, field.dst, box)),
-                        cost=box_cells(sb),
-                        name=f"{key}:inner{i}",
-                    )
-                )
-        self._frontier_tasks = []
-        for key, kern in self._kernels.items():
-            cells = int(np.prod(self.blocks[key].cells))
-            inner = self._inner_boxes.get(key)
-            cost = float(cells - (box_cells(inner) if inner is not None else 0))
-            self._frontier_tasks.append(
-                SweepTask(
-                    (lambda key=key: self._frontier_one(key)),
-                    cost=max(cost, 1.0),
-                    name=f"{key}:frontier",
-                )
-            )
-
-    # -- per-step sweeps --------------------------------------------------
-    def _run_inner_kernels(self) -> None:
-        """Dispatch the inner-slab round.
-
-        Under ``exec_mode="threads"`` the round is *asynchronous*: the
-        sweep returns as soon as the tasks are on the worker deques, so
-        the next sweep (``communication finish``) drains the exchange
-        concurrently with the inner compute — the unpack writes ghost
-        layers of ``src`` while the inner slabs write interior regions
-        of ``dst``, which are disjoint.  The serial engine executes
-        inline, reproducing the synchronous schedule exactly.
-        """
-        t0 = time.perf_counter()
-        self._inner_handle = self.engine.run_async(self._inner_tasks)
-        if self._inner_handle.done:  # serial engine ran inline
-            self._inner_seconds += time.perf_counter() - t0
-
-    def _finish_comm(self) -> None:
-        """Complete the exchange, restore boundary writes, join the
-        in-flight inner round, and update the
-        ``comm.overlap_efficiency`` gauge (compute hidden behind the
-        exchange as a fraction of compute + exposed comm)."""
-        t0 = time.perf_counter()
-        self.exchange.finish()
-        for key in self._reapply_keys:
-            self._handlers[key].apply(self.fields[key].src)
-        comm_wall = time.perf_counter() - t0
-        handle = self._inner_handle
-        self._inner_handle = None
-        if handle is not None and not handle.done:
-            cp0 = self.engine.critical_path_seconds
-            handle.wait()
-            # The inner round's critical-path CPU time is the compute
-            # available to hide communication behind; comm beyond it is
-            # exposed.
-            inner_cp = self.engine.critical_path_seconds - cp0
-            self._inner_seconds += inner_cp
-            self._exposed_seconds += max(0.0, comm_wall - inner_cp)
-        else:
-            self._exposed_seconds += comm_wall
-        denom = self._inner_seconds + self._exposed_seconds
-        if denom > 0.0:
-            self.timeloop.tree.set_counter(
-                "comm.overlap_efficiency", self._inner_seconds / denom
-            )
-
-    def _frontier_one(self, key) -> None:
-        field = self.fields[key]
-        kernel = self._kernels[key]
-        boxes = self._frontier_boxes.get(key)
-        if boxes is None:  # sparse kernel: whole-block sweep
-            kernel(field.src, field.dst)
-            return
-        for box in boxes:
-            run_kernel_on_region(kernel, field.src, field.dst, box)
-
-    def _run_frontier_kernels(self) -> None:
-        self.engine.run(self._frontier_tasks)
-        tree = self.timeloop.tree
-        tree.add_counter("cells_updated", self._cells_per_step)
-        tree.add_counter("fluid_cell_updates", self._fluid_per_step)
-
-    def _apply_boundaries(self) -> None:
-        self.engine.run(self._boundary_tasks)
-
-    def _run_kernels(self) -> None:
-        self.engine.run(self._kernel_tasks)
-        tree = self.timeloop.tree
-        tree.add_counter("cells_updated", self._cells_per_step)
-        tree.add_counter("fluid_cell_updates", self._fluid_per_step)
-
-    def _swap_all(self) -> None:
-        for field in self.fields.values():
-            field.swap()
 
     def close(self) -> None:
         """Shut down the sweep engine's worker pool (idempotent)."""
@@ -762,11 +493,7 @@ class DistributedSimulation:
         t = self._kernel_seconds()
         if t == 0.0 or self.timeloop.steps_run == 0:
             return 0.0
-        processed = sum(
-            getattr(k, "processed_cells", int(np.prod(self.blocks[key].cells)))
-            for key, k in self._kernels.items()
-        )
-        return processed * self.timeloop.steps_run / t / 1e6
+        return self._schedule.cells_per_step * self.timeloop.steps_run / t / 1e6
 
     def comm_fraction(self) -> float:
         """Fraction of wall time spent in communication sweeps — the

@@ -203,7 +203,8 @@ class SpmdGhostExchange:
     Each call fires all sends, performs the same-rank direct copies,
     then drains the expected receives; with ``tree`` set the three
     stages are timed as ``pack+send`` / ``local copy`` / ``recv+unpack``
-    sub-scopes under the caller's ``communication`` sweep.
+    sub-scopes under the caller's ``communication`` sweep, and the bytes
+    sent to other ranks accumulate in ``comm.remote_bytes``.
     """
 
     def __init__(
@@ -226,8 +227,8 @@ class SpmdGhostExchange:
     def _scope(self, name: str):
         return self.tree.scoped(name) if self.tree is not None else nullcontext()
 
-    def exchange(self) -> int:
-        """Run one full ghost exchange; returns bytes sent to other ranks.
+    def exchange(self) -> None:
+        """Run one full ghost exchange.
 
         Sends are posted non-blocking (``isend``); receives are drained
         in *arrival order* via :func:`drain_arrival_order`, so one
@@ -261,7 +262,8 @@ class SpmdGhostExchange:
                 region[...] = data
             for req in requests:
                 req.wait()
-        return sent_bytes
+        if self.tree is not None:
+            self.tree.add_counter("comm.remote_bytes", sent_bytes)
 
 
 @dataclass(frozen=True)
@@ -318,14 +320,12 @@ class GhostExchange:
         1/19 per edge, 0/19 per corner for D3Q19) — an optimization the
         paper's scheme does *not* apply; exposed here as an ablation.
     tree:
-        Optional :class:`~repro.perf.timing.TimingTree`.  When set, each
-        exchange is split into ``pack`` / ``send/recv`` / ``unpack``
-        sub-scopes for remote copies (staged through contiguous buffers,
-        exactly the structure of an MPI ghost exchange) plus a ``local
-        copy`` scope, all nesting under the caller's ``communication``
-        sweep; byte totals feed the ``comm.*_bytes`` counters.  The
-        resulting field state is bit-identical to the un-instrumented
-        path.
+        Optional :class:`~repro.perf.timing.TimingTree`.  When set, the
+        ``pack`` / ``send/recv`` / ``unpack`` stages of the remote copies
+        (staged through contiguous buffers, exactly the structure of an
+        MPI ghost exchange) and the ``local copy`` stage are timed as
+        sub-scopes of the caller's ``communication`` sweep, and byte
+        totals feed the ``comm.*_bytes`` counters.
     """
 
     def __init__(
@@ -362,26 +362,11 @@ class GhostExchange:
             src_sl = (dirs,) + send_slices(tuple(-o for o in s.offset))
             self._ops.append((s, dst_sl, src_sl))
 
-    def exchange(self) -> None:
-        """Run all copies once (call at the start of every time step)."""
-        if self.tree is not None:
-            self._exchange_instrumented(self.tree)
-            return
-        for s, dst_sl, src_sl in self._ops:
-            dst = self.fields[s.dst_key].src
-            src = self.fields[s.src_key].src
-            region = src[src_sl]
-            dst[dst_sl] = region
-            nbytes = region.nbytes
-            if s.remote:
-                self.stats.remote_bytes += nbytes
-                self.stats.remote_messages += 1
-            else:
-                self.stats.local_bytes += nbytes
-                self.stats.local_messages += 1
+    def _scope(self, name: str):
+        return self.tree.scoped(name) if self.tree is not None else nullcontext()
 
-    def _exchange_instrumented(self, tree: TimingTree) -> None:
-        """The same exchange, staged through pack/send/unpack scopes.
+    def exchange(self) -> None:
+        """Run all copies once (call at the start of every time step).
 
         Remote copies go through contiguous staging buffers (the MPI
         message an exchange on a cluster would post); local copies stay
@@ -390,29 +375,30 @@ class GhostExchange:
         """
         local_bytes = 0
         remote_bytes = 0
-        with tree.scoped("pack"):
+        with self._scope("pack"):
             staged = []
             for s, dst_sl, src_sl in self._ops:
                 if s.remote:
                     buf = np.ascontiguousarray(self.fields[s.src_key].src[src_sl])
                     staged.append((s, dst_sl, buf))
-        with tree.scoped("local copy"):
+        with self._scope("local copy"):
             for s, dst_sl, src_sl in self._ops:
                 if not s.remote:
                     region = self.fields[s.src_key].src[src_sl]
                     self.fields[s.dst_key].src[dst_sl] = region
                     local_bytes += region.nbytes
                     self.stats.local_messages += 1
-        with tree.scoped("send/recv"):
+        with self._scope("send/recv"):
             # One shared address space: the "wire" transfer is the buffer
             # handoff itself; the ledger still counts it as a message.
             for s, _dst_sl, buf in staged:
                 remote_bytes += buf.nbytes
                 self.stats.remote_messages += 1
-        with tree.scoped("unpack"):
+        with self._scope("unpack"):
             for s, dst_sl, buf in staged:
                 self.fields[s.dst_key].src[dst_sl] = buf
         self.stats.local_bytes += local_bytes
         self.stats.remote_bytes += remote_bytes
-        tree.add_counter("comm.local_bytes", local_bytes)
-        tree.add_counter("comm.remote_bytes", remote_bytes)
+        if self.tree is not None:
+            self.tree.add_counter("comm.local_bytes", local_bytes)
+            self.tree.add_counter("comm.remote_bytes", remote_bytes)

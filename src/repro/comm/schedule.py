@@ -1,0 +1,309 @@
+"""One rank's per-step block-sweep schedule (§2.3, §4.2).
+
+Both simulation drivers — the in-process
+:class:`~repro.comm.distributed.DistributedSimulation` and the SPMD
+:func:`~repro.comm.spmd.spmd_rank_program` — step their blocks through
+:class:`BlockSweepSchedule`.  They differ only in which blocks they own
+and which ghost-exchange executor moves the data; the sweeps are the
+same:
+
+    fused:    communication -> boundary -> kernel -> swap
+    overlap:  communication -> boundary -> inner kernel
+              -> communication finish -> frontier kernel -> swap
+
+Every exchange executor offers ``exchange()``; those that can overlap
+(:class:`~repro.comm.buffersystem.CoalescedGhostExchange`,
+:class:`~repro.comm.buffersystem.BufferSystem`) also offer ``start()``
+(pack, post sends, local copies) and ``finish()`` (drain and unpack).
+
+Work items are built once.  Closures re-read ``field.src`` /
+``field.dst`` at call time so the two-grid swap stays transparent, and
+every round's tasks write disjoint regions, so any worker count is
+bit-identical to serial execution.  The sweeps look up
+``exchange.finish`` and ``engine.run`` / ``engine.run_async`` on every
+call, so wrappers installed on those objects take effect.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import TYPE_CHECKING, Collection, Dict, List, Mapping, Optional
+
+import numpy as np
+
+from ..blocks.forest import LocalBlock
+from ..core.timeloop import TimeLoop
+from ..exec import ExecutionEngine, RoundHandle, SweepTask, slab_boxes, slabs_per_block
+from ..lbm.boundary import BoundaryHandling
+from ..lbm.kernels.common import box_cells, interior_partition
+from ..lbm.kernels.registry import (
+    KERNEL_TIERS,
+    instrument_kernel,
+    run_kernel_on_region,
+)
+from ..perf.timing import TimingTree
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from .distributed import BlockRuntime
+
+__all__ = ["BlockSweepSchedule"]
+
+
+def _handler_writes_ghosts(handler: BoundaryHandling) -> bool:
+    """True if any boundary link writes a wall cell in the ghost shell.
+
+    Such writes are clobbered when a later unpack refreshes the ghost
+    layer, so the overlap schedule must re-apply the (idempotent)
+    boundary sweep after the exchange completes.
+    """
+    shape = handler.flag_field.data.shape
+    interior = np.zeros(shape, dtype=bool)
+    interior[(slice(1, -1),) * len(shape)] = True
+    ghost_flat = ~interior.reshape(-1)
+    for per_dir in handler._links:
+        for links in per_dir:
+            if links.wall.size and bool(ghost_flat[links.wall].any()):
+                return True
+    return False
+
+
+def _region_task(kern, field, box, name: str) -> SweepTask:
+    return SweepTask(
+        lambda: run_kernel_on_region(kern, field.src, field.dst, box),
+        cost=box_cells(box),
+        name=name,
+    )
+
+
+def _frontier_task(kern, field, boxes, cost: float, name: str) -> SweepTask:
+    def fn() -> None:
+        if boxes is None:  # sparse kernel: whole-block sweep
+            kern(field.src, field.dst)
+            return
+        for box in boxes:
+            run_kernel_on_region(kern, field.src, field.dst, box)
+
+    return SweepTask(fn, cost=max(cost, 1.0), name=name)
+
+
+class BlockSweepSchedule:
+    """The sweeps that advance one rank's blocks by one time step.
+
+    Parameters
+    ----------
+    runtimes:
+        Block id -> :class:`~repro.comm.distributed.BlockRuntime` of
+        every block this rank steps.
+    blocks:
+        Block id -> :class:`~repro.blocks.forest.LocalBlock` (cell
+        extents and fluid-cell counts).
+    exchange:
+        The ghost-exchange executor; needs ``start``/``finish`` when
+        ``overlap`` is set.
+    engine:
+        The rank's sweep engine (:mod:`repro.exec`).
+    tree:
+        Timing tree for per-tier kernel timers and counters, or ``None``.
+    overlap:
+        Split dense blocks into an inner box swept while the exchange
+        is in flight and a one-cell frontier swept after it.
+    remote_dst:
+        Ids of blocks whose ghost layers receive data from other ranks;
+        under overlap, those whose boundary links write into the ghost
+        shell re-apply boundary handling after the unpack.
+
+    Decomposition is hybrid: with at least as many blocks as workers
+    each block is one work item; with fewer, each dense block's interior
+    (or inner box) is cut into :func:`~repro.exec.slabs_per_block` slabs
+    along the slowest axis.  Sparse blocks always stay whole — their
+    index lists are built for the full padded shape — and frontier
+    shells stay one item per block.
+    """
+
+    def __init__(
+        self,
+        runtimes: Mapping[object, "BlockRuntime"],
+        blocks: Mapping[object, LocalBlock],
+        exchange,
+        engine: ExecutionEngine,
+        tree: Optional[TimingTree],
+        overlap: bool,
+        remote_dst: Collection[object],
+    ):
+        self.runtimes = runtimes
+        self.exchange = exchange
+        self.engine = engine
+        self.tree = tree
+        self.overlap = overlap
+        # Per-tier kernel timers nest under the dispatching sweep scope.
+        kernels = {
+            key: instrument_kernel(rt.kernel, tree, rt.kernel_name)
+            for key, rt in runtimes.items()
+        }
+        # Cells each kernel sweeps (sparse kernels skip non-fluid cells).
+        processed = {
+            key: getattr(kern, "processed_cells", blocks[key].total_cells)
+            for key, kern in kernels.items()
+        }
+        #: Cells the kernels sweep per step, and fluid cells per step.
+        self.cells_per_step = sum(processed.values())
+        self.fluid_per_step = sum(blocks[key].fluid_cells for key in runtimes)
+        dense = [key for key, rt in runtimes.items() if rt.kernel_name in KERNEL_TIERS]
+        threaded = engine.mode == "threads"
+
+        self.boundary_tasks = [
+            SweepTask(
+                (lambda h=rt.handler, field=rt.field: h.apply(field.src)),
+                cost=float(blocks[key].total_cells),
+                name=f"{key}:boundary",
+            )
+            for key, rt in runtimes.items()
+        ]
+        self.kernel_tasks: List[SweepTask] = []
+        self.inner_tasks: List[SweepTask] = []
+        self.frontier_tasks: List[SweepTask] = []
+        self.reapply: List[object] = []
+        if not overlap:
+            slabs = 1
+            if threaded:
+                slabs = slabs_per_block(len(runtimes), len(dense), engine.workers)
+            for key, kern in kernels.items():
+                field = runtimes[key].field
+                cells = blocks[key].cells
+                if key in dense and slabs > 1:
+                    full = ((0,) * len(cells), cells)
+                    self.kernel_tasks.extend(
+                        _region_task(kern, field, box, f"{key}:slab{i}")
+                        for i, box in enumerate(slab_boxes(full, slabs))
+                    )
+                else:
+                    self.kernel_tasks.append(
+                        SweepTask(
+                            (lambda kern=kern, field=field:
+                             kern(field.src, field.dst)),
+                            cost=float(processed[key]),
+                            name=f"{key}:block",
+                        )
+                    )
+            return
+
+        inner_boxes: Dict[object, tuple] = {}
+        frontier_boxes: Dict[object, list] = {}
+        for key in dense:
+            inner, frontier = interior_partition(blocks[key].cells)
+            if inner is not None:
+                inner_boxes[key] = inner
+            frontier_boxes[key] = frontier
+        # Inner boxes are the bulk of the work and must fill the pool
+        # while the exchange is in flight, so they are slab-split.
+        inner_slabs = 1
+        if threaded and inner_boxes:
+            inner_slabs = slabs_per_block(
+                len(inner_boxes), len(inner_boxes), engine.workers
+            )
+        for key, box in inner_boxes.items():
+            self.inner_tasks.extend(
+                _region_task(kernels[key], runtimes[key].field, sb, f"{key}:inner{i}")
+                for i, sb in enumerate(slab_boxes(box, inner_slabs))
+            )
+        for key, kern in kernels.items():
+            inner = inner_boxes.get(key)
+            cost = blocks[key].total_cells - (box_cells(inner) if inner else 0)
+            self.frontier_tasks.append(
+                _frontier_task(
+                    kern, runtimes[key].field, frontier_boxes.get(key),
+                    float(cost), f"{key}:frontier",
+                )
+            )
+        remote = set(remote_dst)
+        self.reapply = [
+            key for key, rt in runtimes.items()
+            if key in remote and _handler_writes_ghosts(rt.handler)
+        ]
+        # Overlap-efficiency accounting (see :meth:`_finish_comm`).
+        self._inner_handle: Optional[RoundHandle] = None
+        self._inner_seconds = 0.0
+        self._exposed_seconds = 0.0
+
+    def register(self, loop: TimeLoop) -> TimeLoop:
+        """Append this schedule's sweeps to ``loop``; returns ``loop``."""
+        if not self.overlap:
+            return (
+                loop.add("communication", self.exchange.exchange)
+                .add("boundary", self._apply_boundaries)
+                .add("kernel", self._run_kernels)
+                .add("swap", self._swap_all)
+            )
+        return (
+            loop.add("communication", self.exchange.start)
+            .add("boundary", self._apply_boundaries)
+            .add("inner kernel", self._run_inner_kernels)
+            .add("communication finish", self._finish_comm)
+            .add("frontier kernel", self._run_frontier_kernels)
+            .add("swap", self._swap_all)
+        )
+
+    # -- sweeps ---------------------------------------------------------------
+    def _count_updates(self) -> None:
+        if self.tree is not None:
+            self.tree.add_counter("cells_updated", self.cells_per_step)
+            self.tree.add_counter("fluid_cell_updates", self.fluid_per_step)
+
+    def _apply_boundaries(self) -> None:
+        self.engine.run(self.boundary_tasks)
+
+    def _run_kernels(self) -> None:
+        self.engine.run(self.kernel_tasks)
+        self._count_updates()
+
+    def _run_inner_kernels(self) -> None:
+        """Dispatch the inner-slab round.
+
+        A threaded engine returns as soon as the tasks are queued, so
+        the next sweep (``communication finish``) drains the exchange
+        concurrently with the inner compute: the unpack writes ghost
+        layers of ``src`` while the inner slabs write interior regions
+        of ``dst``, which are disjoint.  The serial engine runs the
+        round inline, which is the synchronous schedule.
+        """
+        t0 = time.perf_counter()
+        self._inner_handle = self.engine.run_async(self.inner_tasks)
+        if self._inner_handle.done:  # serial engine ran inline
+            self._inner_seconds += time.perf_counter() - t0
+
+    def _finish_comm(self) -> None:
+        """Complete the exchange, restore boundary ghost writes, join the
+        in-flight inner round, and update the ``comm.overlap_efficiency``
+        gauge: compute hidden behind the exchange as a fraction of that
+        compute plus the exposed communication time."""
+        t0 = time.perf_counter()
+        self.exchange.finish()
+        for key in self.reapply:
+            rt = self.runtimes[key]
+            rt.handler.apply(rt.field.src)
+        comm_wall = time.perf_counter() - t0
+        handle, self._inner_handle = self._inner_handle, None
+        if handle is not None and not handle.done:
+            cp0 = self.engine.critical_path_seconds
+            handle.wait()
+            # The inner round's critical-path CPU time is the compute
+            # available to hide communication behind; comm beyond it is
+            # exposed.
+            inner_cp = self.engine.critical_path_seconds - cp0
+            self._inner_seconds += inner_cp
+            self._exposed_seconds += max(0.0, comm_wall - inner_cp)
+        else:
+            self._exposed_seconds += comm_wall
+        denom = self._inner_seconds + self._exposed_seconds
+        if self.tree is not None and denom > 0.0:
+            self.tree.set_counter(
+                "comm.overlap_efficiency", self._inner_seconds / denom
+            )
+
+    def _run_frontier_kernels(self) -> None:
+        self.engine.run(self.frontier_tasks)
+        self._count_updates()
+
+    def _swap_all(self) -> None:
+        for rt in self.runtimes.values():
+            rt.field.swap()

@@ -6,7 +6,9 @@ module runs the *actual* message-passing program: every rank builds only
 its own blocks (from :func:`~repro.blocks.forest.view_for_rank`),
 exchanges ghost regions with neighboring ranks through explicit
 ``send``/``recv`` on a :class:`~repro.comm.vmpi.VirtualMPI`
-communicator, and steps its blocks.  The tests assert the result is
+communicator, and steps its blocks with the same
+:class:`~repro.comm.schedule.BlockSweepSchedule` the direct-copy driver
+uses.  The tests assert the result is
 bit-identical to the direct-copy driver — the strongest possible check
 that the communication pattern is right.
 
@@ -27,28 +29,27 @@ the last checkpoint to the exact state an uninterrupted run reaches.
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
 from ..blocks.forest import LocalBlock, view_for_rank
 from ..blocks.setup import SetupBlockForest
 from ..core.flags import FlagField
+from ..core.timeloop import TimeLoop
 from ..errors import CommunicationError, ConfigurationError
-from ..exec import SweepTask, make_engine, slab_boxes, slabs_per_block
+from ..exec import make_engine
 from ..geometry.implicit import ImplicitGeometry
 from ..geometry.voxelize import ColorMap
 from ..lbm.boundary import Condition
 from ..lbm.collision import SRT, TRT
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..perf.timing import TimingTree
-from ..lbm.kernels.common import box_cells, interior_partition
-from ..lbm.kernels.registry import KERNEL_TIERS, run_kernel_on_region
 from .buffersystem import COMM_MODES, BufferSystem
-from .distributed import BlockRuntime, _handler_writes_ghosts, build_block_runtime
+from .distributed import BlockRuntime, build_block_runtime
 from .ghostlayer import SpmdGhostExchange, build_rank_plan
+from .schedule import BlockSweepSchedule
 from .vmpi import Comm, ReliableComm, VirtualMPI
 
 __all__ = ["run_spmd_simulation", "spmd_rank_program"]
@@ -153,7 +154,8 @@ def spmd_rank_program(
     ``frontier kernel`` scopes and a ``comm.overlap_efficiency`` gauge.
 
     ``tree`` enables per-rank timing: communication (with pack+send /
-    local copy / recv+unpack sub-scopes), boundary, kernel, swap, the
+    local copy / recv+unpack sub-scopes), boundary, kernel (with
+    per-tier ``tier:<name>`` timers), swap, the
     per-step sync barrier, and checkpoint writes each get a scope, and
     cell/byte counters (plus the resilient layer's ``comm.timeouts`` /
     ``comm.retransmits`` / ``comm.duplicates_dropped`` recovery
@@ -201,140 +203,20 @@ def spmd_rank_program(
     else:
         exchange = BufferSystem(plan, fields, channel, tree=tree)
 
-    # Overlap precomputation: split each dense block into an inner box
-    # (ghost-independent) and a frontier onion; sparse blocks sweep
-    # whole-block in the frontier phase (their index lists are built for
-    # the full padded shape).  Blocks that receive remote data and write
-    # boundary PDFs into the ghost shell must re-apply after unpack.
-    inner_boxes: Dict[object, tuple] = {}
-    frontier_boxes: Dict[object, list] = {}
-    reapply: List[object] = []
-    if comm_mode == "overlap":
-        remote_dst = {entry[2] for entry in plan.recvs}
-        for bid, rt in runtimes.items():
-            if rt.kernel_name in KERNEL_TIERS:
-                inner, frontier = interior_partition(local[bid].cells)
-                if inner is not None:
-                    inner_boxes[bid] = inner
-                frontier_boxes[bid] = frontier
-            if bid in remote_dst and _handler_writes_ghosts(rt.handler):
-                reapply.append(bid)
-    inner_seconds = 0.0
-    wait_seconds = 0.0
-
     def scope(name: str):
         return tree.scoped(name) if tree is not None else nullcontext()
 
-    # Intra-rank sweep engine and its precomputed work items (the aPbT
-    # thread axis).  Closures re-read ``rt.field.src/dst`` at call time
-    # so the two-grid swap stays transparent; every round's tasks write
-    # disjoint regions, so results are bit-identical for any worker
-    # count.
+    # Intra-rank sweep engine (the aPbT thread axis) and the shared
+    # block-sweep schedule.
     if exec_mode is None:
         exec_mode = "threads" if workers > 1 else "serial"
     engine = make_engine(exec_mode, workers, tree)
-    dense_ids = {
-        bid for bid, rt in runtimes.items() if rt.kernel_name in KERNEL_TIERS
-    }
-    slabs = 1
-    if engine.mode == "threads":
-        slabs = slabs_per_block(len(runtimes), len(dense_ids), engine.workers)
-
-    def _timed_whole(rt):
-        def fn():
-            t0 = time.perf_counter()
-            rt.kernel(rt.field.src, rt.field.dst)
-            if tree is not None:
-                tree.record(f"tier:{rt.kernel_name}", time.perf_counter() - t0)
-        return fn
-
-    def _timed_region(rt, box):
-        def fn():
-            t0 = time.perf_counter()
-            run_kernel_on_region(rt.kernel, rt.field.src, rt.field.dst, box)
-            if tree is not None:
-                tree.record(f"tier:{rt.kernel_name}", time.perf_counter() - t0)
-        return fn
-
-    kernel_tasks: List[SweepTask] = []
-    for bid, rt in runtimes.items():
-        cells = local[bid].cells
-        if bid in dense_ids and slabs > 1:
-            full = ((0,) * model.dim, cells)
-            kernel_tasks.extend(
-                SweepTask(
-                    _timed_region(rt, box),
-                    cost=box_cells(box),
-                    name=f"{bid}:slab{i}",
-                )
-                for i, box in enumerate(slab_boxes(full, slabs))
-            )
-        else:
-            cost = float(
-                getattr(rt.kernel, "processed_cells", int(np.prod(cells)))
-            )
-            kernel_tasks.append(
-                SweepTask(_timed_whole(rt), cost=cost, name=f"{bid}:block")
-            )
-    boundary_tasks = [
-        SweepTask(
-            (lambda rt=rt: rt.handler.apply(rt.field.src)),
-            cost=float(np.prod(local[bid].cells)),
-            name=f"{bid}:boundary",
-        )
-        for bid, rt in runtimes.items()
-    ]
-    inner_tasks: List[SweepTask] = []
-    frontier_tasks: List[SweepTask] = []
-    if comm_mode == "overlap":
-        inner_slabs = 1
-        if engine.mode == "threads" and inner_boxes:
-            inner_slabs = slabs_per_block(
-                len(inner_boxes), len(inner_boxes), engine.workers
-            )
-        for bid, box in inner_boxes.items():
-            rt = runtimes[bid]
-            inner_tasks.extend(
-                SweepTask(
-                    (lambda rt=rt, sb=sb: run_kernel_on_region(
-                        rt.kernel, rt.field.src, rt.field.dst, sb
-                    )),
-                    cost=box_cells(sb),
-                    name=f"{bid}:inner{i}",
-                )
-                for i, sb in enumerate(slab_boxes(box, inner_slabs))
-            )
-
-        def _frontier_fn(bid, rt):
-            def fn():
-                boxes = frontier_boxes.get(bid)
-                if boxes is None:  # sparse: whole-block sweep
-                    rt.kernel(rt.field.src, rt.field.dst)
-                    return
-                for box in boxes:
-                    run_kernel_on_region(
-                        rt.kernel, rt.field.src, rt.field.dst, box
-                    )
-            return fn
-
-        for bid, rt in runtimes.items():
-            cells = int(np.prod(local[bid].cells))
-            inner = inner_boxes.get(bid)
-            cost = float(cells - (box_cells(inner) if inner is not None else 0))
-            frontier_tasks.append(
-                SweepTask(
-                    _frontier_fn(bid, rt), cost=max(cost, 1.0),
-                    name=f"{bid}:frontier",
-                )
-            )
-
-    cells_per_step = sum(
-        getattr(
-            rt.kernel, "processed_cells", int(np.prod(local[bid].cells))
-        )
-        for bid, rt in runtimes.items()
-    )
-    fluid_per_step = sum(blk.fluid_cells for blk in local.values())
+    timeloop = TimeLoop(tree=tree, engine=engine)
+    BlockSweepSchedule(
+        runtimes, local, exchange, engine, tree,
+        overlap=comm_mode == "overlap",
+        remote_dst={entry[2] for entry in plan.recvs},
+    ).register(timeloop)
 
     start_step = 0
     if restore_from is not None:
@@ -347,66 +229,7 @@ def spmd_rank_program(
                 channel.begin_step(step)
             else:
                 comm.fault_tick(step)
-            if comm_mode == "overlap":
-                # 1a. pack + post isends + local copies, start computing.
-                with scope("communication"):
-                    sent_bytes = exchange.start()
-                    exchange.local()
-                with scope("boundary"):
-                    engine.run(boundary_tasks)
-                # 2. inner-region sweeps hide the in-flight messages.
-                # With a threaded engine the round is dispatched
-                # asynchronously: the workers sweep inner slabs (writing
-                # dst interiors) while this rank's thread drains the
-                # exchange (writing src ghost layers) — disjoint memory,
-                # so the composition stays bit-identical.
-                t0 = time.perf_counter()
-                with scope("inner kernel"):
-                    inner_handle = engine.run_async(inner_tasks)
-                if inner_handle.done:  # serial engine ran inline
-                    inner_seconds += time.perf_counter() - t0
-                # 1b. drain + unpack; restore boundary ghost writes;
-                # join the inner round.
-                with scope("communication finish"):
-                    exchange.finish()
-                    for bid in reapply:
-                        runtimes[bid].handler.apply(runtimes[bid].field.src)
-                    if not inner_handle.done:
-                        cp0 = engine.critical_path_seconds
-                        inner_handle.wait()
-                        inner_seconds += engine.critical_path_seconds - cp0
-                wait_seconds += exchange.last_wait_seconds
-                # 3. frontier sweeps now that ghost layers are fresh.
-                with scope("frontier kernel"):
-                    engine.run(frontier_tasks)
-                with scope("swap"):
-                    for rt in runtimes.values():
-                        rt.field.swap()
-                if tree is not None:
-                    tree.add_counter("cells_updated", cells_per_step)
-                    tree.add_counter("fluid_cell_updates", fluid_per_step)
-                    tree.add_counter("comm.remote_bytes", sent_bytes)
-                    denom = inner_seconds + wait_seconds
-                    if denom > 0.0:
-                        tree.set_counter(
-                            "comm.overlap_efficiency", inner_seconds / denom
-                        )
-            else:
-                # 1. communication: fire all sends, then drain the recvs.
-                with scope("communication"):
-                    sent_bytes = exchange.exchange()
-                # 2./3./4. boundary handling, kernel, swap.
-                with scope("boundary"):
-                    engine.run(boundary_tasks)
-                with scope("kernel"):
-                    engine.run(kernel_tasks)
-                with scope("swap"):
-                    for rt in runtimes.values():
-                        rt.field.swap()
-                if tree is not None:
-                    tree.add_counter("cells_updated", cells_per_step)
-                    tree.add_counter("fluid_cell_updates", fluid_per_step)
-                    tree.add_counter("comm.remote_bytes", sent_bytes)
+            timeloop.step()
             # Periodic checkpoint: collective gather + atomic rank-0 write.
             if checkpoint_every > 0 and (step + 1) % checkpoint_every == 0:
                 with scope("checkpoint"):
@@ -417,7 +240,7 @@ def spmd_rank_program(
             with scope("sync"):
                 comm.barrier()
     finally:
-        engine.shutdown()
+        timeloop.close()
 
     return {
         block_id: rt.field.interior_view.copy()

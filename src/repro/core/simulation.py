@@ -24,11 +24,7 @@ from ..lbm.kernels.registry import (
     make_kernel,
     run_kernel_on_region,
 )
-from ..lbm.kernels.sparse import (
-    ConditionalSparseKernel,
-    IndexListSparseKernel,
-    IntervalSparseKernel,
-)
+from ..lbm.kernels.sparse import SPARSE_KERNELS
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..lbm.macroscopic import density as _density, velocity as _velocity
 from . import flags as fl
@@ -39,13 +35,6 @@ from .timeloop import TimeLoop
 __all__ = ["Simulation"]
 
 Collision = Union[SRT, TRT]
-
-_SPARSE_KERNELS = {
-    "conditional": ConditionalSparseKernel,
-    "indexlist": IndexListSparseKernel,
-    "interval": IntervalSparseKernel,
-}
-
 
 class Simulation:
     """A single-block LBM simulation.
@@ -159,11 +148,11 @@ class Simulation:
         name = self.kernel_name
         if name is None:
             name = "interval" if has_outside else "vectorized"
-        if name in _SPARSE_KERNELS:
+        if name in SPARSE_KERNELS:
             if self.model.name != "D3Q19":
                 raise ConfigurationError("sparse kernels require D3Q19")
             self._kernel = instrument_kernel(
-                _SPARSE_KERNELS[name](fluid, self.collision), tree, name
+                SPARSE_KERNELS[name](fluid, self.collision), tree, name
             )
         else:
             if has_outside:

@@ -53,12 +53,13 @@ class TimeLoop:
     ``tree`` is the timing tree all sweeps record into; it is created
     per loop by default but can be shared (e.g. one tree per virtual
     rank in an SPMD run, later reduced with
-    :func:`~repro.perf.timing.reduce_trees`).
+    :func:`~repro.perf.timing.reduce_trees`).  ``None`` runs the sweeps
+    untimed (an SPMD rank without a timing tree).
     """
 
     sweeps: List[Sweep] = field(default_factory=list)
     steps_run: int = 0
-    tree: TimingTree = field(default_factory=TimingTree)
+    tree: Optional[TimingTree] = field(default_factory=TimingTree)
     checkpoint_every: int = 0
     checkpoint_fn: Optional[Callable[[int], None]] = None
     #: The intra-rank sweep engine driving this loop's parallel sweeps

@@ -11,6 +11,7 @@ from .sparse import (
     ConditionalSparseKernel,
     IndexListSparseKernel,
     IntervalSparseKernel,
+    SPARSE_KERNELS,
     fluid_intervals,
 )
 from .vectorized import VectorizedD3Q19Kernel
@@ -21,5 +22,5 @@ __all__ = [
     "d3q19_step", "generic_step", "reference_step",
     "KERNEL_TIERS", "make_kernel",
     "ConditionalSparseKernel", "IndexListSparseKernel", "IntervalSparseKernel",
-    "fluid_intervals", "VectorizedD3Q19Kernel",
+    "SPARSE_KERNELS", "fluid_intervals", "VectorizedD3Q19Kernel",
 ]

@@ -44,6 +44,7 @@ __all__ = [
     "ConditionalSparseKernel",
     "IndexListSparseKernel",
     "IntervalSparseKernel",
+    "SPARSE_KERNELS",
     "fluid_intervals",
 ]
 
@@ -295,3 +296,11 @@ class IntervalSparseKernel:
         post = _collide_packed(D3Q19, g, self.collision)
         for a in range(19):
             dst_flat[a][idx[valid]] = post[a][valid]
+
+
+#: Sparse-block kernel strategies by name (§4.3).
+SPARSE_KERNELS = {
+    "conditional": ConditionalSparseKernel,
+    "indexlist": IndexListSparseKernel,
+    "interval": IntervalSparseKernel,
+}

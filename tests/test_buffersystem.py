@@ -61,14 +61,14 @@ def _dense_forest(grid=(2, 2, 2), cells=(5, 5, 5), ranks=4):
     return forest
 
 
-def _dense_sim(mode, threads=1, grid=(2, 2, 2), cells=(5, 5, 5), ranks=4):
+def _dense_sim(mode, workers=1, grid=(2, 2, 2), cells=(5, 5, 5), ranks=4):
     return DistributedSimulation(
         _dense_forest(grid, cells, ranks),
         TRT.from_tau(0.65),
         boundaries=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
         flag_setter=_lid_setter(grid),
         comm_mode=mode,
-        threads=threads,
+        workers=workers,
     )
 
 
@@ -193,9 +193,9 @@ class TestBitIdentityAcrossModes:
         return _sparse_sim("per-face").run(self.STEPS)
 
     @pytest.mark.parametrize("mode", ["coalesced", "overlap"])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_dense_multiblock(self, mode, threads, dense_ref):
-        sim = _dense_sim(mode, threads=threads).run(self.STEPS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dense_multiblock(self, mode, workers, dense_ref):
+        sim = _dense_sim(mode, workers=workers).run(self.STEPS)
         _fields_identical(sim, dense_ref)
 
     @pytest.mark.parametrize("mode", ["coalesced", "overlap"])
@@ -333,12 +333,32 @@ class TestSpmdBufferSystem:
             == expected * self.STEPS
         )
 
-    def test_overlap_gauge_reported(self):
+    @pytest.mark.parametrize("driver", ["spmd", "in-process"])
+    def test_overlap_gauge_reported(self, driver):
+        if driver == "spmd":
+            trees = [TimingTree() for _ in range(self.RANKS)]
+            self._run("overlap", trees=trees)
+            counters = reduce_trees(trees).counters
+        else:
+            sim = DistributedSimulation(
+                self._forest(),
+                TRT.from_tau(0.65),
+                boundaries=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
+                flag_setter=_lid_setter(self.GRID),
+                comm_mode="overlap",
+            ).run(self.STEPS)
+            counters = sim.timeloop.tree.counters
+        assert 0.0 <= counters["comm.overlap_efficiency"] <= 1.0
+        assert counters["comm.coalesced_bytes"] > 0
+
+    def test_overlap_records_kernel_timers(self):
+        """The overlap rank program times its inner and frontier kernel
+        calls under the sweeps that dispatch them, like the fused modes."""
         trees = [TimingTree() for _ in range(self.RANKS)]
         self._run("overlap", trees=trees)
         reduced = reduce_trees(trees)
-        assert "comm.overlap_efficiency" in reduced.counters
-        assert reduced.counters["comm.coalesced_bytes"] > 0
+        for sweep in ("inner kernel", "frontier kernel"):
+            assert reduced.node(sweep, "tier:vectorized") is not None, sweep
 
     def test_bulk_tag_never_collides_with_per_face_tags(self):
         assert BULK_TAG < 0

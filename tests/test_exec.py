@@ -456,20 +456,6 @@ class TestDeterminismDistributed:
         result = _dist_fields(_dense_dist(mode, workers=workers), self.STEPS)
         _assert_fields_identical(result, baseline)
 
-    def test_threads_alias_back_compat(self, baseline):
-        """The pre-engine ``threads=N`` spelling still works."""
-        sim = DistributedSimulation(
-            _dense_forest(),
-            TRT.from_tau(0.65),
-            boundaries=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-            flag_setter=_lid_setter((2, 2, 2)),
-            comm_mode="overlap",
-            threads=2,
-        )
-        assert sim.workers == 2 and sim.threads == 2
-        assert sim.engine.mode == "threads"
-        _assert_fields_identical(_dist_fields(sim, self.STEPS), baseline)
-
 
 class TestDeterminismSparse:
     STEPS = 5
