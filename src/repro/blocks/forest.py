@@ -13,7 +13,7 @@ property the paper claims.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import PartitioningError
 from ..geometry.aabb import AABB
@@ -91,91 +91,95 @@ class ProcessView:
         return len(self.blocks) + sum(len(b.neighbors) for b in self.blocks)
 
 
-def view_for_rank(forest: SetupBlockForest, rank: int) -> ProcessView:
-    """Build one process's distributed view (what that rank would
-    construct for itself from the broadcast block-structure file)."""
+def _block_index(forest: SetupBlockForest) -> Dict[Tuple[int, int, int], SetupBlock]:
+    """Validate ``forest`` for runtime distribution and index its blocks
+    by root-grid position."""
     if forest.n_processes == 0:
         raise PartitioningError("forest must be balanced before distribution")
-    if not 0 <= rank < forest.n_processes:
-        raise PartitioningError(f"rank {rank} out of range")
     if not forest.is_uniform:
         raise PartitioningError(
             "runtime distribution requires a uniform forest (like every "
             "simulation in the paper); refined forests are setup-only"
         )
-    index: Dict[Tuple[int, int, int], SetupBlock] = {
-        b.grid_index: b for b in forest.blocks
-    }
+    return {b.grid_index: b for b in forest.blocks}
+
+
+def _local_block(
+    b: SetupBlock,
+    index: Dict[Tuple[int, int, int], SetupBlock],
+    grid: Tuple[int, int, int],
+    periodic: Sequence[bool],
+) -> LocalBlock:
+    """``b`` with its neighborhood: the block at every one of the 26
+    offsets, wrapping around the root grid on periodic axes.
+
+    On a periodic axis of extent 1 or 2 the same block can appear at
+    several offsets (or be its own neighbor); each offset is a distinct
+    ghost region, so each is listed.
+    """
+    neighbors = []
+    for off in _NEIGHBOR_OFFSETS:
+        target = [c + o for c, o in zip(b.grid_index, off)]
+        if any(
+            not (0 <= t < n or wrap) for t, n, wrap in zip(target, grid, periodic)
+        ):
+            continue  # leaves the domain across a non-periodic side
+        nb = index.get(tuple(t % n for t, n in zip(target, grid)))
+        if nb is not None:
+            neighbors.append(NeighborInfo(id=nb.id, owner=nb.owner, offset=off))
+    return LocalBlock(
+        id=b.id,
+        box=b.box,
+        grid_index=b.grid_index,
+        cells=b.cells,
+        fluid_cells=b.fluid_cells,
+        coverage=b.coverage,
+        neighbors=neighbors,
+    )
+
+
+def view_for_rank(
+    forest: SetupBlockForest,
+    rank: int,
+    periodic: Sequence[bool] = (False, False, False),
+) -> ProcessView:
+    """Build one process's distributed view (what that rank would
+    construct for itself from the broadcast block-structure file).
+
+    ``periodic`` marks the root-grid axes whose neighborhoods wrap
+    around the domain.
+    """
+    index = _block_index(forest)
+    if not 0 <= rank < forest.n_processes:
+        raise PartitioningError(f"rank {rank} out of range")
     view = ProcessView(
         rank=rank, n_processes=forest.n_processes, domain=forest.domain
     )
-    for b in forest.blocks:
-        if b.owner != rank:
-            continue
-        i, j, k = b.grid_index
-        neighbors = [
-            NeighborInfo(
-                id=index[(i + o[0], j + o[1], k + o[2])].id,
-                owner=index[(i + o[0], j + o[1], k + o[2])].owner,
-                offset=o,
-            )
-            for o in _NEIGHBOR_OFFSETS
-            if (i + o[0], j + o[1], k + o[2]) in index
-        ]
-        view.blocks.append(
-            LocalBlock(
-                id=b.id,
-                box=b.box,
-                grid_index=b.grid_index,
-                cells=b.cells,
-                fluid_cells=b.fluid_cells,
-                coverage=b.coverage,
-                neighbors=neighbors,
-            )
-        )
+    view.blocks.extend(
+        _local_block(b, index, forest.root_grid, periodic)
+        for b in forest.blocks
+        if b.owner == rank
+    )
     return view
 
 
-def distribute(forest: SetupBlockForest) -> List[ProcessView]:
+def distribute(
+    forest: SetupBlockForest, periodic: Sequence[bool] = (False, False, False)
+) -> List[ProcessView]:
     """Build every process's distributed view from a balanced setup forest.
 
     In production each process constructs only its own view (from the
     broadcast file); building all views at once here is a test/driver
     convenience — each view still contains only what that process would
-    know.
+    know.  ``periodic`` is as for :func:`view_for_rank`.
     """
-    if forest.n_processes == 0:
-        raise PartitioningError("forest must be balanced before distribution")
-    if not forest.is_uniform:
-        raise PartitioningError(
-            "runtime distribution requires a uniform forest (like every "
-            "simulation in the paper); refined forests are setup-only"
-        )
-    index: Dict[Tuple[int, int, int], SetupBlock] = {
-        b.grid_index: b for b in forest.blocks
-    }
+    index = _block_index(forest)
     views = [
         ProcessView(rank=r, n_processes=forest.n_processes, domain=forest.domain)
         for r in range(forest.n_processes)
     ]
     for b in forest.blocks:
-        neighbors = []
-        i, j, k = b.grid_index
-        for off in _NEIGHBOR_OFFSETS:
-            nb = index.get((i + off[0], j + off[1], k + off[2]))
-            if nb is not None:
-                neighbors.append(
-                    NeighborInfo(id=nb.id, owner=nb.owner, offset=off)
-                )
         views[b.owner].blocks.append(
-            LocalBlock(
-                id=b.id,
-                box=b.box,
-                grid_index=b.grid_index,
-                cells=b.cells,
-                fluid_cells=b.fluid_cells,
-                coverage=b.coverage,
-                neighbors=neighbors,
-            )
+            _local_block(b, index, forest.root_grid, periodic)
         )
     return views

@@ -7,10 +7,10 @@ from .buffersystem import (
     COMM_MODES,
     BufferSegment,
     BufferSystem,
-    CoalescedGhostExchange,
     CoalescedPlan,
     PeerMessage,
     coalesce_plan,
+    make_exchange,
 )
 from .distributed import (
     BlockRuntime,
@@ -22,8 +22,6 @@ from .faults import FaultInjector, FaultSpec
 from .spmd import run_spmd_simulation, spmd_rank_program
 from .ghostlayer import (
     CommStats,
-    CopySpec,
-    GhostExchange,
     RankGhostPlan,
     SpmdGhostExchange,
     build_rank_plan,
@@ -40,11 +38,11 @@ __all__ = [
     "BlockRuntime", "DistributedSimulation", "build_block_runtime",
     "default_vascular_colors",
     "BULK_TAG", "COMM_MODES", "BufferSegment", "BufferSystem",
-    "CoalescedGhostExchange", "CoalescedPlan", "PeerMessage",
-    "coalesce_plan",
+    "CoalescedPlan", "PeerMessage",
+    "coalesce_plan", "make_exchange",
     "FaultInjector", "FaultSpec",
     "run_spmd_simulation", "spmd_rank_program",
-    "CommStats", "CopySpec", "GhostExchange", "ghost_slices",
+    "CommStats", "ghost_slices",
     "needed_directions", "send_slices",
     "RankGhostPlan", "SpmdGhostExchange", "build_rank_plan",
     "drain_arrival_order", "message_tag", "offset_code",

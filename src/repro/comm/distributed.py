@@ -6,9 +6,13 @@ one time loop:
 
     communication -> boundary handling -> LBM kernel -> grid swap
 
-All virtual processes execute within one address space (deterministic,
-bit-reproducible); the communication ledger distinguishes local from
-remote copies so the performance models can attribute MPI cost.
+All virtual processes execute within one address space, driven from one
+thread (deterministic, bit-reproducible).  Each virtual rank's ghost
+exchange is the same plan and executor the SPMD rank program uses
+(:mod:`repro.comm.ghostlayer`, :mod:`repro.comm.buffersystem`), talking
+over in-process :mod:`~repro.comm.vmpi` endpoints; the executors' ledgers
+distinguish local from remote copies so the performance models can
+attribute MPI cost.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ from ..lbm.kernels.registry import make_kernel
 from ..lbm.kernels.sparse import SPARSE_KERNELS
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..lbm.macroscopic import density as _density, velocity as _velocity
-from .buffersystem import COMM_MODES, CoalescedGhostExchange
-from .ghostlayer import CommStats, CopySpec, GhostExchange
+from .buffersystem import COMM_MODES, make_exchange
+from .ghostlayer import CommStats, build_rank_plan
 from .schedule import BlockSweepSchedule
+from .vmpi import Comm, VirtualMPI
 
 __all__ = [
     "DistributedSimulation",
@@ -119,6 +124,48 @@ def build_block_runtime(
     return BlockRuntime(ff, field, kernel, handler, kernel_name)
 
 
+class _InProcessRanks:
+    """Every virtual rank's ghost-exchange executor, run from one thread.
+
+    Each executor talks to its peers over its own
+    :class:`~repro.comm.vmpi.Comm` endpoint (``ex.comm``) of one
+    :class:`~repro.comm.vmpi.VirtualMPI` world.  vMPI delivers an
+    ``isend`` at the sender's next progress point, so :meth:`start`
+    starts every rank and then progresses every endpoint — after it,
+    all messages wait in their destination mailboxes and no rank's
+    :meth:`finish` can block on a peer.
+    """
+
+    def __init__(self, executors: Sequence):
+        self.executors = executors
+
+    def start(self) -> None:
+        """Every rank's ``start()``, then deliver all posted messages."""
+        for ex in self.executors:
+            ex.start()
+        for ex in self.executors:
+            ex.comm.progress()
+
+    def finish(self) -> None:
+        """Every rank's ``finish()``."""
+        for ex in self.executors:
+            ex.finish()
+
+    def exchange(self) -> None:
+        """One full ghost exchange on every rank."""
+        self.start()
+        self.finish()
+
+    @property
+    def stats(self) -> CommStats:
+        """The ranks' ledgers, summed."""
+        total = CommStats()
+        for ex in self.executors:
+            s = ex.stats
+            total.add(s.local_messages, s.local_bytes, s.remote_messages, s.remote_bytes)
+        return total
+
+
 class DistributedSimulation:
     """A multi-block simulation over a balanced block forest.
 
@@ -146,15 +193,18 @@ class DistributedSimulation:
         the paper's scheme sends full ghost layers).  Only available
         with ``comm_mode="per-face"``.
     comm_mode:
-        Ghost-exchange strategy (see :mod:`repro.comm.buffersystem`):
+        Ghost-exchange executor, run on every virtual rank exactly as
+        in :func:`~repro.comm.spmd.spmd_rank_program`:
 
         ``"per-face"``
-            One staged copy per (block, face) — the baseline.
+            :class:`~repro.comm.ghostlayer.SpmdGhostExchange`: one
+            message per (block, side) — the baseline.
         ``"coalesced"``
-            All traffic between a pair of virtual ranks is staged
-            through one persistent buffer per ordered pair — exactly
-            one message per rank pair per step, zero full-field
-            allocations in steady state (§2.3 of the paper).
+            :class:`~repro.comm.buffersystem.BufferSystem`: all traffic
+            between a pair of virtual ranks is packed into one
+            persistent buffer — exactly one message per rank pair per
+            step, zero full-field allocations in steady state (§2.3 of
+            the paper).
         ``"overlap"``
             Coalesced, plus communication/computation overlap: each
             dense block's sweep is split into an inner region
@@ -222,8 +272,8 @@ class DistributedSimulation:
         self.forest = forest
         self.model = model
         self.collision = collision
-        self.views: List[ProcessView] = distribute(forest)
         self.periodic = tuple(bool(p) for p in periodic)
+        self.views: List[ProcessView] = distribute(forest, periodic=self.periodic)
         conditions = list(boundaries) if boundaries is not None else [NoSlip()]
         if colors is None:
             colors = default_vascular_colors() if geometry is not None else ColorMap()
@@ -260,18 +310,21 @@ class DistributedSimulation:
         self.timeloop = TimeLoop()
         self.engine = make_engine(self.exec_mode, self.workers, self.timeloop.tree)
         self.timeloop.engine = self.engine
-        specs = self._build_specs()
-        if comm_mode == "per-face":
-            self.exchange = GhostExchange(
-                self.fields,
-                specs,
-                pdf_filter=model if filtered_communication else None,
-                tree=self.timeloop.tree,
+        # One rank plan and executor per virtual rank, as in the SPMD
+        # rank program, on in-process vMPI endpoints.
+        world = VirtualMPI(len(self.views))
+        pdf_filter = model if filtered_communication else None
+        executors = []
+        remote_dst = set()
+        for view in self.views:
+            plan = build_rank_plan(view, view.rank, pdf_filter=pdf_filter)
+            fields = {blk.id: self.fields[blk.id] for blk in view.blocks}
+            comm = Comm(view.rank, world)
+            executors.append(
+                make_exchange(comm_mode, plan, fields, comm, self.timeloop.tree)
             )
-        else:
-            self.exchange = CoalescedGhostExchange(
-                self.fields, specs, self.block_rank, tree=self.timeloop.tree
-            )
+            remote_dst.update(entry[2] for entry in plan.recvs)
+        self.exchange = _InProcessRanks(executors)
         self._schedule = BlockSweepSchedule(
             runtimes,
             self.blocks,
@@ -279,55 +332,9 @@ class DistributedSimulation:
             self.engine,
             self.timeloop.tree,
             overlap=comm_mode == "overlap",
-            remote_dst={s.dst_key for s in specs if s.remote},
+            remote_dst=remote_dst,
         )
         self._schedule.register(self.timeloop)
-
-    # -- construction helpers ---------------------------------------------
-    def _build_specs(self) -> List[CopySpec]:
-        specs: List[CopySpec] = []
-        by_grid = {blk.grid_index: key for key, blk in self.blocks.items()}
-        grid = np.asarray(self.forest.root_grid)
-        for key, blk in self.blocks.items():
-            existing = {n.offset for n in blk.neighbors}
-            for n in blk.neighbors:
-                specs.append(
-                    CopySpec(
-                        dst_key=key,
-                        src_key=n.id,
-                        offset=n.offset,
-                        remote=n.owner != self.block_rank[key],
-                    )
-                )
-            if not any(self.periodic):
-                continue
-            gi = np.asarray(blk.grid_index)
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for dz in (-1, 0, 1):
-                        off = (dx, dy, dz)
-                        if off == (0, 0, 0) or off in existing:
-                            continue
-                        target = gi + off
-                        wraps = (target < 0) | (target >= grid)
-                        if not wraps.any():
-                            continue  # plain missing neighbor (outside geometry)
-                        if np.any(wraps & ~np.asarray(self.periodic)):
-                            continue  # wrap on a non-periodic axis
-                        wrapped = tuple((target % grid).tolist())
-                        src_key = by_grid.get(wrapped)
-                        if src_key is None:
-                            continue
-                        specs.append(
-                            CopySpec(
-                                dst_key=key,
-                                src_key=src_key,
-                                offset=off,
-                                remote=self.block_rank[src_key]
-                                != self.block_rank[key],
-                            )
-                        )
-        return specs
 
     def close(self) -> None:
         """Shut down the sweep engine's worker pool (idempotent)."""
@@ -420,6 +427,8 @@ class DistributedSimulation:
 
     @property
     def comm_stats(self) -> CommStats:
+        """Bytes and messages every rank's exchange has moved so far
+        (a fresh sum on each read)."""
         return self.exchange.stats
 
     # -- observables ----------------------------------------------------------

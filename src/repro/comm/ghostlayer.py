@@ -5,11 +5,20 @@ layer of cells which is used in every time step during communication in
 order to synchronize the cell data on the boundary between neighboring
 blocks."
 
-The exchange is expressed as a precomputed list of copy operations
-(block face/edge/corner regions), executed as direct NumPy copies —
-all virtual processes share one address space — while a
-:class:`CommStats` ledger records how many bytes crossed process
-boundaries, feeding the communication-time models in :mod:`repro.perf`.
+One plan, two executors.  :func:`build_rank_plan` turns one rank's
+block view into a :class:`RankGhostPlan`: the face/edge/corner regions
+it sends to and receives from each neighbor rank, and the direct copies
+between its own blocks.  Two executors run such a plan by message
+passing: :class:`SpmdGhostExchange` sends one message per (block, side),
+and :class:`~repro.comm.buffersystem.BufferSystem` packs everything
+bound for one peer rank into one message.  Both drivers use them — the
+SPMD rank program on one thread per rank, and
+:class:`~repro.comm.distributed.DistributedSimulation` on in-process
+ranks driven from one thread.  Every executor offers ``start()`` (pack,
+post sends, local copies), ``finish()`` (drain and unpack) and
+``exchange()`` (both), and keeps a :class:`CommStats` ledger of the
+bytes and messages moved within and between ranks, feeding the
+communication-time models in :mod:`repro.perf`.
 """
 
 from __future__ import annotations
@@ -31,9 +40,7 @@ __all__ = [
     "needed_directions",
     "offset_code",
     "message_tag",
-    "CopySpec",
     "CommStats",
-    "GhostExchange",
     "RankGhostPlan",
     "build_rank_plan",
     "SpmdGhostExchange",
@@ -60,21 +67,21 @@ def drain_arrival_order(comm, channels, probe_timeout: Optional[float] = None):
     one writer and regions are disjoint), so consuming in arrival order
     is bit-identical to plan order — asserted by the chaos reorder tests.
     """
-    pending = list(range(len(channels)))
+    # List displays, not ``list()``: only they reuse CPython's free
+    # list, which keeps the steady-state exchange allocation-free.
+    pending = [*range(len(channels))]
+    outstanding = [*channels]
     while pending:
-        if len(pending) == 1:
-            k = 0
-        else:
+        k = 0
+        if len(pending) > 1:
             try:
-                k = comm.probe_any(
-                    [channels[i] for i in pending], timeout=probe_timeout
-                )
+                k = comm.probe_any(outstanding, timeout=probe_timeout)
             except RecvTimeoutError:
                 # Nothing arrived: fall back to plan order; a resilient
                 # channel then recovers via its retransmission ledger.
                 k = 0
         i = pending.pop(k)
-        source, tag = channels[i]
+        source, tag = outstanding.pop(k)
         yield i, comm.recv(source, tag)
 
 
@@ -139,6 +146,40 @@ def message_tag(dst_root_index: int, offset: Tuple[int, int, int]) -> int:
     return dst_root_index * 27 + offset_code(offset)
 
 
+@dataclass
+class CommStats:
+    """Communication ledger: bytes and messages moved within a rank
+    (local) and between ranks (remote), summed over exchanges."""
+
+    local_bytes: int = 0
+    remote_bytes: int = 0
+    local_messages: int = 0
+    remote_messages: int = 0
+
+    @property
+    def total_bytes(self) -> int:
+        return self.local_bytes + self.remote_bytes
+
+    def add(
+        self,
+        local_messages: int,
+        local_bytes: int,
+        remote_messages: int,
+        remote_bytes: int,
+        tree: Optional[TimingTree] = None,
+    ) -> None:
+        """Account one exchange's traffic; with ``tree`` set the byte
+        totals also feed the ``comm.local_bytes`` / ``comm.remote_bytes``
+        counters."""
+        self.local_messages += local_messages
+        self.local_bytes += local_bytes
+        self.remote_messages += remote_messages
+        self.remote_bytes += remote_bytes
+        if tree is not None:
+            tree.add_counter("comm.local_bytes", local_bytes)
+            tree.add_counter("comm.remote_bytes", remote_bytes)
+
+
 @dataclass(frozen=True)
 class RankGhostPlan:
     """One rank's precomputed ghost-exchange communication plan.
@@ -154,7 +195,9 @@ class RankGhostPlan:
     local_copies: Tuple[Tuple[object, tuple, object, tuple], ...]
 
 
-def build_rank_plan(view, rank: int) -> RankGhostPlan:
+def build_rank_plan(
+    view, rank: int, pdf_filter: Optional[LatticeModel] = None
+) -> RankGhostPlan:
     """Build the send/recv/local-copy plan for one rank's block view.
 
     For every neighbor ``n`` of a local block at offset ``off``, the
@@ -162,35 +205,75 @@ def build_rank_plan(view, rank: int) -> RankGhostPlan:
     interior face toward us (its send region for direction ``-off``);
     symmetrically the neighbor needs our face toward it, tagged from its
     perspective (we sit at offset ``-off``).
+
+    ``pdf_filter`` (a lattice model) restricts every region to the PDF
+    directions the receiving block pulls from it
+    (:func:`needed_directions`: 5/19 per face, 1/19 per edge for
+    D3Q19); regions that need none, such as D3Q19 corners, are dropped.
+    The paper's scheme sends full ghost layers; the filter is an
+    ablation.  A filtered region's first index is an integer array, so
+    ``src[sl]`` is a copy: executors write it with ``src[sl] = data``.
     """
+
+    def dirs(off):
+        if pdf_filter is None:
+            return slice(None)
+        needed = needed_directions(pdf_filter, off)
+        return np.asarray(needed, dtype=np.int64) if needed else None
+
     sends: List[Tuple[int, int, object, tuple]] = []
     recvs: List[Tuple[int, int, object, tuple]] = []
     local_copies: List[Tuple[object, tuple, object, tuple]] = []
     for blk in view.blocks:
         for n in blk.neighbors:
             off = n.offset
-            ghost_sl = (slice(None),) + ghost_slices(off)
-            src_sl = (slice(None),) + send_slices(tuple(-o for o in off))
+            back = tuple(-o for o in off)
+            d = dirs(off)
+            if d is None:  # nothing crosses this boundary in either direction
+                continue
+            ghost_sl = (d,) + ghost_slices(off)
             if n.owner == rank:
-                local_copies.append((blk.id, ghost_sl, n.id, src_sl))
-            else:
-                recvs.append(
-                    (n.owner, message_tag(blk.id.root_index, off), blk.id, ghost_sl)
+                local_copies.append(
+                    (blk.id, ghost_sl, n.id, (d,) + send_slices(back))
                 )
-                my_send_sl = (slice(None),) + send_slices(off)
-                sends.append(
-                    (
-                        n.owner,
-                        message_tag(n.id.root_index, tuple(-o for o in off)),
-                        blk.id,
-                        my_send_sl,
-                    )
+                continue
+            recvs.append(
+                (n.owner, message_tag(blk.id.root_index, off), blk.id, ghost_sl)
+            )
+            sends.append(
+                (
+                    n.owner,
+                    message_tag(n.id.root_index, back),
+                    blk.id,
+                    (dirs(back),) + send_slices(off),
                 )
+            )
     return RankGhostPlan(tuple(sends), tuple(recvs), tuple(local_copies))
 
 
+def _check_plan_blocks(plan: RankGhostPlan, fields) -> None:
+    """Raise :class:`~repro.errors.CommunicationError` if ``plan`` names
+    a block missing from ``fields``."""
+    ids = [entry[2] for entry in plan.sends + plan.recvs]
+    for dst, _, src, _ in plan.local_copies:
+        ids += (dst, src)
+    for block_id in ids:
+        if block_id not in fields:
+            raise CommunicationError(
+                f"ghost plan references unknown block {block_id}"
+            )
+
+
+def _local_copy_bytes(plan: RankGhostPlan, fields) -> int:
+    """Bytes one exchange copies between blocks of the same rank."""
+    return sum(
+        fields[src].src[sl].nbytes for _, _, src, sl in plan.local_copies
+    )
+
+
 class SpmdGhostExchange:
-    """Executes a :class:`RankGhostPlan` by explicit message passing.
+    """Executes a :class:`RankGhostPlan` by explicit message passing,
+    one message per (block, side).
 
     ``comm`` may be a plain :class:`~repro.comm.vmpi.Comm` or a
     :class:`~repro.comm.vmpi.ReliableComm`; with the latter, every
@@ -200,11 +283,13 @@ class SpmdGhostExchange:
     non-crash fault schedule.  ``fields`` maps block id to an object
     with a ``src`` grid (a :class:`~repro.core.field.PdfField` works).
 
-    Each call fires all sends, performs the same-rank direct copies,
-    then drains the expected receives; with ``tree`` set the three
-    stages are timed as ``pack+send`` / ``local copy`` / ``recv+unpack``
-    sub-scopes under the caller's ``communication`` sweep, and the bytes
-    sent to other ranks accumulate in ``comm.remote_bytes``.
+    :meth:`start` posts all sends and performs the same-rank direct
+    copies; :meth:`finish` drains the expected receives.  With ``tree``
+    set the stages are timed as ``pack+send`` / ``local copy`` /
+    ``recv+unpack`` sub-scopes under the caller's sweep, and the bytes
+    copied within the rank and sent to other ranks accumulate in
+    ``comm.local_bytes`` / ``comm.remote_bytes``.  :attr:`stats` keeps
+    the same totals plus message counts.
     """
 
     def __init__(
@@ -214,191 +299,67 @@ class SpmdGhostExchange:
         comm,
         tree: Optional[TimingTree] = None,
     ):
-        for _, _, block_id, _ in plan.sends + plan.recvs:
-            if block_id not in fields:
-                raise CommunicationError(
-                    f"ghost plan references unknown block {block_id}"
-                )
+        _check_plan_blocks(plan, fields)
         self.plan = plan
         self.fields = fields
         self.comm = comm
         self.tree = tree
+        self.stats = CommStats()
+        self._channels = [(source, tag) for source, tag, _, _ in plan.recvs]
+        self._recv_shapes = [
+            fields[block_id].src[sl].shape for _, _, block_id, sl in plan.recvs
+        ]
+        self._local_bytes = _local_copy_bytes(plan, fields)
+        self._requests: list = []
 
     def _scope(self, name: str):
         return self.tree.scoped(name) if self.tree is not None else nullcontext()
 
-    def exchange(self) -> None:
-        """Run one full ghost exchange.
-
-        Sends are posted non-blocking (``isend``); receives are drained
-        in *arrival order* via :func:`drain_arrival_order`, so one
-        delayed peer no longer serializes the unpacking of every message
-        behind it in the plan.
-        """
+    def start(self) -> None:
+        """Post every send (``isend``) and run the same-rank copies."""
         plan = self.plan
         fields = self.fields
         comm = self.comm
         sent_bytes = 0
-        requests = []
         with self._scope("pack+send"):
             for dest, tag, block_id, sl in plan.sends:
                 payload = np.ascontiguousarray(fields[block_id].src[sl])
                 sent_bytes += payload.nbytes
-                requests.append(comm.isend(payload, dest=dest, tag=tag))
+                self._requests.append(comm.isend(payload, dest=dest, tag=tag))
         with self._scope("local copy"):
             for block_id, ghost_sl, src_id, src_sl in plan.local_copies:
                 fields[block_id].src[ghost_sl] = fields[src_id].src[src_sl]
+        self.stats.add(
+            len(plan.local_copies), self._local_bytes,
+            len(plan.sends), sent_bytes, self.tree,
+        )
+
+    def finish(self) -> None:
+        """Drain the receives and unpack them into the ghost regions.
+
+        Receives are consumed in *arrival order* via
+        :func:`drain_arrival_order`, so one delayed peer does not
+        serialize the unpacking of every message behind it in the plan.
+        """
+        plan = self.plan
+        fields = self.fields
         with self._scope("recv+unpack"):
-            channels = [(source, tag) for source, tag, _, _ in plan.recvs]
-            probe_timeout = getattr(comm, "retry_timeout", None)
-            for i, data in drain_arrival_order(comm, channels, probe_timeout):
+            probe_timeout = getattr(self.comm, "retry_timeout", None)
+            for i, data in drain_arrival_order(
+                self.comm, self._channels, probe_timeout
+            ):
                 _source, _tag, block_id, ghost_sl = plan.recvs[i]
-                region = fields[block_id].src[ghost_sl]
-                if data.shape != region.shape:
+                if data.shape != self._recv_shapes[i]:
                     raise CommunicationError(
                         f"ghost region shape mismatch: got {data.shape}, "
-                        f"expected {region.shape}"
+                        f"expected {self._recv_shapes[i]}"
                     )
-                region[...] = data
-            for req in requests:
+                fields[block_id].src[ghost_sl] = data
+            for req in self._requests:
                 req.wait()
-        if self.tree is not None:
-            self.tree.add_counter("comm.remote_bytes", sent_bytes)
-
-
-@dataclass(frozen=True)
-class CopySpec:
-    """One ghost-region update: ``dst`` pulls from ``src``.
-
-    ``offset`` points from the destination block toward the source
-    block; ``remote`` marks copies between different virtual processes
-    (real MPI messages on a cluster).
-    """
-
-    dst_key: object
-    src_key: object
-    offset: Tuple[int, int, int]
-    remote: bool
-
-
-@dataclass
-class CommStats:
-    """Per-step communication ledger."""
-
-    local_bytes: int = 0
-    remote_bytes: int = 0
-    local_messages: int = 0
-    remote_messages: int = 0
-
-    def reset(self) -> None:
-        self.local_bytes = 0
-        self.remote_bytes = 0
-        self.local_messages = 0
-        self.remote_messages = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.local_bytes + self.remote_bytes
-
-
-class GhostExchange:
-    """Executes a fixed set of ghost-layer copies between block PDF fields.
-
-    Parameters
-    ----------
-    fields:
-        Mapping block key -> :class:`~repro.core.field.PdfField`.  The
-        exchange always reads and writes the fields' *current* ``src``
-        grids, so the src/dst swap at the end of each time step needs no
-        rebinding.  All fields must have identical shape (uniform blocks,
-        as in every simulation of the paper).
-    specs:
-        The copy operations; build them once from the block forest.
-    pdf_filter:
-        When set to a lattice model, only the PDF directions a block can
-        actually pull from each ghost region are copied (5/19 per face,
-        1/19 per edge, 0/19 per corner for D3Q19) — an optimization the
-        paper's scheme does *not* apply; exposed here as an ablation.
-    tree:
-        Optional :class:`~repro.perf.timing.TimingTree`.  When set, the
-        ``pack`` / ``send/recv`` / ``unpack`` stages of the remote copies
-        (staged through contiguous buffers, exactly the structure of an
-        MPI ghost exchange) and the ``local copy`` stage are timed as
-        sub-scopes of the caller's ``communication`` sweep, and byte
-        totals feed the ``comm.*_bytes`` counters.
-    """
-
-    def __init__(
-        self,
-        fields: Dict[object, PdfField],
-        specs: List[CopySpec],
-        pdf_filter: Optional[LatticeModel] = None,
-        tree: Optional[TimingTree] = None,
-    ):
-        if not fields:
-            raise CommunicationError("no fields to exchange")
-        shapes = {f.src.shape for f in fields.values()}
-        if len(shapes) != 1:
-            raise CommunicationError(f"non-uniform block shapes: {shapes}")
-        for s in specs:
-            if s.dst_key not in fields or s.src_key not in fields:
-                raise CommunicationError(f"copy spec references unknown block: {s}")
-        self.fields = fields
-        self.specs = specs
-        self.pdf_filter = pdf_filter
-        self.tree = tree
-        self.stats = CommStats()
-        # Precompute slice tuples (prepend the PDF-direction axis).
-        self._ops = []
-        for s in specs:
-            if pdf_filter is None:
-                dirs: object = slice(None)
-            else:
-                needed = needed_directions(pdf_filter, s.offset)
-                if not needed:
-                    continue  # e.g. D3Q19 corners carry no pulled PDFs
-                dirs = np.asarray(needed, dtype=np.int64)
-            dst_sl = (dirs,) + ghost_slices(s.offset)
-            src_sl = (dirs,) + send_slices(tuple(-o for o in s.offset))
-            self._ops.append((s, dst_sl, src_sl))
-
-    def _scope(self, name: str):
-        return self.tree.scoped(name) if self.tree is not None else nullcontext()
+            self._requests.clear()
 
     def exchange(self) -> None:
-        """Run all copies once (call at the start of every time step).
-
-        Remote copies go through contiguous staging buffers (the MPI
-        message an exchange on a cluster would post); local copies stay
-        direct.  Reads touch only interior send regions and writes only
-        ghost regions, so staging cannot change the result.
-        """
-        local_bytes = 0
-        remote_bytes = 0
-        with self._scope("pack"):
-            staged = []
-            for s, dst_sl, src_sl in self._ops:
-                if s.remote:
-                    buf = np.ascontiguousarray(self.fields[s.src_key].src[src_sl])
-                    staged.append((s, dst_sl, buf))
-        with self._scope("local copy"):
-            for s, dst_sl, src_sl in self._ops:
-                if not s.remote:
-                    region = self.fields[s.src_key].src[src_sl]
-                    self.fields[s.dst_key].src[dst_sl] = region
-                    local_bytes += region.nbytes
-                    self.stats.local_messages += 1
-        with self._scope("send/recv"):
-            # One shared address space: the "wire" transfer is the buffer
-            # handoff itself; the ledger still counts it as a message.
-            for s, _dst_sl, buf in staged:
-                remote_bytes += buf.nbytes
-                self.stats.remote_messages += 1
-        with self._scope("unpack"):
-            for s, dst_sl, buf in staged:
-                self.fields[s.dst_key].src[dst_sl] = buf
-        self.stats.local_bytes += local_bytes
-        self.stats.remote_bytes += remote_bytes
-        if self.tree is not None:
-            self.tree.add_counter("comm.local_bytes", local_bytes)
-            self.tree.add_counter("comm.remote_bytes", remote_bytes)
+        """One full ghost exchange: :meth:`start` + :meth:`finish`."""
+        self.start()
+        self.finish()

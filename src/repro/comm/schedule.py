@@ -11,10 +11,11 @@ same:
     overlap:  communication -> boundary -> inner kernel
               -> communication finish -> frontier kernel -> swap
 
-Every exchange executor offers ``exchange()``; those that can overlap
-(:class:`~repro.comm.buffersystem.CoalescedGhostExchange`,
-:class:`~repro.comm.buffersystem.BufferSystem`) also offer ``start()``
-(pack, post sends, local copies) and ``finish()`` (drain and unpack).
+Every exchange executor (:class:`~repro.comm.ghostlayer.SpmdGhostExchange`,
+:class:`~repro.comm.buffersystem.BufferSystem`) offers ``exchange()``,
+``start()`` (pack, post sends, local copies) and ``finish()`` (drain
+and unpack); the in-process driver wraps one executor per virtual rank
+behind the same three calls.
 
 Work items are built once.  Closures re-read ``field.src`` /
 ``field.dst`` at call time so the two-grid swap stays transparent, and
@@ -98,8 +99,7 @@ class BlockSweepSchedule:
         Block id -> :class:`~repro.blocks.forest.LocalBlock` (cell
         extents and fluid-cell counts).
     exchange:
-        The ghost-exchange executor; needs ``start``/``finish`` when
-        ``overlap`` is set.
+        The ghost-exchange executor (``start``/``finish``/``exchange``).
     engine:
         The rank's sweep engine (:mod:`repro.exec`).
     tree:

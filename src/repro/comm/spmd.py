@@ -1,16 +1,14 @@
 """SPMD distributed simulation over virtual MPI.
 
-While :class:`~repro.comm.distributed.DistributedSimulation` executes
-all virtual processes in one loop with direct-copy ghost exchange, this
-module runs the *actual* message-passing program: every rank builds only
-its own blocks (from :func:`~repro.blocks.forest.view_for_rank`),
-exchanges ghost regions with neighboring ranks through explicit
-``send``/``recv`` on a :class:`~repro.comm.vmpi.VirtualMPI`
-communicator, and steps its blocks with the same
-:class:`~repro.comm.schedule.BlockSweepSchedule` the direct-copy driver
-uses.  The tests assert the result is
-bit-identical to the direct-copy driver — the strongest possible check
-that the communication pattern is right.
+While :class:`~repro.comm.distributed.DistributedSimulation` drives
+all virtual ranks from one thread, this module runs the message-passing
+program on one thread per rank: every rank builds only its own blocks
+(from :func:`~repro.blocks.forest.view_for_rank`), exchanges ghost
+regions with neighboring ranks through its ghost-exchange executor on a
+:class:`~repro.comm.vmpi.VirtualMPI` communicator, and steps its blocks
+with :class:`~repro.comm.schedule.BlockSweepSchedule`.  Both drivers
+use the same plan, executors and schedule; the tests assert their
+results are bit-identical.
 
 Resilience
 ----------
@@ -46,9 +44,9 @@ from ..lbm.boundary import Condition
 from ..lbm.collision import SRT, TRT
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..perf.timing import TimingTree
-from .buffersystem import COMM_MODES, BufferSystem
+from .buffersystem import COMM_MODES, make_exchange
 from .distributed import BlockRuntime, build_block_runtime
-from .ghostlayer import SpmdGhostExchange, build_rank_plan
+from .ghostlayer import build_rank_plan
 from .schedule import BlockSweepSchedule
 from .vmpi import Comm, ReliableComm, VirtualMPI
 
@@ -198,10 +196,7 @@ def spmd_rank_program(
         else comm
     )
     fields = {bid: rt.field for bid, rt in runtimes.items()}
-    if comm_mode == "per-face":
-        exchange = SpmdGhostExchange(plan, fields, channel, tree=tree)
-    else:
-        exchange = BufferSystem(plan, fields, channel, tree=tree)
+    exchange = make_exchange(comm_mode, plan, fields, channel, tree)
 
     def scope(name: str):
         return tree.scoped(name) if tree is not None else nullcontext()

@@ -182,6 +182,22 @@ class Request:
         return True, self.wait()
 
 
+class _SendRequest(Request):
+    """The request every isend of one endpoint returns.
+
+    One progress call delivers every pending send, so completing any
+    send is just :meth:`Comm.progress`; sharing one handle keeps posting
+    a send allocation-free.
+    """
+
+    def wait(self) -> None:
+        self._resolve()
+
+    def test(self) -> Tuple[bool, Any]:
+        self._resolve()
+        return True, None
+
+
 class Comm:
     """The communicator handed to each rank's program.
 
@@ -203,6 +219,7 @@ class Comm:
         # unless a trace recorder is attached.
         self._pending_sends: List[Tuple[Any, int, int, Optional[Any]]] = []
         self._isend_count = 0
+        self._send_request = _SendRequest(self.progress)
 
     # -- trace hooks --------------------------------------------------------
     def _trace(self, kind: str, **fields: Any) -> None:
@@ -293,6 +310,8 @@ class Comm:
         probe).  The returned request completes once the message has
         been handed to the destination mailbox — i.e. once the payload
         buffer may be reused, mirroring MPI_Isend completion semantics.
+        Every isend of this endpoint returns the same request, since
+        completing it means progressing the engine.
         """
         self._parent._check_rank(dest)
         token: Optional[Any] = None
@@ -308,7 +327,7 @@ class Comm:
                 fingerprint=rec.payload_fingerprint(obj),
             )
         self._pending_sends.append((obj, dest, tag, token))
-        return Request(lambda: self.progress())
+        return self._send_request
 
     def irecv(self, source: Any = _ANY, tag: Any = _ANY) -> Request:
         """Non-blocking receive: the matching message is consumed when
@@ -342,7 +361,7 @@ class Comm:
         """
         self.progress()
         return self._parent._mailboxes[self.rank].wait_any(
-            list(channels),
+            channels,
             self._parent.timeout if timeout is None else timeout,
         )
 

@@ -32,3 +32,20 @@ def random_pdfs(rng, model, cells, lo: float = 0.4, hi: float = 0.6) -> np.ndarr
 def interior(f: np.ndarray) -> np.ndarray:
     """Interior view of a padded (q,)+S array."""
     return f[(slice(None),) + (slice(1, -1),) * (f.ndim - 1)]
+
+
+def exchange_on_ranks(forest, fields, executor):
+    """Run one ghost exchange of ``fields`` (block id -> PdfField) with
+    ``executor`` (``SpmdGhostExchange`` or ``BufferSystem``), one virtual
+    MPI rank per forest process; returns the ranks' ``CommStats``."""
+    from repro.blocks import view_for_rank
+    from repro.comm import VirtualMPI, build_rank_plan
+
+    def program(comm):
+        view = view_for_rank(forest, comm.rank)
+        mine = {blk.id: fields[blk.id] for blk in view.blocks}
+        ex = executor(build_rank_plan(view, comm.rank), mine, comm)
+        ex.exchange()
+        return ex.stats
+
+    return VirtualMPI(forest.n_processes, timeout=10.0).run(program)

@@ -6,13 +6,15 @@ import pytest
 
 from repro import flagdefs as fl
 from repro.balance import balance_forest
-from repro.blocks import SetupBlockForest
+from repro.blocks import SetupBlockForest, view_for_rank
 from repro.comm import (
+    BufferSystem,
     Comm,
-    CopySpec,
+    COMM_MODES,
     DistributedSimulation,
-    GhostExchange,
+    SpmdGhostExchange,
     VirtualMPI,
+    build_rank_plan,
     ghost_slices,
     send_slices,
 )
@@ -20,6 +22,19 @@ from repro.core import PdfField, Simulation
 from repro.errors import CommunicationError, ConfigurationError
 from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree
 from repro.lbm import D3Q19, NoSlip, PressureABB, TRT, UBB
+
+from helpers import exchange_on_ranks
+
+#: The two ghost-exchange executors: one message per (block, side), and
+#: one coalesced message per peer rank.
+EXECUTORS = (SpmdGhostExchange, BufferSystem)
+
+
+def _two_blocks(cells, ranks):
+    """A 2x1x1 forest on ``ranks`` ranks and its block ids (-x first)."""
+    forest = SetupBlockForest.create(AABB((0, 0, 0), (2, 1, 1)), (2, 1, 1), cells)
+    balance_forest(forest, ranks, strategy="round_robin")
+    return forest, [blk.id for blk in forest.blocks]
 
 
 class TestVirtualMPI:
@@ -148,46 +163,41 @@ class TestGhostSlices:
         assert arr[ghost_slices((-1, -1, -1))].shape == (1, 1, 1)
 
     def test_exchange_moves_face_data(self):
-        fa = PdfField(D3Q19, (4, 4, 4))
-        fb = PdfField(D3Q19, (4, 4, 4))
-        fa.src[...] = 1.0
-        fb.src[...] = 2.0
-        ex = GhostExchange(
-            {"a": fa, "b": fb},
-            [
-                CopySpec("a", "b", (1, 0, 0), remote=True),
-                CopySpec("b", "a", (-1, 0, 0), remote=True),
-            ],
-        )
-        ex.exchange()
-        # a's +x ghost face now holds b's first interior layer.
-        assert np.all(fa.src[:, -1, 1:-1, 1:-1] == 2.0)
-        assert np.all(fb.src[:, 0, 1:-1, 1:-1] == 1.0)
-        assert ex.stats.remote_messages == 2
-        assert ex.stats.remote_bytes == 2 * 19 * 4 * 4 * 8
+        forest, (a, b) = _two_blocks((4, 4, 4), ranks=2)
+        for executor in EXECUTORS:
+            fa = PdfField(D3Q19, (4, 4, 4))
+            fb = PdfField(D3Q19, (4, 4, 4))
+            fa.src[...] = 1.0
+            fb.src[...] = 2.0
+            stats = exchange_on_ranks(forest, {a: fa, b: fb}, executor)
+            # a's +x ghost face now holds b's first interior layer.
+            assert np.all(fa.src[:, -1, 1:-1, 1:-1] == 2.0)
+            assert np.all(fb.src[:, 0, 1:-1, 1:-1] == 1.0)
+            assert sum(s.remote_messages for s in stats) == 2
+            assert sum(s.remote_bytes for s in stats) == 2 * 19 * 4 * 4 * 8
 
     def test_exchange_follows_swap(self):
-        fa = PdfField(D3Q19, (3, 3, 3))
-        fb = PdfField(D3Q19, (3, 3, 3))
-        ex = GhostExchange(
-            {"a": fa, "b": fb}, [CopySpec("a", "b", (1, 0, 0), remote=False)]
-        )
-        fb.dst[...] = 9.0
-        fa.swap()
-        fb.swap()  # now fb.src is the 9.0 grid
-        ex.exchange()
-        assert np.all(fa.src[:, -1, 1:-1, 1:-1] == 9.0)
-
-    def test_mismatched_shapes_rejected(self):
-        fa = PdfField(D3Q19, (4, 4, 4))
-        fb = PdfField(D3Q19, (4, 4, 5))
-        with pytest.raises(CommunicationError):
-            GhostExchange({"a": fa, "b": fb}, [])
+        forest, (a, b) = _two_blocks((3, 3, 3), ranks=1)  # a local copy
+        for executor in EXECUTORS:
+            fa = PdfField(D3Q19, (3, 3, 3))
+            fb = PdfField(D3Q19, (3, 3, 3))
+            fb.dst[...] = 9.0
+            fa.swap()
+            fb.swap()  # now fb.src is the 9.0 grid
+            exchange_on_ranks(forest, {a: fa, b: fb}, executor)
+            assert np.all(fa.src[:, -1, 1:-1, 1:-1] == 9.0)
 
     def test_unknown_key_rejected(self):
-        fa = PdfField(D3Q19, (4, 4, 4))
-        with pytest.raises(CommunicationError):
-            GhostExchange({"a": fa}, [CopySpec("a", "zz", (1, 0, 0), False)])
+        for ranks in (1, 2):
+            forest, (a, _b) = _two_blocks((4, 4, 4), ranks=ranks)
+            plan = build_rank_plan(view_for_rank(forest, 0), 0)
+            # One rank: a's plan copies from b, which has no field.  Two
+            # ranks: rank 0's plan sends from and receives into a, which
+            # has none either.
+            fields = {a: PdfField(D3Q19, (4, 4, 4))} if ranks == 1 else {}
+            for executor in EXECUTORS:
+                with pytest.raises(CommunicationError):
+                    executor(plan, fields, comm=None)
 
 
 def _lid_setter(root_grid):
@@ -262,7 +272,8 @@ class TestDistributedSimulation:
         assert np.nanmax(np.abs(rho_a - rho_b)) < 1e-14
         assert np.nanmax(np.abs(u_a - u_b)) < 1e-14
 
-    def test_periodic_multiblock_conserves_momentum(self):
+    @pytest.mark.parametrize("mode", COMM_MODES)
+    def test_periodic_multiblock_conserves_momentum(self, mode):
         # Fully periodic domain with an initial velocity: mass and momentum
         # must be exactly conserved across block boundaries.
         forest = SetupBlockForest.create(
@@ -274,6 +285,7 @@ class TestDistributedSimulation:
             TRT.from_tau(0.7),
             boundaries=[],
             periodic=(True, True, True),
+            comm_mode=mode,
         )
         # Give every block a uniform momentum.
         for field in sim.fields.values():

@@ -5,15 +5,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocks import BlockId
+from repro.blocks import BlockId, SetupBlockForest
 from repro.balance import curve_split, morton_key
-from repro.comm import CopySpec, GhostExchange
+from repro.comm import BufferSystem, SpmdGhostExchange
 from repro.core import PdfField
+from repro.geometry import AABB
 from repro.lbm import D3Q19, SRT, TRT
 from repro.lbm.equilibrium import equilibrium_cell
 from repro.lbm.kernels import make_kernel
 
-from helpers import interior, periodic_ghost_fill
+from helpers import exchange_on_ranks, interior, periodic_ghost_fill
+
+
+def _chain_forest(n_blocks, cells, owners):
+    forest = SetupBlockForest.create(
+        AABB((0, 0, 0), (n_blocks, 1, 1)), (n_blocks, 1, 1), cells
+    )
+    forest.assign(owners, max(owners) + 1)
+    return forest
 
 
 class TestGhostExchangeProperties:
@@ -22,33 +31,35 @@ class TestGhostExchangeProperties:
     def test_chain_exchange_preserves_interiors(self, seed, n_blocks):
         """Ghost exchange only writes ghost layers — interiors never change."""
         rng = np.random.default_rng(seed)
-        fields = {}
-        for i in range(n_blocks):
-            f = PdfField(D3Q19, (4, 4, 4))
-            f.src[...] = rng.random(f.src.shape)
-            fields[i] = f
-        specs = []
-        for i in range(n_blocks - 1):
-            specs.append(CopySpec(i, i + 1, (1, 0, 0), remote=(i % 2 == 0)))
-            specs.append(CopySpec(i + 1, i, (-1, 0, 0), remote=(i % 2 == 0)))
-        interiors = {i: interior(f.src).copy() for i, f in fields.items()}
-        GhostExchange(fields, specs).exchange()
-        for i, f in fields.items():
-            assert np.array_equal(interior(f.src), interiors[i])
+        # Pairs (0, 1), (2, 3) straddle two ranks; (1, 2), (3, 4) share one.
+        forest = _chain_forest(
+            n_blocks, (4, 4, 4), [(i + 1) // 2 for i in range(n_blocks)]
+        )
+        for executor in (SpmdGhostExchange, BufferSystem):
+            fields = {}
+            for blk in forest.blocks:
+                f = PdfField(D3Q19, (4, 4, 4))
+                f.src[...] = rng.random(f.src.shape)
+                fields[blk.id] = f
+            interiors = {k: interior(f.src).copy() for k, f in fields.items()}
+            exchange_on_ranks(forest, fields, executor)
+            for k, f in fields.items():
+                assert np.array_equal(interior(f.src), interiors[k])
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_exchange_transfers_exact_face(self, seed):
         rng = np.random.default_rng(seed)
-        a = PdfField(D3Q19, (3, 3, 3))
-        b = PdfField(D3Q19, (3, 3, 3))
-        a.src[...] = rng.random(a.src.shape)
-        b.src[...] = rng.random(b.src.shape)
-        face = b.src[:, 1:2, 1:-1, 1:-1].copy()
-        GhostExchange(
-            {0: a, 1: b}, [CopySpec(0, 1, (1, 0, 0), remote=True)]
-        ).exchange()
-        assert np.array_equal(a.src[:, -1:, 1:-1, 1:-1], face)
+        forest = _chain_forest(2, (3, 3, 3), [0, 1])
+        a_id, b_id = (blk.id for blk in forest.blocks)
+        for executor in (SpmdGhostExchange, BufferSystem):
+            a = PdfField(D3Q19, (3, 3, 3))
+            b = PdfField(D3Q19, (3, 3, 3))
+            a.src[...] = rng.random(a.src.shape)
+            b.src[...] = rng.random(b.src.shape)
+            face = b.src[:, 1:2, 1:-1, 1:-1].copy()
+            exchange_on_ranks(forest, {a_id: a, b_id: b}, executor)
+            assert np.array_equal(a.src[:, -1:, 1:-1, 1:-1], face)
 
 
 class TestConservationProperties:

@@ -64,6 +64,39 @@ class TestViewForRank:
             ]
             assert single.neighbor_ranks() == all_views[rank].neighbor_ranks()
 
+    def test_periodic_neighbors_wrap(self):
+        from repro.blocks import distribute
+
+        forest = SetupBlockForest.create(
+            AABB((0, 0, 0), (3, 1, 1)), (3, 1, 1), (4, 4, 4)
+        )
+        balance_forest(forest, 3, strategy="round_robin")
+        plain = {n.offset for n in view_for_rank(forest, 0).blocks[0].neighbors}
+        assert plain == {(1, 0, 0)}
+        periodic = (True, False, False)
+        all_views = distribute(forest, periodic=periodic)
+        for rank in range(3):
+            single = view_for_rank(forest, rank, periodic=periodic)
+            assert single.blocks == all_views[rank].blocks
+        (first,) = all_views[0].blocks
+        by_offset = {n.offset: n.id for n in first.neighbors}
+        assert by_offset == {
+            (1, 0, 0): forest.blocks[1].id,
+            (-1, 0, 0): forest.blocks[2].id,  # wraps around x
+        }
+
+    def test_periodic_axis_of_one_block_is_its_own_neighbor(self):
+        forest = SetupBlockForest.create(
+            AABB((0, 0, 0), (2, 1, 1)), (2, 1, 1), (4, 4, 4)
+        )
+        balance_forest(forest, 1, strategy="round_robin")
+        view = view_for_rank(forest, 0, periodic=(False, True, False))
+        first = view.blocks[0]
+        by_offset = {n.offset: n.id for n in first.neighbors}
+        assert by_offset[(0, 1, 0)] == by_offset[(0, -1, 0)] == first.id
+        assert by_offset[(1, 1, 0)] == forest.blocks[1].id
+        assert len(by_offset) == 5  # x in {0, +1}, y in {-1, 0, +1}, z 0
+
     def test_unbalanced_rejected(self):
         forest = SetupBlockForest.create(
             AABB((0, 0, 0), (2, 1, 1)), (2, 1, 1), (4, 4, 4)

@@ -274,7 +274,7 @@ class TestSimulationTrees:
         sim = DistributedSimulation(forest, TRT.from_tau(0.8))
         sim.run(3)
         tree = sim.timeloop.tree
-        for sub in ("pack", "send/recv", "unpack", "local copy"):
+        for sub in ("pack+send", "local copy", "recv+unpack"):
             assert tree.node("communication", sub) is not None, sub
         assert tree.counter("comm.remote_bytes") > 0
         assert tree.counter("cells_updated") > 0
