@@ -1,8 +1,9 @@
 """Figure 3 — single-node kernel performance, all tiers x SRT/TRT.
 
-Measures the real NumPy kernels on this host and prints the ECM-model
-node curves for SuperMUC and JUQUEEN.  Paper shape: generic < D3Q19 <
-SIMD/vectorized, and TRT matches SRT for the fastest tier.
+Measures the real kernels on this host (the NumPy tiers and the
+generated C ``compiled`` tier) and prints the ECM-model node curves for
+SuperMUC and JUQUEEN.  Paper shape: generic < D3Q19 < SIMD/vectorized
+<= compiled, and TRT matches SRT for the fastest tier.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ def _setup(tier, collision):
     return kern, src, dst
 
 
-@pytest.mark.parametrize("tier", ["generic", "d3q19", "vectorized"])
+@pytest.mark.parametrize("tier", ["generic", "d3q19", "vectorized", "compiled"])
 @pytest.mark.parametrize("collision", [SRT(0.8), TRT.from_tau(0.8)], ids=["srt", "trt"])
 def test_kernel_tier(benchmark, tier, collision):
     kern, src, dst = _setup(tier, collision)
@@ -43,6 +44,9 @@ def test_fig3_report_and_shape():
     # Optimization tiers are strictly ordered (paper Figure 3).
     assert s["vectorized/TRT"] > s["d3q19/TRT"] > s["generic/TRT"]
     assert s["vectorized/SRT"] > s["generic/SRT"]
+    # The generated loop is at least as fast as the NumPy split loop.
+    assert s["compiled/TRT"] >= s["vectorized/TRT"]
+    assert s["compiled/SRT"] >= s["vectorized/SRT"]
     # TRT costs at most modestly more than SRT on the fastest tier
     # (paper: identical once memory bound; in NumPy both are far from
     # the bandwidth limit, so allow a band).

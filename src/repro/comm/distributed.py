@@ -33,7 +33,7 @@ from ..geometry.implicit import ImplicitGeometry
 from ..geometry.voxelize import ColorMap, voxelize_block
 from ..lbm.boundary import BoundaryHandling, Condition, NoSlip
 from ..lbm.collision import SRT, TRT
-from ..lbm.kernels.registry import make_kernel
+from ..lbm.kernels.registry import default_dense_kernel, make_kernel
 from ..lbm.kernels.sparse import SPARSE_KERNELS
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..lbm.macroscopic import density as _density, velocity as _velocity
@@ -88,7 +88,7 @@ def build_block_runtime(
     flag_setter: Optional[Callable[[LocalBlock, FlagField], None]] = None,
     colors: Optional[ColorMap] = None,
     model: LatticeModel = D3Q19,
-    dense_kernel: str = "vectorized",
+    dense_kernel: Optional[str] = None,
     sparse_kernel: str = "interval",
 ) -> BlockRuntime:
     """Construct one block's runtime state (flags, fields, kernel, BCs).
@@ -96,6 +96,11 @@ def build_block_runtime(
     This is the per-block work every process performs independently
     during initialization — "every process voxelizes its blocks
     independently" (§2.3).
+
+    Blocks with OUTSIDE cells get the ``sparse_kernel`` strategy, fully
+    fluid blocks the ``dense_kernel`` tier — by default
+    :func:`~repro.lbm.kernels.registry.default_dense_kernel`
+    (``compiled`` when a C compiler built it, else ``vectorized``).
     """
     if colors is None:
         colors = default_vascular_colors() if geometry is not None else ColorMap()
@@ -118,8 +123,8 @@ def build_block_runtime(
         kernel = SPARSE_KERNELS[sparse_kernel](mask, collision)
         kernel_name = sparse_kernel
     else:
-        kernel = make_kernel(dense_kernel, model, collision, blk.cells)
-        kernel_name = dense_kernel
+        kernel_name = dense_kernel or default_dense_kernel()
+        kernel = make_kernel(kernel_name, model, collision, blk.cells)
     handler = BoundaryHandling(model, ff, conditions)
     return BlockRuntime(ff, field, kernel, handler, kernel_name)
 
@@ -188,6 +193,10 @@ class DistributedSimulation:
         Per-axis periodicity of the (root-grid) domain.
     colors:
         Surface-color -> boundary-flag mapping for voxelization.
+    dense_kernel, sparse_kernel:
+        Kernel of fully fluid blocks and of blocks with OUTSIDE cells
+        (see :func:`build_block_runtime`); ``dense_kernel=None`` picks
+        :func:`~repro.lbm.kernels.registry.default_dense_kernel`.
     filtered_communication:
         Exchange only the PDF directions neighbors can pull (ablation;
         the paper's scheme sends full ghost layers).  Only available
@@ -219,7 +228,8 @@ class DistributedSimulation:
         aPbT configurations.  Work items are whole blocks when there
         are at least as many blocks as workers, and interior *slabs* of
         dense blocks otherwise (the single-large-block regime).  NumPy
-        releases the GIL inside the kernels, so work items genuinely
+        and the ``compiled`` tier's ``ctypes`` call release the GIL
+        inside the kernels, so work items genuinely
         execute concurrently, and results are bit-identical to serial
         runs for every worker count.  ``None`` (default) selects
         ``"threads"`` when ``workers > 1``.
@@ -241,7 +251,7 @@ class DistributedSimulation:
         periodic: Tuple[bool, bool, bool] = (False, False, False),
         colors: Optional[ColorMap] = None,
         model: LatticeModel = D3Q19,
-        dense_kernel: str = "vectorized",
+        dense_kernel: Optional[str] = None,
         sparse_kernel: str = "interval",
         filtered_communication: bool = False,
         comm_mode: str = "per-face",

@@ -20,6 +20,7 @@ from ..lbm.collision import SRT, TRT
 from ..lbm.kernels.common import box_cells
 from ..lbm.kernels.registry import (
     KERNEL_TIERS,
+    default_dense_kernel,
     instrument_kernel,
     make_kernel,
     run_kernel_on_region,
@@ -57,10 +58,13 @@ class Simulation:
     model:
         Lattice model (default D3Q19, like every run in the paper).
     kernel:
-        Kernel tier name (``generic`` / ``d3q19`` / ``vectorized``) or a
-        sparse strategy name (``conditional`` / ``indexlist`` /
-        ``interval``).  ``None`` selects ``vectorized`` for fully fluid
-        interiors and ``interval`` when OUTSIDE cells are present.
+        Kernel tier name (``generic`` / ``d3q19`` / ``vectorized`` /
+        ``compiled``) or a sparse strategy name (``conditional`` /
+        ``indexlist`` / ``interval``).  ``None`` selects
+        :func:`~repro.lbm.kernels.registry.default_dense_kernel`
+        (``compiled`` when a C compiler built it, else ``vectorized``)
+        for fully fluid interiors and ``interval`` when OUTSIDE cells
+        are present.
     body_force:
         Optional constant body force (lattice units per cell per step),
         applied to fluid cells as an extra sweep.
@@ -147,7 +151,7 @@ class Simulation:
 
         name = self.kernel_name
         if name is None:
-            name = "interval" if has_outside else "vectorized"
+            name = "interval" if has_outside else default_dense_kernel()
         if name in SPARSE_KERNELS:
             if self.model.name != "D3Q19":
                 raise ConfigurationError("sparse kernels require D3Q19")

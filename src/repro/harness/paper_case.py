@@ -30,7 +30,7 @@ from ..geometry.aabb import AABB
 from ..geometry.coronary import CapsuleTreeGeometry, CoronaryTree
 from ..lbm.boundary import NoSlip, UBB
 from ..lbm.collision import TRT
-from ..lbm.kernels.registry import make_kernel
+from ..lbm.kernels.registry import default_dense_kernel, make_kernel
 from ..lbm.lattice import D3Q19
 from ..perf.metrics import comm_bandwidth, mflups, mlups
 from ..perf.scaling import VesselBlockModel
@@ -65,12 +65,16 @@ def paper_block_model(samples: int = 150_000) -> VesselBlockModel:
 
 
 def measure_host_kernel_mlups(
-    tier: str = "vectorized",
+    tier: Optional[str] = None,
     cells: Tuple[int, int, int] = (48, 48, 48),
     steps: int = 5,
     collision=None,
 ) -> float:
-    """Measured MLUPS of a kernel tier on this host (dense block)."""
+    """Measured MLUPS of a kernel tier on this host (dense block);
+    ``tier=None`` measures the default dense tier
+    (:func:`~repro.lbm.kernels.registry.default_dense_kernel`)."""
+    if tier is None:
+        tier = default_dense_kernel()
     if collision is None:
         collision = TRT.from_tau(0.8)
     kern = make_kernel(tier, D3Q19, collision, cells)

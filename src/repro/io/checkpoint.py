@@ -60,6 +60,13 @@ def _block_key(block_id) -> str:
     return str(block_id)
 
 
+def _crc(arr: np.ndarray) -> int:
+    """CRC-32 of ``arr``'s C-order bytes.  A C-contiguous array is
+    hashed through the buffer protocol, without the copy ``tobytes()``
+    would make; only a non-contiguous one is copied (to C order)."""
+    return zlib.crc32(np.ascontiguousarray(arr))
+
+
 # ---------------------------------------------------------------------------
 # Low-level state container (used directly by the SPMD checkpoint path)
 # ---------------------------------------------------------------------------
@@ -84,8 +91,7 @@ def write_state(
         "version": _FORMAT_VERSION,
         "step": int(step),
         "keys": sorted(arrays),
-        "crc": {k: zlib.crc32(np.ascontiguousarray(v).tobytes())
-                for k, v in arrays.items()},
+        "crc": {k: _crc(v) for k, v in arrays.items()},
         "rng": rng_state or "",
     }
     meta_arr = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
@@ -136,7 +142,7 @@ def read_state(path: str) -> Tuple[Dict[str, np.ndarray], int, Optional[str]]:
                 arr = data[key]
                 want = crcs.get(key)
                 if want is not None:
-                    got = zlib.crc32(np.ascontiguousarray(arr).tobytes())
+                    got = _crc(arr)
                     if got != int(want):
                         raise CheckpointError(
                             f"{path}: corrupted checkpoint — CRC mismatch "

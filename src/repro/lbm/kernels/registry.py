@@ -8,7 +8,12 @@ pure-Python reference used only for verification:
 ``generic``     any lattice model, separate stream/collide passes
 ``d3q19``       model-specialized, fused, common subexpressions
 ``vectorized``  SoA split-loop, allocation-free (the "SIMD" analog)
+``compiled``    generated C loop, bit-identical to ``vectorized``
 ==============  =====================================================
+
+The ``compiled`` tier needs a C compiler at run time;
+:func:`default_dense_kernel` picks it when it built in this process and
+``vectorized`` otherwise.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 from ..collision import SRT, TRT
 from ..lattice import D3Q19, LatticeModel
+from . import compiled
 from .common import Box, region_view
 from .d3q19 import d3q19_step
 from .generic import generic_step
@@ -34,6 +40,7 @@ from .vectorized import VectorizedD3Q19Kernel
 
 __all__ = [
     "make_kernel",
+    "default_dense_kernel",
     "instrument_kernel",
     "InstrumentedKernel",
     "KERNEL_TIERS",
@@ -44,7 +51,16 @@ Collision = Union[SRT, TRT]
 Kernel = Callable[[np.ndarray, np.ndarray], None]
 
 #: Ordered tiers, slowest to fastest (paper's optimization stages).
-KERNEL_TIERS = ("reference", "generic", "d3q19", "vectorized")
+KERNEL_TIERS = ("reference", "generic", "d3q19", "vectorized", "compiled")
+
+
+def default_dense_kernel() -> str:
+    """The default tier for dense blocks: ``"compiled"`` when the
+    generated loop built and loaded in this process (the first call
+    attempts the build), ``"vectorized"`` otherwise — both give the
+    same bits, so the choice follows only whether a C compiler is
+    present."""
+    return "compiled" if compiled.available() else "vectorized"
 
 
 class _StatelessKernel:
@@ -136,7 +152,8 @@ def make_kernel(
     tier:
         One of :data:`KERNEL_TIERS`.
     model:
-        Lattice model; ``d3q19`` and ``vectorized`` require D3Q19.
+        Lattice model; ``d3q19``, ``vectorized`` and ``compiled``
+        require D3Q19.
     collision:
         SRT or TRT parameters.
     cells:
@@ -146,6 +163,9 @@ def make_kernel(
         Optional :class:`~repro.perf.timing.TimingTree`; when given the
         kernel is wrapped so every call records under a ``tier:<name>``
         child of the tree's current scope.
+
+    Raises :class:`~repro.errors.ConfigurationError` when ``compiled``
+    is requested and the loop cannot be built on this host.
     """
     if tier == "reference":
         kernel: Kernel = _StatelessKernel(tier, reference_step, model, collision)
@@ -163,6 +183,14 @@ def make_kernel(
         if cells is None:
             raise ValueError("tier 'vectorized' needs the interior cell counts")
         kernel = VectorizedD3Q19Kernel(cells, collision)
+    elif tier == "compiled":
+        if model.name != "D3Q19":
+            raise ValueError(
+                f"tier 'compiled' requires the D3Q19 model, got {model.name}"
+            )
+        # Raises ConfigurationError (with the reason) if the loop
+        # cannot be built: an explicit request never falls back.
+        kernel = compiled.CompiledD3Q19Kernel(collision)
     else:
         raise ValueError(
             f"unknown kernel tier {tier!r}; choose from {KERNEL_TIERS}"

@@ -10,11 +10,13 @@ instrument for the reproduction:
 * :class:`TimingTree` — nested ``with tree.scoped("name"):`` scopes with
   per-node call counts, min/max/total seconds, plus named *counters*
   (cells updated, bytes exchanged) from which derived rates (MLUPS,
-  communication bandwidth) are computed.
+  communication bandwidth) are computed, and *gauges* (ratios written
+  with :meth:`TimingTree.set_counter`).
 * :func:`reduce_trees` / :func:`reduce_over_comm` — cross-rank reduction
   producing per-node min/avg/max over the ranks of a
   :class:`~repro.comm.vmpi.VirtualMPI` world, mirroring waLBerla's
-  reduced timing pool.
+  reduced timing pool; counters are summed, gauges averaged over the
+  ranks that report them.
 * a process-wide registry (:func:`get_timing_tree`) so decoupled
   subsystems can share one tree by name, like waLBerla's globally
   registered timing pools.
@@ -31,7 +33,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigurationError
 
@@ -225,6 +227,8 @@ class TimingTree:
         self._tls = threading.local()
         self._epoch = 0
         self.counters: Dict[str, float] = {}
+        #: Counter names written with :meth:`set_counter` (gauges).
+        self.gauges: Set[str] = set()
 
     def _stack(self) -> List[TimingNode]:
         """This thread's scope stack (created on first use; rebuilt when
@@ -312,9 +316,11 @@ class TimingTree:
     def set_counter(self, name: str, value: float) -> None:
         """Overwrite a named quantity (for gauges such as the running
         ``comm.overlap_efficiency`` ratio, where accumulation across
-        steps would be meaningless)."""
+        steps would be meaningless).  The name becomes a *gauge*: the
+        cross-rank reduction averages it instead of summing."""
         with self._lock:
             self.counters[name] = float(value)
+            self.gauges.add(name)
 
     def counter(self, name: str) -> float:
         """Current value of counter ``name`` (0 if never incremented)."""
@@ -350,12 +356,18 @@ class TimingTree:
         self._epoch += 1
         self._tls = threading.local()
         self.counters = {}
+        self.gauges = set()
 
     def merge(self, other: "TimingTree") -> "TimingTree":
-        """Fold another tree's timers and counters into this one."""
+        """Fold another tree's timers and counters into this one (its
+        gauges overwrite, as :meth:`set_counter` does)."""
         self.root.merge(other.root)
         for k, v in other.counters.items():
-            self.counters[k] = self.counters.get(k, 0.0) + v
+            if k in other.gauges:
+                self.counters[k] = v
+                self.gauges.add(k)
+            else:
+                self.counters[k] = self.counters.get(k, 0.0) + v
         return self
 
     # -- serialization ------------------------------------------------------
@@ -364,6 +376,7 @@ class TimingTree:
         return {
             "schema": "repro.timing-tree/1",
             "counters": dict(self.counters),
+            "gauges": sorted(self.gauges),
             "root": self.root.to_dict(),
         }
 
@@ -375,6 +388,7 @@ class TimingTree:
         tree._epoch += 1
         tree._tls = threading.local()
         tree.counters = {k: float(v) for k, v in d.get("counters", {}).items()}
+        tree.gauges = set(d.get("gauges", ()))
         return tree
 
     # -- rendering ----------------------------------------------------------
@@ -451,12 +465,14 @@ class ReducedTimingTree:
 
     Per node the *total* seconds of each rank are reduced to min / avg /
     max (waLBerla's ``timing_pool.reduce()``); counters are summed
-    across ranks.
+    across ranks, gauges (named in ``gauges``) averaged over the ranks
+    that report them.
     """
 
     root: ReducedTimingNode
     n_ranks: int
     counters: Dict[str, float] = field(default_factory=dict)
+    gauges: Set[str] = field(default_factory=set)
 
     def node(self, *path: str) -> Optional[ReducedTimingNode]:
         """Look up a node by path from the root; ``None`` if absent."""
@@ -503,11 +519,12 @@ class ReducedTimingTree:
         return out
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready snapshot (reduced tree plus summed counters)."""
+        """JSON-ready snapshot (reduced tree plus reduced counters)."""
         return {
             "schema": "repro.timing-tree-reduced/1",
             "n_ranks": self.n_ranks,
             "counters": dict(self.counters),
+            "gauges": sorted(self.gauges),
             "root": self.root.to_dict(),
         }
 
@@ -542,9 +559,10 @@ class ReducedTimingTree:
         ]
         lines += _align(header, rows)
         if self.counters:
-            lines.append("counters (summed over ranks):")
+            lines.append("counters (summed over ranks; gauges averaged):")
             for k in sorted(self.counters):
-                lines.append(f"  {k:<28s} {_fmt_counter(self.counters[k])}")
+                tag = "  (avg)" if k in self.gauges else ""
+                lines.append(f"  {k:<28s} {_fmt_counter(self.counters[k])}{tag}")
         return "\n".join(lines)
 
 
@@ -553,7 +571,10 @@ def reduce_trees(trees: Sequence[TimingTree]) -> ReducedTimingTree:
 
     The node set is the union over ranks; a rank that never entered a
     scope simply does not contribute to that node's statistics
-    (``n_ranks`` records how many did).
+    (``n_ranks`` records how many did).  Counters are summed over the
+    ranks; gauges (written with :meth:`TimingTree.set_counter`, such as
+    ``comm.overlap_efficiency``) are averaged over the ranks that
+    report them, so a ratio stays a ratio.
     """
     if not trees:
         raise ConfigurationError("need at least one timing tree to reduce")
@@ -584,10 +605,16 @@ def reduce_trees(trees: Sequence[TimingTree]) -> ReducedTimingTree:
 
     root = reduce_nodes("total", [t.root for t in trees])
     counters: Dict[str, float] = {}
+    reporting: Dict[str, int] = {}
+    gauges: Set[str] = set()
     for t in trees:
+        gauges |= t.gauges
         for k, v in t.counters.items():
             counters[k] = counters.get(k, 0.0) + v
-    return ReducedTimingTree(root=root, n_ranks=n, counters=counters)
+            reporting[k] = reporting.get(k, 0) + 1
+    for k in gauges.intersection(counters):
+        counters[k] /= reporting[k]
+    return ReducedTimingTree(root=root, n_ranks=n, counters=counters, gauges=gauges)
 
 
 def reduce_over_comm(

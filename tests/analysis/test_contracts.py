@@ -8,11 +8,13 @@ properties the static checker (KRN001) cannot see on its own:
 2. the registry wrappers (``_StatelessKernel``, ``InstrumentedKernel``)
    forward the contract, so ``contract_of(make_kernel(...))`` works;
 3. the declarations match runtime reality — tracemalloc proves the
-   ``steady_state=True`` tier allocates nothing field-sized after
-   warm-up, and that the ``steady_state=False`` generic tier really
-   does allocate (so the annotation could not honestly be flipped).
+   ``steady_state=True`` tiers (``vectorized``, ``compiled``) allocate
+   nothing field-sized after warm-up, and that the
+   ``steady_state=False`` generic tier really does allocate (so the
+   annotation could not honestly be flipped).
 """
 
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.lbm.kernels import (
     contract_of,
     make_kernel,
 )
+from repro.lbm.kernels.compiled import CompiledD3Q19Kernel
 from repro.lbm.kernels.generic import generic_step
 from repro.lbm.kernels.sparse import (
     ConditionalSparseKernel,
@@ -43,6 +46,9 @@ CELLS = (16, 16, 16)
 #: ``np.setbufsize`` elements = 64 KiB per operand, independent of the
 #: field size), so "no field-sized temporary" is a meaningful assertion.
 BIG_CELLS = (32, 32, 32)
+needs_cc = pytest.mark.skipif(
+    shutil.which("cc") is None, reason="no C compiler ('cc') on PATH"
+)
 
 
 def _equilibrium_fields(cells):
@@ -59,6 +65,8 @@ class TestDeclarations:
         for tier in KERNEL_TIERS:
             if tier == "reference":
                 continue  # the didactic baseline carries no contract
+            if tier == "compiled" and shutil.which("cc") is None:
+                continue  # cannot be built on this host
             k = make_kernel(tier, D3Q19, TRT.from_tau(0.65), CELLS)
             contract = contract_of(k)
             assert contract is not None, f"tier {tier!r} has no contract"
@@ -68,6 +76,11 @@ class TestDeclarations:
         contract = contract_of(VectorizedD3Q19Kernel)
         assert contract["steady_state"] is True
         assert "_get_scratch" in contract["warmup"]
+
+    def test_compiled_is_a_steady_state_tier(self):
+        contract = contract_of(CompiledD3Q19Kernel)
+        assert contract["steady_state"] is True
+        assert contract["warmup"] == ()
 
     @pytest.mark.parametrize(
         "obj",
@@ -108,9 +121,9 @@ class TestWrapperForwarding:
 class TestTracemallocCrossCheck:
     """The runtime companion of static rule KRN001."""
 
-    def test_vectorized_steady_state_allocates_nothing_field_sized(self):
+    @staticmethod
+    def _assert_steady_state_allocates_nothing_field_sized(kernel):
         src, dst = _equilibrium_fields(BIG_CELLS)
-        kernel = VectorizedD3Q19Kernel(BIG_CELLS, TRT.from_tau(0.65))
         for _ in range(2):  # warm-up: scratch buffers cached per shape
             kernel(src, dst)
         field_bytes = 32 * 32 * 32 * 8  # one interior scalar field
@@ -124,6 +137,17 @@ class TestTracemallocCrossCheck:
         assert peak < field_bytes, (
             f"steady_state=True tier allocated {peak} bytes "
             f"(>= one field of {field_bytes})"
+        )
+
+    def test_vectorized_steady_state_allocates_nothing_field_sized(self):
+        self._assert_steady_state_allocates_nothing_field_sized(
+            VectorizedD3Q19Kernel(BIG_CELLS, TRT.from_tau(0.65))
+        )
+
+    @needs_cc
+    def test_compiled_steady_state_allocates_nothing_field_sized(self):
+        self._assert_steady_state_allocates_nothing_field_sized(
+            CompiledD3Q19Kernel(TRT.from_tau(0.65))
         )
 
     def test_generic_tier_really_allocates(self):

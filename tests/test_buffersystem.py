@@ -26,6 +26,7 @@ from repro.comm import (
 from repro.errors import ConfigurationError
 from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree
 from repro.lbm import NoSlip, PressureABB, TRT, UBB
+from repro.lbm.kernels import default_dense_kernel
 from repro.lbm.kernels.common import box_cells, interior_partition
 from repro.perf.timing import TimingTree, reduce_trees
 
@@ -386,8 +387,9 @@ class TestSpmdBufferSystem:
         trees = [TimingTree() for _ in range(self.RANKS)]
         self._run("overlap", trees=trees)
         reduced = reduce_trees(trees)
+        tier = f"tier:{default_dense_kernel()}"
         for sweep in ("inner kernel", "frontier kernel"):
-            assert reduced.node(sweep, "tier:vectorized") is not None, sweep
+            assert reduced.node(sweep, tier) is not None, sweep
 
     def test_bulk_tag_never_collides_with_per_face_tags(self):
         assert BULK_TAG < 0

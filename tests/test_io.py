@@ -269,6 +269,26 @@ class TestCheckpointV2:
         a, b = ref.velocity(), resumed.velocity()
         assert np.array_equal(np.nan_to_num(a), np.nan_to_num(b))
 
+    def test_crc_of_non_contiguous_input_is_crc_of_c_order_bytes(self, tmp_path):
+        """The CRC is taken without a tobytes() copy, but its value is
+        unchanged: older v2 files still verify."""
+        import json
+        import zlib
+
+        p = str(tmp_path / "c.npz")
+        base = np.arange(4 * 5 * 6, dtype=np.float64).reshape(4, 5, 6)
+        arrays = {"view": base[:, 1:4, ::2], "fortran": np.asfortranarray(base)}
+        assert not arrays["view"].flags.c_contiguous
+        write_state(p, arrays, step=3)
+        with np.load(p) as data:
+            meta = json.loads(bytes(data["__meta_json__"]).decode("utf-8"))
+        for key, arr in arrays.items():
+            assert meta["crc"][key] == zlib.crc32(arr.tobytes(order="C"))
+        loaded, step, _ = read_state(p)
+        assert step == 3
+        for key, arr in arrays.items():
+            assert np.array_equal(loaded[key], arr)
+
     def test_cellstructured_roundtrip(self, tmp_path):
         p = str(tmp_path / "cs.npz")
         ref = _solver(20)

@@ -1,18 +1,27 @@
 """Kernel-tier correctness tests: every optimized kernel against the
-pure-Python reference, conservation laws, and equilibrium invariance."""
+pure-Python reference, conservation laws, and equilibrium invariance;
+the compiled tier bit for bit against the vectorized tier."""
+
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import flagdefs as fl
+from repro.core import Simulation
+from repro.errors import ConfigurationError
+from repro.exec import slab_boxes
 from repro.lbm.collision import SRT, TRT
 from repro.lbm.kernels import (
     alloc_pdf_field,
+    compiled,
+    default_dense_kernel,
     make_kernel,
     pull_slices,
 )
-from repro.lbm.kernels.common import check_pdf_args
+from repro.lbm.kernels.common import check_pdf_args, interior_partition, region_view
 from repro.lbm.kernels.generic import generic_step
 from repro.lbm.kernels.reference import reference_step
 from repro.lbm.lattice import D2Q9, D3Q19, D3Q27
@@ -21,7 +30,13 @@ from repro.lbm.equilibrium import equilibrium
 from helpers import interior, periodic_ghost_fill, random_pdfs
 
 COLLISIONS = [SRT(tau=0.8), TRT.from_tau(0.8), TRT(lambda_e=-1.6, lambda_o=-0.7)]
-OPT_TIERS = ["generic", "d3q19", "vectorized"]
+#: The compiled tier needs a C compiler; without one it is skipped here
+#: and the fallback is tested instead (TestCompiledDefault).
+HAS_CC = shutil.which("cc") is not None
+needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler ('cc') on PATH")
+OPT_TIERS = [
+    "generic", "d3q19", "vectorized", pytest.param("compiled", marks=needs_cc),
+]
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +206,156 @@ class TestKernelProperties:
         dst = np.zeros_like(src)
         k(src, dst)
         assert np.allclose(interior(dst), interior(ref), atol=1e-12)
+
+
+def _pair(rng, cells):
+    """A random source field and a zero destination of the same shape."""
+    src = random_pdfs(rng, D3Q19, cells)
+    return src, np.zeros_like(src)
+
+
+def _both_tiers(collision, cells):
+    return (
+        make_kernel("vectorized", D3Q19, collision, cells),
+        make_kernel("compiled", D3Q19, collision, cells),
+    )
+
+
+@needs_cc
+class TestCompiledBitIdentity:
+    """The compiled tier performs the vectorized tier's IEEE operations
+    in the same order: results are equal bit for bit, not just close."""
+
+    @pytest.mark.parametrize("collision", COLLISIONS, ids=["srt", "trt", "trt2"])
+    @pytest.mark.parametrize(
+        "cells", [(16, 16, 16), (5, 9, 3), (1, 7, 2), (11, 1, 1)], ids=str
+    )
+    def test_full_field(self, collision, cells, rng):
+        vec, comp = _both_tiers(collision, cells)
+        src, d_vec = _pair(rng, cells)
+        d_comp = np.zeros_like(src)
+        vec(src, d_vec)
+        comp(src, d_comp)
+        assert np.array_equal(d_comp, d_vec)
+
+    @pytest.mark.parametrize("collision", COLLISIONS[:2], ids=["srt", "trt"])
+    @pytest.mark.parametrize("shell", [1, 2])
+    def test_interior_partition_boxes(self, collision, shell, rng):
+        cells = (7, 6, 9)
+        vec, comp = _both_tiers(collision, cells)
+        src, d_vec = _pair(rng, cells)
+        d_comp = np.zeros_like(src)
+        inner, frontier = interior_partition(cells, shell=shell)
+        for box in [inner] + frontier:
+            vec(region_view(src, box), region_view(d_vec, box))
+            comp(region_view(src, box), region_view(d_comp, box))
+        full = np.zeros_like(src)
+        vec(src, full)
+        assert np.array_equal(d_comp, d_vec)
+        assert np.array_equal(interior(d_comp), interior(full))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_slab_boxes(self, n, rng):
+        cells = (9, 4, 6)
+        vec, comp = _both_tiers(TRT.from_tau(0.7), cells)
+        src, d_vec = _pair(rng, cells)
+        d_comp = np.zeros_like(src)
+        for box in slab_boxes(((0, 0, 0), cells), n):
+            vec(region_view(src, box), region_view(d_vec, box))
+            comp(region_view(src, box), region_view(d_comp, box))
+        assert np.array_equal(d_comp, d_vec)
+
+    def test_non_unit_innermost_stride(self, rng):
+        """Fortran-ordered fields take the strided row loop."""
+        cells = (4, 5, 6)
+        vec, comp = _both_tiers(TRT.from_tau(0.7), cells)
+        src = np.asfortranarray(random_pdfs(rng, D3Q19, cells))
+        d_vec = np.zeros_like(src)
+        d_comp = np.zeros_like(src)
+        vec(src, d_vec)
+        comp(src, d_comp)
+        assert np.array_equal(d_comp, d_vec)
+
+
+@needs_cc
+class TestCompiledArguments:
+    """Bad arguments are rejected before any pointer reaches C."""
+
+    @pytest.fixture
+    def kernel(self):
+        return make_kernel("compiled", D3Q19, SRT(0.8))
+
+    def test_float32_rejected(self, kernel):
+        src = np.full((19, 5, 5, 5), 0.05, dtype=np.float32)
+        with pytest.raises(ValueError, match="float64"):
+            kernel(src, np.zeros_like(src))
+
+    def test_mismatched_strides_rejected(self, kernel):
+        src = np.full((19, 5, 5, 5), 0.05)
+        with pytest.raises(ValueError, match="strides"):
+            kernel(src, np.asfortranarray(np.zeros_like(src)))
+
+    def test_same_array_rejected(self, kernel):
+        src = np.full((19, 5, 5, 5), 0.05)
+        with pytest.raises(ValueError):
+            kernel(src, src)
+
+    def test_overlapping_views_rejected(self, kernel):
+        buf = np.full((19, 5, 5, 6), 0.05)
+        with pytest.raises(ValueError, match="overlap"):
+            kernel(buf[..., :5], buf[..., 1:])
+
+    def test_read_only_dst_rejected(self, kernel):
+        src = np.full((19, 5, 5, 5), 0.05)
+        dst = np.zeros_like(src)
+        dst.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            kernel(src, dst)
+
+    def test_misaligned_rejected(self, kernel):
+        n = 19 * 5 * 5 * 5
+        raw = np.zeros(8 * n + 1, dtype=np.uint8)
+        src = np.frombuffer(raw.data, dtype=np.float64, count=n, offset=1)
+        src = src.reshape(19, 5, 5, 5)
+        with pytest.raises(ValueError, match="aligned"):
+            kernel(src, np.zeros((19, 5, 5, 5)))
+
+    def test_lattice_checked(self, kernel):
+        with pytest.raises(ValueError):
+            kernel(np.zeros((18, 6, 6, 6)), np.zeros((18, 6, 6, 6)))
+        with pytest.raises(ValueError):
+            make_kernel("compiled", D3Q27, SRT(0.8))
+
+
+class TestCompiledDefault:
+    def test_compiler_present_means_compiled_default(self):
+        """A host with a C compiler must run the compiled tier: a build
+        failure here would otherwise fall back silently."""
+        if not HAS_CC:
+            pytest.skip("no C compiler ('cc') on PATH")
+        # Raises ConfigurationError with the build failure, if any.
+        make_kernel("compiled", D3Q19, SRT(0.8))
+        assert default_dense_kernel() == "compiled"
+
+    def test_no_compiler_falls_back_to_vectorized(self, monkeypatch):
+        def run():
+            sim = Simulation(cells=(6, 5, 4), collision=TRT.from_tau(0.7))
+            sim.flags.fill(fl.FLUID)
+            sim.finalize(u=(0.02, -0.01, 0.03))
+            sim.pdfs.src[...] += 1e-3 * np.random.default_rng(7).random(sim.pdfs.src.shape)
+            sim.run(3)
+            return sim.kernel_name, sim.pdfs.src.copy()
+
+        # A fresh build attempt that finds no compiler on PATH.
+        monkeypatch.setattr(compiled, "_build", None)
+        monkeypatch.setattr(shutil, "which", lambda name, *a, **k: None)
+        assert default_dense_kernel() == "vectorized"
+        with pytest.raises(ConfigurationError, match="no C compiler"):
+            make_kernel("compiled", D3Q19, SRT(0.8))
+        name, fallback = run()
+        assert name == "vectorized"
+        # Back to this process's own build: same bits on the default tier.
+        monkeypatch.undo()
+        name, default = run()
+        assert name == default_dense_kernel()
+        assert np.array_equal(default, fallback)

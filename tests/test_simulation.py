@@ -8,6 +8,7 @@ from repro import flagdefs as fl
 from repro.core import Simulation
 from repro.errors import ConfigurationError
 from repro.lbm import NoSlip, TRT, UBB, SRT
+from repro.lbm.kernels import default_dense_kernel
 
 
 def closed_box(sim):
@@ -46,7 +47,7 @@ class TestLifecycle:
         sim = Simulation(cells=(4, 4, 4), collision=SRT(0.8))
         sim.flags.fill(fl.FLUID)
         sim.finalize()
-        assert sim.kernel_name == "vectorized"
+        assert sim.kernel_name == default_dense_kernel()
 
     def test_kernel_autoselect_sparse(self):
         sim = Simulation(cells=(4, 4, 4), collision=SRT(0.8))

@@ -142,6 +142,38 @@ class TestReduction:
         reduced = reduce_trees(trees)
         assert reduced.counters["cells_updated"] == pytest.approx(1000)
 
+    def test_gauges_averaged_over_reporting_ranks(self):
+        """set_counter gauges are ratios: summing four ranks' overlap
+        efficiencies would exceed 1."""
+        trees = []
+        for i, eff in enumerate((0.5, 0.6, 0.7, 0.8)):
+            t = TimingTree()
+            t.set_counter("comm.overlap_efficiency", eff)
+            t.add_counter("cells_updated", 10.0)
+            if i < 2:  # only two ranks run a worker pool
+                t.set_counter("exec.worker_busy_fraction", 0.2 + 0.4 * i)
+            trees.append(t)
+        reduced = reduce_trees(trees)
+        assert reduced.counters["comm.overlap_efficiency"] == pytest.approx(0.65)
+        assert reduced.counters["exec.worker_busy_fraction"] == pytest.approx(0.4)
+        assert reduced.counters["cells_updated"] == pytest.approx(40.0)
+        assert reduced.gauges == {"comm.overlap_efficiency", "exec.worker_busy_fraction"}
+        assert "(avg)" in reduced.render()
+
+    def test_gauges_survive_dict_roundtrip(self):
+        world = VirtualMPI(4)
+
+        def program(comm):
+            tree = TimingTree()
+            tree.set_counter("comm.overlap_efficiency", 0.1 * (comm.rank + 1))
+            tree.add_counter("cells_updated", 10.0)
+            return reduce_over_comm(tree, comm, root=0)
+
+        reduced = world.run(program)[0]
+        assert reduced.counters["comm.overlap_efficiency"] == pytest.approx(0.25)
+        assert reduced.counters["cells_updated"] == pytest.approx(40.0)
+        assert reduced.to_dict()["gauges"] == ["comm.overlap_efficiency"]
+
     def test_reduce_needs_trees(self):
         from repro.errors import ConfigurationError
 
