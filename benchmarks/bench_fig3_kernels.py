@@ -6,6 +6,8 @@ SuperMUC and JUQUEEN.  Paper shape: generic < D3Q19 < SIMD/vectorized
 <= compiled, and TRT matches SRT for the fastest tier.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,10 @@ from repro.lbm.lattice import D3Q19
 CELLS = (48, 48, 48)
 N_CELLS = int(np.prod(CELLS))
 
+needs_cc = pytest.mark.skipif(
+    shutil.which("cc") is None, reason="no C compiler ('cc') on PATH"
+)
+
 
 def _setup(tier, collision):
     kern = make_kernel(tier, D3Q19, collision, CELLS)
@@ -26,7 +32,9 @@ def _setup(tier, collision):
     return kern, src, dst
 
 
-@pytest.mark.parametrize("tier", ["generic", "d3q19", "vectorized", "compiled"])
+@pytest.mark.parametrize(
+    "tier", ["generic", "d3q19", "vectorized", pytest.param("compiled", marks=needs_cc)]
+)
 @pytest.mark.parametrize("collision", [SRT(0.8), TRT.from_tau(0.8)], ids=["srt", "trt"])
 def test_kernel_tier(benchmark, tier, collision):
     kern, src, dst = _setup(tier, collision)
@@ -44,9 +52,11 @@ def test_fig3_report_and_shape():
     # Optimization tiers are strictly ordered (paper Figure 3).
     assert s["vectorized/TRT"] > s["d3q19/TRT"] > s["generic/TRT"]
     assert s["vectorized/SRT"] > s["generic/SRT"]
-    # The generated loop is at least as fast as the NumPy split loop.
-    assert s["compiled/TRT"] >= s["vectorized/TRT"]
-    assert s["compiled/SRT"] >= s["vectorized/SRT"]
+    # The generated loop (when it built here) is at least as fast as
+    # the NumPy split loop.
+    if "compiled/TRT" in s:
+        assert s["compiled/TRT"] >= s["vectorized/TRT"]
+        assert s["compiled/SRT"] >= s["vectorized/SRT"]
     # TRT costs at most modestly more than SRT on the fastest tier
     # (paper: identical once memory bound; in NumPy both are far from
     # the bandwidth limit, so allow a band).

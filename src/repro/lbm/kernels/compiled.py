@@ -22,11 +22,12 @@ per process, and call it from Python.
   ``-march=native`` and no OpenMP: intra-rank threading stays with
   :mod:`repro.exec`, and ``ctypes`` releases the GIL during the call,
   so the engine's workers run kernels concurrently.
-* **Argument checks.** The kernel takes halo-inclusive views with
-  arbitrary strides (region views, slabs, overlap boxes) and passes the
-  data pointers and element strides to C.  Before any pointer reaches C
-  the arguments are checked and anything the loop cannot read as-is is
-  rejected, never reinterpreted.
+* **Argument checks.** The kernel takes halo-inclusive views (region
+  views, slabs, overlap boxes) and passes the data pointers and element
+  strides to C; the rows along the innermost (z) axis must be
+  contiguous, as every view of a C-ordered PDF field is.  Before any
+  pointer reaches C the arguments are checked and anything the loop
+  cannot read as-is is rejected, never reinterpreted.
 
 :func:`available` tells whether the loop built in this process; the
 registry's :func:`~repro.lbm.kernels.registry.default_dense_kernel`
@@ -77,25 +78,20 @@ def _lit(x: float) -> str:
     return float(x).hex()
 
 
-def _row_function(name: str, index: str, extra: str) -> List[str]:
-    """C source of one row sweep: ``n`` cells, pointers pre-offset.
-
-    ``index`` is the element offset expression of cell ``i`` along the
-    row; ``extra`` appends the stride parameter for the strided variant.
-    """
+def _row_function() -> List[str]:
+    """C source of one row sweep: ``n`` contiguous cells, pointers
+    pre-offset to the row's first cell."""
     q = D3Q19.q
     vel = D3Q19.velocities
     params = [f"const double *restrict s{a}" for a in range(q)]
     params += [f"double *restrict d{a}" for a in range(q)]
     params += ["ptrdiff_t n", "double lam_e", "double lam_o"]
-    if extra:
-        params.append(extra)
-    out = [f"static void {name}("]
+    out = ["static void row("]
     out.append("    " + ",\n    ".join(params) + ")")
     out.append("{")
     out.append("    for (ptrdiff_t i = 0; i < n; ++i) {")
     for a in range(q):
-        out.append(f"        const double g{a} = s{a}[{index}];")
+        out.append(f"        const double g{a} = s{a}[i];")
     # Density: ((g0 + g1) + g2) + ... + g18, as the vectorized tier's
     # add-then-accumulate passes.
     out.append("        double rho = g0 + g1;")
@@ -120,7 +116,7 @@ def _row_function(name: str, index: str, extra: str) -> List[str]:
     out.append("        usq = usq + 1.0;")
     # Rest direction: g0 + lam_e * (g0 - (rho * usq) * w0).
     w0 = _lit(D3Q19.weights[0])
-    out.append(f"        d0[{index}] = g0 + (g0 - (rho * usq) * {w0}) * lam_e;")
+    out.append(f"        d0[i] = g0 + (g0 - (rho * usq) * {w0}) * lam_e;")
     # Opposite-direction pairs: symmetric / antisymmetric parts.
     for a, b, w, e in build_pair_table(D3Q19):
         eu = None
@@ -138,8 +134,8 @@ def _row_function(name: str, index: str, extra: str) -> List[str]:
         out.append("            const double eq_minus = (wrho * eu) * 3.0;")
         out.append(f"            const double sym = ((g{a} + g{b}) * 0.5 - eq_plus) * lam_e;")
         out.append(f"            const double asym = ((g{a} - g{b}) * 0.5 - eq_minus) * lam_o;")
-        out.append(f"            d{a}[{index}] = (g{a} + sym) + asym;")
-        out.append(f"            d{b}[{index}] = (g{b} + sym) - asym;")
+        out.append(f"            d{a}[i] = (g{a} + sym) + asym;")
+        out.append(f"            d{b}[i] = (g{b} + sym) - asym;")
         out.append("        }")
     out.append("    }")
     out.append("}")
@@ -150,27 +146,25 @@ def generate_source() -> str:
     """C source of the fused D3Q19 pull-stream-collide loop.
 
     The exported function ``d3q19_stream_collide(src, dst, nx, ny, nz,
-    sq, sx, sy, sz, lam_e, lam_o)`` sweeps the ``nx*ny*nz`` interior of a
+    sq, sx, sy, lam_e, lam_o)`` sweeps the ``nx*ny*nz`` interior of a
     halo-inclusive SoA field pair whose element strides are ``sq`` (PDF
-    axis) and ``sx``/``sy``/``sz`` (cell axes).  SRT runs as TRT with
-    ``lam_e == lam_o``, exactly as in the NumPy tiers.
+    axis), ``sx``/``sy`` (outer cell axes) and 1 (innermost axis).  SRT
+    runs as TRT with ``lam_e == lam_o``, exactly as in the NumPy tiers.
     """
     q = D3Q19.q
     vel = D3Q19.velocities
     lines = [
         "/* Generated by repro.lbm.kernels.compiled: D3Q19 fused",
-        " * pull-stream-collide, SRT/TRT, two-grid, SoA with arbitrary strides. */",
+        " * pull-stream-collide, SRT/TRT, two-grid, SoA with contiguous rows. */",
         "#include <stddef.h>",
         "",
     ]
-    lines += _row_function("row_unit", "i", "")
-    lines.append("")
-    lines += _row_function("row_strided", "i * sz", "ptrdiff_t sz")
+    lines += _row_function()
     lines.append("")
     lines.append(
         f"void {ENTRY}(const double *src, double *dst,\n"
         "    ptrdiff_t nx, ptrdiff_t ny, ptrdiff_t nz,\n"
-        "    ptrdiff_t sq, ptrdiff_t sx, ptrdiff_t sy, ptrdiff_t sz,\n"
+        "    ptrdiff_t sq, ptrdiff_t sx, ptrdiff_t sy,\n"
         "    double lam_e, double lam_o)"
     )
     lines.append("{")
@@ -181,18 +175,13 @@ def generate_source() -> str:
         ex, ey, ez = (int(c) for c in vel[a])
         lines.append(
             f"            const double *s{a} = src + {a} * sq + (x - ({ex})) * sx"
-            f" + (y - ({ey})) * sy + (1 - ({ez})) * sz;"
+            f" + (y - ({ey})) * sy + (1 - ({ez}));"
         )
     for a in range(q):
-        lines.append(f"            double *d{a} = dst + {a} * sq + x * sx + y * sy + sz;")
+        lines.append(f"            double *d{a} = dst + {a} * sq + x * sx + y * sy + 1;")
     srcs = ", ".join(f"s{a}" for a in range(q))
     dsts = ", ".join(f"d{a}" for a in range(q))
-    lines.append("            if (sz == 1)")
-    lines.append(f"                row_unit({srcs},\n                    {dsts}, nz, lam_e, lam_o);")
-    lines.append("            else")
-    lines.append(
-        f"                row_strided({srcs},\n                    {dsts}, nz, lam_e, lam_o, sz);"
-    )
+    lines.append(f"            row({srcs},\n                {dsts}, nz, lam_e, lam_o);")
     lines.append("        }")
     lines.append("    }")
     lines.append("}")
@@ -216,11 +205,17 @@ def _compile_and_load() -> _Build:
     cc = shutil.which("cc")
     if cc is None:
         return _Build(reason="no C compiler ('cc') on PATH")
-    tmp = tempfile.mkdtemp(prefix="repro-kernel-")
+    try:
+        tmp = tempfile.mkdtemp(prefix="repro-kernel-")
+    except OSError as exc:
+        return _Build(reason=f"cannot create a build directory: {exc}")
     try:
         c_file = Path(tmp) / "d3q19.c"
         so_file = Path(tmp) / "d3q19.so"
-        c_file.write_text(generate_source())
+        try:
+            c_file.write_text(generate_source())
+        except OSError as exc:
+            return _Build(reason=f"cannot write the kernel source: {exc}")
         try:
             proc = subprocess.run(
                 [cc, *CFLAGS, "-o", str(so_file), str(c_file)],
@@ -242,7 +237,7 @@ def _compile_and_load() -> _Build:
     fn = getattr(lib, ENTRY)
     fn.argtypes = (
         [ctypes.c_void_p, ctypes.c_void_p]
-        + [ctypes.c_ssize_t] * 7
+        + [ctypes.c_ssize_t] * 6
         + [ctypes.c_double] * 2
     )
     fn.restype = None
@@ -279,6 +274,11 @@ def _check_buffers(src: np.ndarray, dst: np.ndarray) -> None:
     for s in src.strides:
         if s % 8:
             raise ValueError(f"strides {src.strides} are not multiples of 8 bytes")
+    if src.strides[-1] != 8:
+        raise ValueError(
+            f"compiled kernel needs contiguous rows (innermost stride 8 B), "
+            f"got strides {src.strides}"
+        )
     if np.may_share_memory(src, dst):
         raise ValueError("src and dst must not overlap (two-grid scheme)")
 
@@ -288,7 +288,8 @@ class CompiledD3Q19Kernel:
     """Fused D3Q19 stream-collide step in generated, compiled C.
 
     Bit-identical to :class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`
-    on any halo-inclusive view; owns no scratch memory.  Construction
+    on any halo-inclusive view with contiguous rows; owns no scratch
+    memory.  Construction
     builds the library on first use and raises
     :class:`~repro.errors.ConfigurationError` if it cannot.
     """
@@ -312,11 +313,11 @@ class CompiledD3Q19Kernel:
         check_pdf_args(D3Q19, src, dst)
         _check_buffers(src, dst)
         _, nx, ny, nz = src.shape
-        sq, sx, sy, sz = src.strides
+        sq, sx, sy, _ = src.strides
         self._fn(
             src.ctypes.data, dst.ctypes.data,
             nx - 2, ny - 2, nz - 2,
-            sq // 8, sx // 8, sy // 8, sz // 8,
+            sq // 8, sx // 8, sy // 8,
             self._lam_e, self._lam_o,
         )
 

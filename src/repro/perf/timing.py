@@ -359,15 +359,10 @@ class TimingTree:
         self.gauges = set()
 
     def merge(self, other: "TimingTree") -> "TimingTree":
-        """Fold another tree's timers and counters into this one (its
-        gauges overwrite, as :meth:`set_counter` does)."""
+        """Fold another tree's timers and counters into this one."""
         self.root.merge(other.root)
         for k, v in other.counters.items():
-            if k in other.gauges:
-                self.counters[k] = v
-                self.gauges.add(k)
-            else:
-                self.counters[k] = self.counters.get(k, 0.0) + v
+            self.counters[k] = self.counters.get(k, 0.0) + v
         return self
 
     # -- serialization ------------------------------------------------------

@@ -265,17 +265,6 @@ class TestCompiledBitIdentity:
             comp(region_view(src, box), region_view(d_comp, box))
         assert np.array_equal(d_comp, d_vec)
 
-    def test_non_unit_innermost_stride(self, rng):
-        """Fortran-ordered fields take the strided row loop."""
-        cells = (4, 5, 6)
-        vec, comp = _both_tiers(TRT.from_tau(0.7), cells)
-        src = np.asfortranarray(random_pdfs(rng, D3Q19, cells))
-        d_vec = np.zeros_like(src)
-        d_comp = np.zeros_like(src)
-        vec(src, d_vec)
-        comp(src, d_comp)
-        assert np.array_equal(d_comp, d_vec)
-
 
 @needs_cc
 class TestCompiledArguments:
@@ -294,6 +283,14 @@ class TestCompiledArguments:
         src = np.full((19, 5, 5, 5), 0.05)
         with pytest.raises(ValueError, match="strides"):
             kernel(src, np.asfortranarray(np.zeros_like(src)))
+
+    def test_non_unit_innermost_stride_rejected(self, kernel):
+        src = np.asfortranarray(np.full((19, 5, 5, 5), 0.05))
+        with pytest.raises(ValueError, match="contiguous rows"):
+            kernel(src, np.asfortranarray(np.zeros_like(src)))
+        buf = np.full((19, 5, 5, 10), 0.05)
+        with pytest.raises(ValueError, match="contiguous rows"):
+            kernel(buf[..., ::2], np.zeros_like(buf)[..., ::2])
 
     def test_same_array_rejected(self, kernel):
         src = np.full((19, 5, 5, 5), 0.05)
@@ -359,3 +356,16 @@ class TestCompiledDefault:
         name, default = run()
         assert name == default_dense_kernel()
         assert np.array_equal(default, fallback)
+
+    def test_unwritable_build_directory_falls_back(self, monkeypatch):
+        """A compiler but no usable temporary directory: the build
+        reports the reason instead of raising, the default falls back."""
+        def no_tmp(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(compiled, "_build", None)
+        monkeypatch.setattr(shutil, "which", lambda name, *a, **k: "cc")
+        monkeypatch.setattr(compiled.tempfile, "mkdtemp", no_tmp)
+        assert default_dense_kernel() == "vectorized"
+        with pytest.raises(ConfigurationError, match="build directory"):
+            make_kernel("compiled", D3Q19, SRT(0.8))
