@@ -32,7 +32,6 @@ import time
 
 import pytest
 
-from repro import flagdefs as fl
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest, view_for_rank
 from repro.comm import (
@@ -46,6 +45,7 @@ from repro.lbm import NoSlip, TRT, UBB
 from repro.perf.machines import JUQUEEN, SUPERMUC
 from repro.perf.network import exchange_time_from_counters, network_for
 from repro.perf.timing import TimingTree, reduce_trees
+from repro.scenarios import lid_driven_cavity
 
 RANKS = 4
 GRID = (4, 2, 2)          # 16 blocks — comfortably past the 8-block floor
@@ -53,24 +53,6 @@ CELLS = (10, 10, 10)      # small faces: the latency term dominates
 STEPS = 30
 REPEATS = 3               # interleaved best-of, as the other benches do
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_comm.json")
-
-
-def _lid_setter(blk, ff):
-    gx, gy, gz = GRID
-    d = ff.data
-    i, j, k = blk.grid_index
-    if i == 0:
-        d[0] = fl.NO_SLIP
-    if i == gx - 1:
-        d[-1] = fl.NO_SLIP
-    if j == 0:
-        d[:, 0] = fl.NO_SLIP
-    if j == gy - 1:
-        d[:, -1] = fl.NO_SLIP
-    if k == 0:
-        d[:, :, 0] = fl.NO_SLIP
-    if k == gz - 1:
-        d[:, :, -1] = fl.VELOCITY_BC
 
 
 def _forest():
@@ -100,7 +82,7 @@ def _run(mode: str):
         TRT.from_tau(0.65),
         STEPS,
         conditions=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-        flag_setter=_lid_setter,
+        flag_setter=lid_driven_cavity(GRID),
         timing_trees=trees,
         comm_mode=mode,
     )

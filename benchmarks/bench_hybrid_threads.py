@@ -105,7 +105,7 @@ def _measure(workers: int) -> dict:
         fingerprint = sim.pdfs.src.copy()
         row = {
             "workers": workers,
-            "tasks_per_step": len(sim._kernel_tasks),
+            "tasks_per_step": len(sim.schedule.kernel_tasks),
             "mlups": updates / cp / 1e6 if cp > 0 else 0.0,
             "wall_mlups": updates / kernel_wall / 1e6 if kernel_wall else 0.0,
             "critical_path_seconds": cp,

@@ -179,14 +179,14 @@ def _build_chaos_cavity(ranks: int):
     from .balance import balance_forest
     from .blocks import SetupBlockForest
     from .geometry import AABB
-    from .harness.paper_case import _lid_setter
+    from .scenarios import lid_driven_cavity
 
     grid = (2, 1, max(1, ranks // 2))
     forest = SetupBlockForest.create(
         AABB((0, 0, 0), tuple(float(g) for g in grid)), grid, (6, 6, 6)
     )
     balance_forest(forest, ranks, strategy="morton")
-    return forest, _lid_setter(grid)
+    return forest, lid_driven_cavity(grid)
 
 
 def _cmd_chaos(args) -> int:
@@ -304,6 +304,7 @@ def _cmd_cavity(args) -> int:
     from . import flagdefs as fl
     from .core import Simulation
     from .lbm import NoSlip, TRT, UBB
+    from .scenarios import lid_driven_cavity
 
     n = args.size
     workers = getattr(args, "workers", 1)
@@ -311,11 +312,7 @@ def _cmd_cavity(args) -> int:
         cells=(n, n, n), collision=TRT.from_tau(0.65), workers=workers
     )
     sim.flags.fill(fl.FLUID)
-    d = sim.flags.data
-    d[0], d[-1] = fl.NO_SLIP, fl.NO_SLIP
-    d[:, 0], d[:, -1] = fl.NO_SLIP, fl.NO_SLIP
-    d[:, :, 0] = fl.NO_SLIP
-    d[:, :, -1] = fl.VELOCITY_BC
+    lid_driven_cavity((1, 1, 1))(None, sim.flags)
     sim.add_boundary(NoSlip())
     sim.add_boundary(UBB(velocity=(0.08, 0.0, 0.0)))
     sim.finalize()

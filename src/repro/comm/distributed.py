@@ -24,22 +24,21 @@ import numpy as np
 from .. import flagdefs as fl
 from ..blocks.forest import LocalBlock, ProcessView, distribute
 from ..blocks.setup import SetupBlockForest
+from ..core.driver import BlockDriver
 from ..core.field import PdfField
 from ..core.flags import FlagField
+from ..core.schedule import BlockRuntime, BlockSweepSchedule, make_block_kernel
 from ..core.timeloop import TimeLoop
-from ..errors import ConfigurationError, NumericalError
-from ..exec import EXEC_MODES, make_engine
+from ..errors import ConfigurationError
+from ..exec import make_engine
 from ..geometry.implicit import ImplicitGeometry
 from ..geometry.voxelize import ColorMap, voxelize_block
 from ..lbm.boundary import BoundaryHandling, Condition, NoSlip
 from ..lbm.collision import SRT, TRT
-from ..lbm.kernels.registry import default_dense_kernel, make_kernel
-from ..lbm.kernels.sparse import SPARSE_KERNELS
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..lbm.macroscopic import density as _density, velocity as _velocity
 from .buffersystem import COMM_MODES, make_exchange
 from .ghostlayer import CommStats, build_rank_plan
-from .schedule import BlockSweepSchedule
 from .vmpi import Comm, VirtualMPI
 
 __all__ = [
@@ -60,26 +59,6 @@ def default_vascular_colors() -> ColorMap:
     )
 
 
-class BlockRuntime:
-    """Everything one block needs to take time steps: flag field, PDF
-    field, kernel, and boundary handler."""
-
-    __slots__ = ("flags", "field", "kernel", "handler", "kernel_name")
-
-    def __init__(self, flags, field, kernel, handler, kernel_name):
-        self.flags = flags
-        self.field = field
-        self.kernel = kernel
-        self.handler = handler
-        self.kernel_name = kernel_name
-
-    def step_local(self) -> None:
-        """Boundary + kernel + swap (ghost exchange is the caller's job)."""
-        self.handler.apply(self.field.src)
-        self.kernel(self.field.src, self.field.dst)
-        self.field.swap()
-
-
 def build_block_runtime(
     blk: LocalBlock,
     collision: Collision,
@@ -98,9 +77,10 @@ def build_block_runtime(
     independently" (§2.3).
 
     Blocks with OUTSIDE cells get the ``sparse_kernel`` strategy, fully
-    fluid blocks the ``dense_kernel`` tier — by default
-    :func:`~repro.lbm.kernels.registry.default_dense_kernel`
-    (``compiled`` when a C compiler built it, else ``vectorized``).
+    fluid blocks the ``dense_kernel`` tier, both built by
+    :func:`~repro.core.schedule.make_block_kernel` (``None`` picks
+    :func:`~repro.lbm.kernels.registry.default_dense_kernel`:
+    ``compiled`` when a C compiler built it, else ``vectorized``).
     """
     if colors is None:
         colors = default_vascular_colors() if geometry is not None else ColorMap()
@@ -116,17 +96,15 @@ def build_block_runtime(
     ff.validate_exclusive()
     field = PdfField(model, blk.cells)
     field.set_equilibrium()
-    mask = ff.fluid_mask()
-    if bool((ff.interior == fl.OUTSIDE).any()):
-        if model.name != "D3Q19":
-            raise ConfigurationError("sparse kernels require D3Q19")
-        kernel = SPARSE_KERNELS[sparse_kernel](mask, collision)
-        kernel_name = sparse_kernel
-    else:
-        kernel_name = dense_kernel or default_dense_kernel()
-        kernel = make_kernel(kernel_name, model, collision, blk.cells)
+    fluid = ff.fluid_mask()
+    has_outside = bool((ff.interior == fl.OUTSIDE).any())
+    kernel_name, kernel = make_block_kernel(
+        ff, fluid, model, collision, sparse_kernel if has_outside else dense_kernel
+    )
     handler = BoundaryHandling(model, ff, conditions)
-    return BlockRuntime(ff, field, kernel, handler, kernel_name)
+    return BlockRuntime(
+        ff, field, kernel, handler, kernel_name, blk.cells, blk.fluid_cells
+    )
 
 
 class _InProcessRanks:
@@ -171,7 +149,7 @@ class _InProcessRanks:
         return total
 
 
-class DistributedSimulation:
+class DistributedSimulation(BlockDriver):
     """A multi-block simulation over a balanced block forest.
 
     Parameters
@@ -237,8 +215,11 @@ class DistributedSimulation:
         Worker threads for ``exec_mode="threads"``.
 
     The per-step sweeps come from
-    :class:`~repro.comm.schedule.BlockSweepSchedule`, shared with the
-    SPMD rank program.
+    :class:`~repro.core.schedule.BlockSweepSchedule` and the run,
+    checkpoint and rate methods from
+    :class:`~repro.core.driver.BlockDriver`, shared with the
+    single-block :class:`~repro.core.simulation.Simulation` and (the
+    schedule) the SPMD rank program.
     """
 
     def __init__(
@@ -260,14 +241,6 @@ class DistributedSimulation:
     ):
         if forest.n_processes == 0:
             raise ConfigurationError("forest must be balanced first")
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if exec_mode is None:
-            exec_mode = "threads" if workers > 1 else "serial"
-        if exec_mode not in EXEC_MODES:
-            raise ConfigurationError(
-                f"exec_mode must be one of {EXEC_MODES}, got {exec_mode!r}"
-            )
         if comm_mode not in COMM_MODES:
             raise ConfigurationError(
                 f"comm_mode must be one of {COMM_MODES}, got {comm_mode!r}"
@@ -276,9 +249,10 @@ class DistributedSimulation:
             raise ConfigurationError(
                 "filtered_communication requires comm_mode='per-face'"
             )
+        self.timeloop = TimeLoop()
+        self.engine = make_engine(exec_mode, workers, self.timeloop.tree)
+        self.timeloop.engine = self.engine
         self.comm_mode = comm_mode
-        self.exec_mode = exec_mode
-        self.workers = int(workers)
         self.forest = forest
         self.model = model
         self.collision = collision
@@ -290,18 +264,12 @@ class DistributedSimulation:
 
         self.blocks: Dict[object, LocalBlock] = {}
         self.block_rank: Dict[object, int] = {}
-        self.fields: Dict[object, PdfField] = {}
-        self.flags: Dict[object, FlagField] = {}
-        self._handlers: Dict[object, BoundaryHandling] = {}
-        self.kernel_names: Dict[object, str] = {}
-
-        runtimes: Dict[object, BlockRuntime] = {}
+        self.runtimes: Dict[object, BlockRuntime] = {}
         for view in self.views:
             for blk in view.blocks:
-                key = blk.id
-                self.blocks[key] = blk
-                self.block_rank[key] = view.rank
-                rt = runtimes[key] = build_block_runtime(
+                self.blocks[blk.id] = blk
+                self.block_rank[blk.id] = view.rank
+                self.runtimes[blk.id] = build_block_runtime(
                     blk,
                     collision,
                     conditions,
@@ -312,14 +280,12 @@ class DistributedSimulation:
                     dense_kernel=dense_kernel,
                     sparse_kernel=sparse_kernel,
                 )
-                self.flags[key] = rt.flags
-                self.fields[key] = rt.field
-                self.kernel_names[key] = rt.kernel_name
-                self._handlers[key] = rt.handler
+        rts = self.runtimes.items()
+        self.fields: Dict[object, PdfField] = {key: rt.field for key, rt in rts}
+        self.flags: Dict[object, FlagField] = {key: rt.flags for key, rt in rts}
+        self.kernel_names: Dict[object, str] = {key: rt.kernel_name for key, rt in rts}
+        self._handlers: Dict[object, BoundaryHandling] = {key: rt.handler for key, rt in rts}
 
-        self.timeloop = TimeLoop()
-        self.engine = make_engine(self.exec_mode, self.workers, self.timeloop.tree)
-        self.timeloop.engine = self.engine
         # One rank plan and executor per virtual rank, as in the SPMD
         # rank program, on in-process vMPI endpoints.
         world = VirtualMPI(len(self.views))
@@ -335,105 +301,15 @@ class DistributedSimulation:
             )
             remote_dst.update(entry[2] for entry in plan.recvs)
         self.exchange = _InProcessRanks(executors)
-        self._schedule = BlockSweepSchedule(
-            runtimes,
-            self.blocks,
+        self.schedule = BlockSweepSchedule(
+            self.runtimes,
             self.exchange,
             self.engine,
             self.timeloop.tree,
             overlap=comm_mode == "overlap",
             remote_dst=remote_dst,
         )
-        self._schedule.register(self.timeloop)
-
-    def close(self) -> None:
-        """Shut down the sweep engine's worker pool (idempotent)."""
-        self.timeloop.close()
-
-    def update_boundary(self, old: Condition, new: Condition) -> "DistributedSimulation":
-        """Replace a boundary condition on every block (e.g. a pulsatile
-        inflow changing its velocity between runs).  The new condition
-        must keep the old flag bit so precomputed links stay valid."""
-        if new.flag != old.flag:
-            raise ConfigurationError(
-                "replacement boundary must keep the same flag bit"
-            )
-        replaced = 0
-        for handler in self._handlers.values():
-            for i, cond in enumerate(handler.conditions):
-                if cond == old:
-                    handler.conditions[i] = new
-                    replaced += 1
-        if replaced == 0:
-            raise ConfigurationError("condition is not active on any block")
-        return self
-
-    # -- checkpoint / restart ----------------------------------------------
-    def enable_checkpointing(
-        self, path: str, every: int, rng=None
-    ) -> "DistributedSimulation":
-        """Write an atomic checkpoint to ``path`` every ``every`` steps.
-
-        The checkpoint (format v2, see :mod:`repro.io.checkpoint`)
-        carries every block's PDF grid, the flag fields, the step
-        counter, and optionally the state of ``rng`` (a
-        ``numpy.random.Generator``).  Writes go through a temp file +
-        rename, so an interrupted write never destroys the previous
-        checkpoint; the write cost is timed under the loop's
-        ``checkpoint`` scope.
-        """
-        from ..io.checkpoint import save_checkpoint
-
-        self.timeloop.configure_checkpoint(
-            lambda _step: save_checkpoint(self, path, rng=rng), every
-        )
-        return self
-
-    def restart(self, path: str, rng=None) -> int:
-        """Restore state from a checkpoint written by
-        :meth:`enable_checkpointing` (or
-        :func:`repro.io.checkpoint.save_checkpoint`); returns the step
-        count at which the checkpoint was taken.
-
-        Continuing with ``run(remaining)`` reproduces an uninterrupted
-        run bit-exactly — the recovery path validated by
-        ``tests/chaos/``.
-        """
-        from ..io.checkpoint import load_checkpoint
-
-        return load_checkpoint(self, path, rng=rng)
-
-    # -- execution ----------------------------------------------------------
-    def run(self, steps: int, check_every: int = 0) -> "DistributedSimulation":
-        """Advance by ``steps``; ``check_every > 0`` aborts with
-        :class:`NumericalError` on divergence at that interval."""
-        if check_every <= 0:
-            self.timeloop.run(steps)
-            return self
-        remaining = int(steps)
-        while remaining > 0:
-            chunk = min(check_every, remaining)
-            self.timeloop.run(chunk)
-            remaining -= chunk
-            self.assert_stable()
-        return self
-
-    def assert_stable(self, u_max: float = 0.57) -> None:
-        """Raise :class:`NumericalError` if any block diverged."""
-        for key, field in self.fields.items():
-            fm = self.flags[key].fluid_mask()
-            vals = field.interior_view[:, fm]
-            if not np.isfinite(vals).all():
-                raise NumericalError(
-                    f"block {key}: non-finite PDFs after "
-                    f"{self.timeloop.steps_run} steps"
-                )
-            u = _velocity(self.model, field.interior_view)
-            if fm.any() and float(np.abs(u[fm]).max()) > u_max:
-                raise NumericalError(
-                    f"block {key}: lattice velocity exceeds {u_max} after "
-                    f"{self.timeloop.steps_run} steps (unstable)"
-                )
+        self.schedule.register(self.timeloop)
 
     @property
     def comm_stats(self) -> CommStats:
@@ -443,14 +319,7 @@ class DistributedSimulation:
 
     # -- observables ----------------------------------------------------------
     def total_fluid_cells(self) -> int:
-        return sum(blk.fluid_cells for blk in self.blocks.values())
-
-    def total_mass(self) -> float:
-        total = 0.0
-        for key, field in self.fields.items():
-            rho = _density(self.model, field.interior_view)
-            total += float(rho[self.flags[key].fluid_mask()].sum())
-        return total
+        return self.schedule.fluid_per_step
 
     def max_velocity(self) -> float:
         vmax = 0.0
@@ -495,25 +364,6 @@ class DistributedSimulation:
         return out
 
     # -- performance ------------------------------------------------------------
-    def _kernel_seconds(self) -> float:
-        """Total kernel sweep time — ``kernel`` in the fused modes, the
-        sum of ``inner kernel`` + ``frontier kernel`` under overlap."""
-        return sum(
-            v for k, v in self.timeloop.timings().items() if "kernel" in k
-        )
-
-    def mflups(self) -> float:
-        t = self._kernel_seconds()
-        if t == 0.0 or self.timeloop.steps_run == 0:
-            return 0.0
-        return self.total_fluid_cells() * self.timeloop.steps_run / t / 1e6
-
-    def mlups(self) -> float:
-        t = self._kernel_seconds()
-        if t == 0.0 or self.timeloop.steps_run == 0:
-            return 0.0
-        return self._schedule.cells_per_step * self.timeloop.steps_run / t / 1e6
-
     def comm_fraction(self) -> float:
         """Fraction of wall time spent in communication sweeps — the
         quantity plotted as dotted lines in Figure 6.  Under overlap
@@ -527,8 +377,3 @@ class DistributedSimulation:
         return (
             sum(v for k, v in t.items() if k.startswith("communication")) / total
         )
-
-    def timing_report(self) -> str:
-        """Hierarchical timing tree: sweeps with comm pack/send/unpack
-        sub-scopes and per-tier kernel timers (waLBerla's timing pool)."""
-        return self.timeloop.timing_report()

@@ -6,7 +6,7 @@ program on one thread per rank: every rank builds only its own blocks
 (from :func:`~repro.blocks.forest.view_for_rank`), exchanges ghost
 regions with neighboring ranks through its ghost-exchange executor on a
 :class:`~repro.comm.vmpi.VirtualMPI` communicator, and steps its blocks
-with :class:`~repro.comm.schedule.BlockSweepSchedule`.  Both drivers
+with :class:`~repro.core.schedule.BlockSweepSchedule`.  Both drivers
 use the same plan, executors and schedule; the tests assert their
 results are bit-identical.
 
@@ -35,6 +35,7 @@ import numpy as np
 from ..blocks.forest import LocalBlock, view_for_rank
 from ..blocks.setup import SetupBlockForest
 from ..core.flags import FlagField
+from ..core.schedule import BlockRuntime, BlockSweepSchedule
 from ..core.timeloop import TimeLoop
 from ..errors import CommunicationError, ConfigurationError
 from ..exec import make_engine
@@ -45,9 +46,8 @@ from ..lbm.collision import SRT, TRT
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..perf.timing import TimingTree
 from .buffersystem import COMM_MODES, make_exchange
-from .distributed import BlockRuntime, build_block_runtime
+from .distributed import build_block_runtime
 from .ghostlayer import build_rank_plan
-from .schedule import BlockSweepSchedule
 from .vmpi import Comm, ReliableComm, VirtualMPI
 
 __all__ = ["run_spmd_simulation", "spmd_rank_program"]
@@ -57,7 +57,7 @@ Collision = Union[SRT, TRT]
 
 def _write_rank0_checkpoint(
     comm: Comm,
-    runtimes: Dict[object, "BlockRuntime"],
+    runtimes: Dict[object, BlockRuntime],
     path: str,
     step: int,
 ) -> None:
@@ -77,11 +77,14 @@ def _write_rank0_checkpoint(
 
 
 def _restore_from_checkpoint(
-    comm: Comm, runtimes: Dict[object, "BlockRuntime"], path: str
+    comm: Comm, runtimes: Dict[object, BlockRuntime], path: str
 ) -> int:
     """Collective: rank 0 reads the checkpoint, broadcasts it, every
-    rank restores its own blocks; returns the checkpointed step."""
-    from ..io.checkpoint import read_state
+    rank restores its own blocks; returns the checkpointed step.
+
+    A file lacking one of the rank's blocks, or holding it at another
+    shape, raises :class:`~repro.errors.CheckpointError`."""
+    from ..io.checkpoint import read_state, restore_block
 
     payload = None
     if comm.rank == 0:
@@ -89,19 +92,7 @@ def _restore_from_checkpoint(
         payload = (arrays, step)
     arrays, step = comm.bcast(payload, root=0)
     for bid, rt in runtimes.items():
-        key = f"pdf:{bid}"
-        if key not in arrays:
-            raise CommunicationError(
-                f"checkpoint {path} lacks block {bid} owned by rank {comm.rank}"
-            )
-        arr = arrays[key]
-        if arr.shape != rt.field.src.shape:
-            raise CommunicationError(
-                f"checkpoint block {bid}: shape {arr.shape} != "
-                f"{rt.field.src.shape}"
-            )
-        rt.field.src[...] = arr
-        rt.field.dst[...] = arr
+        restore_block(arrays, f"pdf:{bid}", rt.field, f"{path}, rank {comm.rank}")
     return int(step)
 
 
@@ -175,15 +166,14 @@ def spmd_rank_program(
             f"comm_mode must be one of {COMM_MODES}, got {comm_mode!r}"
         )
     view = view_for_rank(forest, comm.rank)
-    runtimes: Dict[object, BlockRuntime] = {}
-    local: Dict[object, LocalBlock] = {}
-    for blk in view.blocks:
-        runtimes[blk.id] = build_block_runtime(
+    runtimes: Dict[object, BlockRuntime] = {
+        blk.id: build_block_runtime(
             blk, collision, conditions,
             geometry=geometry, flag_setter=flag_setter, colors=colors,
             model=model,
         )
-        local[blk.id] = blk
+        for blk in view.blocks
+    }
 
     # Precompute the communication plan and bind the exchange executor.
     plan = build_rank_plan(view, comm.rank)
@@ -203,12 +193,10 @@ def spmd_rank_program(
 
     # Intra-rank sweep engine (the aPbT thread axis) and the shared
     # block-sweep schedule.
-    if exec_mode is None:
-        exec_mode = "threads" if workers > 1 else "serial"
     engine = make_engine(exec_mode, workers, tree)
     timeloop = TimeLoop(tree=tree, engine=engine)
     BlockSweepSchedule(
-        runtimes, local, exchange, engine, tree,
+        runtimes, exchange, engine, tree,
         overlap=comm_mode == "overlap",
         remote_dst={entry[2] for entry in plan.recvs},
     ).register(timeloop)

@@ -1,21 +1,25 @@
-"""One rank's per-step block-sweep schedule (§2.3, §4.2).
+"""One block runtime and one time step for every driver (§2.3, §4.2).
 
-Both simulation drivers — the in-process
+A block's runtime state is a :class:`BlockRuntime`, its kernel comes
+from :func:`make_block_kernel`, and a process steps its blocks through
+:class:`BlockSweepSchedule`.  Every driver uses these three: the
+single-block :class:`~repro.core.simulation.Simulation` (one block,
+whose exchange is the periodic ghost wrap), the in-process
 :class:`~repro.comm.distributed.DistributedSimulation` and the SPMD
-:func:`~repro.comm.spmd.spmd_rank_program` — step their blocks through
-:class:`BlockSweepSchedule`.  They differ only in which blocks they own
-and which ghost-exchange executor moves the data; the sweeps are the
-same:
+:func:`~repro.comm.spmd.spmd_rank_program`.  They differ only in which
+blocks they own and which exchange moves the ghost data; the sweeps are
+the same:
 
     fused:    communication -> boundary -> kernel -> swap
     overlap:  communication -> boundary -> inner kernel
               -> communication finish -> frontier kernel -> swap
 
-Every exchange executor (:class:`~repro.comm.ghostlayer.SpmdGhostExchange`,
-:class:`~repro.comm.buffersystem.BufferSystem`) offers ``exchange()``,
-``start()`` (pack, post sends, local copies) and ``finish()`` (drain
-and unpack); the in-process driver wraps one executor per virtual rank
-behind the same three calls.
+Every ghost-exchange executor offers ``exchange()``; those used under
+overlap (:class:`~repro.comm.ghostlayer.SpmdGhostExchange`,
+:class:`~repro.comm.buffersystem.BufferSystem`) also offer ``start()``
+(pack, post sends, local copies) and ``finish()`` (drain and unpack);
+the in-process driver wraps one executor per virtual rank behind the
+same three calls.
 
 Work items are built once.  Closures re-read ``field.src`` /
 ``field.dst`` at call time so the two-grid swap stays transparent, and
@@ -27,27 +31,99 @@ call, so wrappers installed on those objects take effect.
 
 from __future__ import annotations
 
+import math
 import time
-from typing import TYPE_CHECKING, Collection, Dict, List, Mapping, Optional
+from typing import Collection, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..blocks.forest import LocalBlock
-from ..core.timeloop import TimeLoop
+from .. import flagdefs as fl
+from ..errors import ConfigurationError
 from ..exec import ExecutionEngine, RoundHandle, SweepTask, slab_boxes, slabs_per_block
 from ..lbm.boundary import BoundaryHandling
+from ..lbm.collision import SRT, TRT
 from ..lbm.kernels.common import box_cells, interior_partition
 from ..lbm.kernels.registry import (
     KERNEL_TIERS,
+    Kernel,
+    default_dense_kernel,
     instrument_kernel,
+    make_kernel,
     run_kernel_on_region,
 )
+from ..lbm.kernels.sparse import SPARSE_KERNELS
+from ..lbm.lattice import LatticeModel
 from ..perf.timing import TimingTree
+from .field import PdfField
+from .flags import FlagField
+from .timeloop import TimeLoop
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .distributed import BlockRuntime
+__all__ = ["BlockRuntime", "BlockSweepSchedule", "make_block_kernel"]
 
-__all__ = ["BlockSweepSchedule"]
+
+class BlockRuntime:
+    """Everything one block needs to take time steps: flag field, PDF
+    field, kernel, boundary handler, and its cell counts.
+
+    ``cells`` is the interior extent; ``fluid_cells`` the fluid-cell
+    count the ``fluid_cell_updates`` counter and MFLUPS rates use, set
+    by whoever builds the runtime.
+    """
+
+    __slots__ = (
+        "flags", "field", "kernel", "handler", "kernel_name", "cells", "fluid_cells",
+    )
+
+    def __init__(
+        self,
+        flags: FlagField,
+        field: PdfField,
+        kernel: Kernel,
+        handler: BoundaryHandling,
+        kernel_name: str,
+        cells: Tuple[int, ...],
+        fluid_cells: int,
+    ):
+        self.flags = flags
+        self.field = field
+        self.kernel = kernel
+        self.handler = handler
+        self.kernel_name = kernel_name
+        self.cells = tuple(int(c) for c in cells)
+        self.fluid_cells = int(fluid_cells)
+
+
+def make_block_kernel(
+    flags: FlagField,
+    fluid: np.ndarray,
+    model: LatticeModel,
+    collision: Union[SRT, TRT],
+    name: Optional[str] = None,
+) -> Tuple[str, Kernel]:
+    """Pick and build a block's kernel from its flag field and fluid
+    mask (``flags.fluid_mask()``, which every caller already holds);
+    returns ``(name, kernel)``.
+
+    ``None`` picks ``interval`` when the block has OUTSIDE cells and
+    :func:`~repro.lbm.kernels.registry.default_dense_kernel` otherwise.
+    A sparse strategy name (``conditional`` / ``indexlist`` /
+    ``interval``) builds that strategy over the fluid cells (D3Q19
+    only); a dense tier on a block with OUTSIDE cells raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    has_outside = bool((flags.interior == fl.OUTSIDE).any())
+    if name is None:
+        name = "interval" if has_outside else default_dense_kernel()
+    if name in SPARSE_KERNELS:
+        if model.name != "D3Q19":
+            raise ConfigurationError("sparse kernels require D3Q19")
+        return name, SPARSE_KERNELS[name](fluid, collision)
+    if has_outside:
+        raise ConfigurationError(
+            f"dense kernel {name!r} on a block with OUTSIDE cells; "
+            "use a sparse strategy (conditional/indexlist/interval)"
+        )
+    return name, make_kernel(name, model, collision, flags.cells)
 
 
 def _handler_writes_ghosts(handler: BoundaryHandling) -> bool:
@@ -93,13 +169,11 @@ class BlockSweepSchedule:
     Parameters
     ----------
     runtimes:
-        Block id -> :class:`~repro.comm.distributed.BlockRuntime` of
-        every block this rank steps.
-    blocks:
-        Block id -> :class:`~repro.blocks.forest.LocalBlock` (cell
-        extents and fluid-cell counts).
+        Block id -> :class:`BlockRuntime` of every block this rank
+        steps (cell extents and fluid-cell counts included).
     exchange:
-        The ghost-exchange executor (``start``/``finish``/``exchange``).
+        The ghost-exchange executor (``exchange``, plus ``start`` /
+        ``finish`` under overlap).
     engine:
         The rank's sweep engine (:mod:`repro.exec`).
     tree:
@@ -122,8 +196,7 @@ class BlockSweepSchedule:
 
     def __init__(
         self,
-        runtimes: Mapping[object, "BlockRuntime"],
-        blocks: Mapping[object, LocalBlock],
+        runtimes: Mapping[object, BlockRuntime],
         exchange,
         engine: ExecutionEngine,
         tree: Optional[TimingTree],
@@ -140,21 +213,22 @@ class BlockSweepSchedule:
             key: instrument_kernel(rt.kernel, tree, rt.kernel_name)
             for key, rt in runtimes.items()
         }
+        total = {key: math.prod(rt.cells) for key, rt in runtimes.items()}
         # Cells each kernel sweeps (sparse kernels skip non-fluid cells).
         processed = {
-            key: getattr(kern, "processed_cells", blocks[key].total_cells)
+            key: getattr(kern, "processed_cells", total[key])
             for key, kern in kernels.items()
         }
         #: Cells the kernels sweep per step, and fluid cells per step.
         self.cells_per_step = sum(processed.values())
-        self.fluid_per_step = sum(blocks[key].fluid_cells for key in runtimes)
+        self.fluid_per_step = sum(rt.fluid_cells for rt in runtimes.values())
         dense = [key for key, rt in runtimes.items() if rt.kernel_name in KERNEL_TIERS]
         threaded = engine.mode == "threads"
 
         self.boundary_tasks = [
             SweepTask(
                 (lambda h=rt.handler, field=rt.field: h.apply(field.src)),
-                cost=float(blocks[key].total_cells),
+                cost=float(total[key]),
                 name=f"{key}:boundary",
             )
             for key, rt in runtimes.items()
@@ -169,7 +243,7 @@ class BlockSweepSchedule:
                 slabs = slabs_per_block(len(runtimes), len(dense), engine.workers)
             for key, kern in kernels.items():
                 field = runtimes[key].field
-                cells = blocks[key].cells
+                cells = runtimes[key].cells
                 if key in dense and slabs > 1:
                     full = ((0,) * len(cells), cells)
                     self.kernel_tasks.extend(
@@ -190,7 +264,7 @@ class BlockSweepSchedule:
         inner_boxes: Dict[object, tuple] = {}
         frontier_boxes: Dict[object, list] = {}
         for key in dense:
-            inner, frontier = interior_partition(blocks[key].cells)
+            inner, frontier = interior_partition(runtimes[key].cells)
             if inner is not None:
                 inner_boxes[key] = inner
             frontier_boxes[key] = frontier
@@ -208,7 +282,7 @@ class BlockSweepSchedule:
             )
         for key, kern in kernels.items():
             inner = inner_boxes.get(key)
-            cost = blocks[key].total_cells - (box_cells(inner) if inner else 0)
+            cost = total[key] - (box_cells(inner) if inner else 0)
             self.frontier_tasks.append(
                 _frontier_task(
                     kern, runtimes[key].field, frontier_boxes.get(key),

@@ -434,15 +434,23 @@ class ThreadedEngine(ExecutionEngine):
 
 
 def make_engine(
-    exec_mode: str, workers: int = 1, tree: Optional[TimingTree] = None
+    exec_mode: Optional[str] = None,
+    workers: int = 1,
+    tree: Optional[TimingTree] = None,
 ) -> ExecutionEngine:
     """Build the engine for ``exec_mode`` (one of :data:`EXEC_MODES`).
 
-    ``"serial"`` ignores ``workers`` and runs inline;  ``"threads"``
-    builds a :class:`ThreadedEngine` with a pool of ``workers``
-    persistent threads (``workers=1`` is a valid single-worker pool —
-    useful for isolating dispatch overhead).
+    ``None`` selects ``"threads"`` when ``workers > 1`` and ``"serial"``
+    otherwise; ``workers`` must be at least 1 in every mode.
+    ``"serial"`` runs inline;  ``"threads"`` builds a
+    :class:`ThreadedEngine` with a pool of ``workers`` persistent
+    threads (``workers=1`` is a valid single-worker pool — useful for
+    isolating dispatch overhead).
     """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if exec_mode is None:
+        exec_mode = "threads" if workers > 1 else "serial"
     if exec_mode not in EXEC_MODES:
         raise ConfigurationError(
             f"exec_mode must be one of {EXEC_MODES}, got {exec_mode!r}"

@@ -20,7 +20,6 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from .. import flagdefs as fl
 from ..balance import balance_forest
 from ..blocks.setup import SetupBlockForest
 from ..comm.spmd import run_spmd_simulation
@@ -35,6 +34,7 @@ from ..lbm.lattice import D3Q19
 from ..perf.metrics import comm_bandwidth, mflups, mlups
 from ..perf.scaling import VesselBlockModel
 from ..perf.timing import ReducedTimingTree, TimingTree, best_of, reduce_trees
+from ..scenarios import lid_driven_cavity
 
 __all__ = [
     "paper_coronary_tree",
@@ -166,30 +166,6 @@ class ProfileResult:
             writer.writerows(rows)
 
 
-def _lid_setter(grid: Tuple[int, int, int]):
-    """Flag setter closing the dense cavity: walls everywhere, moving
-    lid on the +z face (the §4.2 scenario on a block forest)."""
-    gx, gy, gz = grid
-
-    def setter(blk, ff):
-        d = ff.data
-        i, j, k = blk.grid_index
-        if i == 0:
-            d[0] = fl.NO_SLIP
-        if i == gx - 1:
-            d[-1] = fl.NO_SLIP
-        if j == 0:
-            d[:, 0] = fl.NO_SLIP
-        if j == gy - 1:
-            d[:, -1] = fl.NO_SLIP
-        if k == 0:
-            d[:, :, 0] = fl.NO_SLIP
-        if k == gz - 1:
-            d[:, :, -1] = fl.VELOCITY_BC
-
-    return setter
-
-
 def profile_spmd_cavity(
     ranks: int = 4,
     grid: Optional[Tuple[int, int, int]] = None,
@@ -227,7 +203,7 @@ def profile_spmd_cavity(
         TRT.from_tau(tau),
         steps,
         conditions=[NoSlip(), UBB(velocity=(lid_velocity, 0.0, 0.0))],
-        flag_setter=_lid_setter(grid),
+        flag_setter=lid_driven_cavity(grid),
         timing_trees=trees,
     )
     reduced = reduce_trees(trees)

@@ -22,13 +22,14 @@ Format v2 (see ``docs/resilience.md`` for the full layout):
 Format v1 (PDF grids + ``__meta__`` int triple, no flags/CRC) is still
 readable via :func:`load_checkpoint`.
 
-Three state shapes are supported: block simulations exposing
-``.fields``/``.flags`` dicts and a ``.timeloop``
-(:class:`~repro.comm.distributed.DistributedSimulation`), single-block
-simulations exposing ``.pdfs``/``.flags``
-(:class:`~repro.core.simulation.Simulation`), and the indirect-
-addressing :class:`~repro.lbm.cellstructured.CellStructuredSolver` via
-:func:`save_solver_checkpoint` / :func:`load_solver_checkpoint`.
+Two state shapes are supported: every simulation driver
+(:class:`~repro.core.driver.BlockDriver` — its ``runtimes`` map and
+``timeloop``; the single-block
+:class:`~repro.core.simulation.Simulation` is block ``0``), and the
+indirect-addressing :class:`~repro.lbm.cellstructured.CellStructuredSolver`
+via :func:`save_solver_checkpoint` / :func:`load_solver_checkpoint`.
+:func:`restore_block` is the one per-block restore, shared with the
+SPMD rank program's ``restore_from`` path.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..errors import CheckpointError, ReproError
+from ..errors import CheckpointError
 
 __all__ = [
     "save_checkpoint",
@@ -49,6 +50,7 @@ __all__ = [
     "load_solver_checkpoint",
     "write_state",
     "read_state",
+    "restore_block",
 ]
 
 _META_KEY = "__meta__"            # v1
@@ -186,25 +188,34 @@ def _rng_state_load(rng: Optional[np.random.Generator], state: Optional[str]) ->
 # ---------------------------------------------------------------------------
 # Simulation-level wrappers
 # ---------------------------------------------------------------------------
-def _sim_arrays(sim) -> Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per-block (pdf_src, pdf_dst, flags) views of a simulation.
+def _sim_arrays(sim) -> Dict[str, Tuple[object, np.ndarray]]:
+    """Per-block ``(pdf_field, flag_array)`` of a simulation driver,
+    keyed ``str(block_id)`` (a single-block ``Simulation`` is ``"0"``)."""
+    return {
+        _block_key(block_id): (rt.field, rt.flags.data)
+        for block_id, rt in sim.runtimes.items()
+    }
 
-    Handles both the multi-block driver (``.fields``/``.flags`` dicts)
-    and the single-block :class:`~repro.core.simulation.Simulation`
-    (``.pdfs``/``.flags``).
+
+def restore_block(
+    arrays: Mapping[str, np.ndarray], key: str, field, source: str
+) -> None:
+    """Copy the checkpointed PDF grid ``arrays[key]`` into both grids
+    (``src`` and ``dst``) of ``field``.
+
+    Raises :class:`~repro.errors.CheckpointError` when ``source`` (named
+    in the message) lacks the block or holds it at another shape.
     """
-    if hasattr(sim, "fields"):
-        out = {}
-        for block_id, field in sim.fields.items():
-            flags = sim.flags[block_id].data if hasattr(sim, "flags") else None
-            out[_block_key(block_id)] = (field.src, field.dst, flags)
-        return out
-    if hasattr(sim, "pdfs"):
-        if sim.pdfs is None:
-            raise ReproError("simulation must be finalized before checkpointing")
-        flags = sim.flags.data if hasattr(sim, "flags") else None
-        return {"0": (sim.pdfs.src, sim.pdfs.dst, flags)}
-    raise ReproError(f"cannot checkpoint object of type {type(sim).__name__}")
+    if key not in arrays:
+        raise CheckpointError(f"{source}: checkpoint lacks block {key!r}")
+    arr = arrays[key]
+    if arr.shape != field.src.shape:
+        raise CheckpointError(
+            f"{source}: block {key!r} has checkpoint shape {arr.shape}, "
+            f"field shape {field.src.shape}"
+        )
+    field.src[...] = arr
+    field.dst[...] = arr
 
 
 def save_checkpoint(
@@ -217,37 +228,26 @@ def save_checkpoint(
     :func:`load_checkpoint`).
     """
     arrays: Dict[str, np.ndarray] = {}
-    for key, (src, _dst, flags) in _sim_arrays(sim).items():
-        arrays[f"pdf:{key}"] = src
-        if flags is not None:
-            arrays[f"flags:{key}"] = flags
+    for key, (field, flags) in _sim_arrays(sim).items():
+        arrays[f"pdf:{key}"] = field.src
+        arrays[f"flags:{key}"] = flags
     write_state(
         path, arrays, step=sim.timeloop.steps_run, rng_state=_rng_state_dump(rng)
     )
 
 
-def _load_v1(sim, data) -> int:
+def _load_v1(sim, data, path: str) -> int:
     """Restore a legacy v1 checkpoint (PDF grids + int-triple meta)."""
     version, steps, n_blocks = (int(v) for v in data[_META_KEY])
     if version != 1:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    if n_blocks != len(sim.fields):
+    views = _sim_arrays(sim)
+    if n_blocks != len(views):
         raise CheckpointError(
-            f"checkpoint has {n_blocks} blocks, simulation has "
-            f"{len(sim.fields)}"
+            f"checkpoint has {n_blocks} blocks, simulation has {len(views)}"
         )
-    for block_id, field in sim.fields.items():
-        key = _block_key(block_id)
-        if key not in data:
-            raise CheckpointError(f"checkpoint lacks block {key}")
-        arr = data[key]
-        if arr.shape != field.src.shape:
-            raise CheckpointError(
-                f"block {key}: checkpoint shape {arr.shape} != "
-                f"field shape {field.src.shape}"
-            )
-        field.src[...] = arr
-        field.dst[...] = arr
+    for key, (field, _flags) in views.items():
+        restore_block(data, key, field, path)
     return steps
 
 
@@ -266,7 +266,7 @@ def load_checkpoint(
     try:
         with np.load(path) as data:
             if _META_KEY in data:
-                steps = _load_v1(sim, data)
+                steps = _load_v1(sim, data, path)
                 sim.timeloop.steps_run = steps
                 return steps
     except CheckpointError:
@@ -286,17 +286,10 @@ def load_checkpoint(
             f"checkpoint blocks {sorted(ckpt_blocks)} != simulation blocks "
             f"{sorted(views)}"
         )
-    for key, (src, dst, flags) in views.items():
-        arr = arrays[f"pdf:{key}"]
-        if arr.shape != src.shape:
-            raise CheckpointError(
-                f"block {key}: checkpoint shape {arr.shape} != "
-                f"field shape {src.shape}"
-            )
-        src[...] = arr
-        dst[...] = arr
+    for key, (field, flags) in views.items():
+        restore_block(arrays, f"pdf:{key}", field, path)
         fkey = f"flags:{key}"
-        if flags is not None and fkey in arrays:
+        if fkey in arrays:
             farr = arrays[fkey]
             if farr.shape != flags.shape:
                 raise CheckpointError(

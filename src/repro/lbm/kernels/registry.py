@@ -143,7 +143,6 @@ def make_kernel(
     model: LatticeModel,
     collision: Collision,
     cells: Tuple[int, ...] | None = None,
-    tree: Optional[TimingTree] = None,
 ) -> Kernel:
     """Build a kernel of the given tier.
 
@@ -159,40 +158,34 @@ def make_kernel(
     cells:
         Interior cell counts — required for the stateful ``vectorized``
         tier (it preallocates scratch buffers), ignored otherwise.
-    tree:
-        Optional :class:`~repro.perf.timing.TimingTree`; when given the
-        kernel is wrapped so every call records under a ``tier:<name>``
-        child of the tree's current scope.
+
+    Wrap the result with :func:`instrument_kernel` to time its calls.
 
     Raises :class:`~repro.errors.ConfigurationError` when ``compiled``
     is requested and the loop cannot be built on this host.
     """
     if tier == "reference":
-        kernel: Kernel = _StatelessKernel(tier, reference_step, model, collision)
-    elif tier == "generic":
-        kernel = _StatelessKernel(tier, generic_step, model, collision)
-    elif tier == "d3q19":
+        return _StatelessKernel(tier, reference_step, model, collision)
+    if tier == "generic":
+        return _StatelessKernel(tier, generic_step, model, collision)
+    if tier == "d3q19":
         if model.name != "D3Q19":
             raise ValueError(f"tier 'd3q19' requires the D3Q19 model, got {model.name}")
-        kernel = _StatelessKernel(tier, d3q19_step, model, collision)
-    elif tier == "vectorized":
+        return _StatelessKernel(tier, d3q19_step, model, collision)
+    if tier == "vectorized":
         if model.name != "D3Q19":
             raise ValueError(
                 f"tier 'vectorized' requires the D3Q19 model, got {model.name}"
             )
         if cells is None:
             raise ValueError("tier 'vectorized' needs the interior cell counts")
-        kernel = VectorizedD3Q19Kernel(cells, collision)
-    elif tier == "compiled":
+        return VectorizedD3Q19Kernel(cells, collision)
+    if tier == "compiled":
         if model.name != "D3Q19":
             raise ValueError(
                 f"tier 'compiled' requires the D3Q19 model, got {model.name}"
             )
         # Raises ConfigurationError (with the reason) if the loop
         # cannot be built: an explicit request never falls back.
-        kernel = compiled.CompiledD3Q19Kernel(collision)
-    else:
-        raise ValueError(
-            f"unknown kernel tier {tier!r}; choose from {KERNEL_TIERS}"
-        )
-    return instrument_kernel(kernel, tree, tier)
+        return compiled.CompiledD3Q19Kernel(collision)
+    raise ValueError(f"unknown kernel tier {tier!r}; choose from {KERNEL_TIERS}")

@@ -12,6 +12,7 @@ compute cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..constants import (
     D3Q19_SIZE,
@@ -19,8 +20,13 @@ from ..constants import (
     MAX_BLOOD_VELOCITY_M_PER_S,
     MAX_STABLE_LATTICE_VELOCITY,
 )
-from ..core.units import UnitScales, blood_flow_scales
 from ..errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    # ``repro.core`` builds on ``repro.exec``, which builds on
+    # ``repro.perf``: importing ``core`` here at load time would close
+    # that cycle.
+    from ..core.units import UnitScales
 
 __all__ = ["SolutionEstimate", "estimate_time_to_solution"]
 
@@ -86,6 +92,8 @@ def estimate_time_to_solution(
     if mflups_per_core <= 0 or cores < 1:
         raise ConfigurationError("need positive performance and cores")
     if scales is None:
+        from ..core.units import blood_flow_scales
+
         scales = blood_flow_scales(
             dx, MAX_BLOOD_VELOCITY_M_PER_S, MAX_STABLE_LATTICE_VELOCITY
         )

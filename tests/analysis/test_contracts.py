@@ -28,6 +28,7 @@ from repro.lbm.kernels import (
     contract_of,
     make_kernel,
 )
+from repro.lbm.kernels.registry import instrument_kernel
 from repro.lbm.kernels.compiled import CompiledD3Q19Kernel
 from repro.lbm.kernels.generic import generic_step
 from repro.lbm.kernels.sparse import (
@@ -114,7 +115,9 @@ class TestWrapperForwarding:
 
     def test_instrumented_wrapper_forwards_contract(self):
         tree = TimingTree()
-        k = make_kernel("vectorized", D3Q19, TRT.from_tau(0.65), CELLS, tree)
+        k = instrument_kernel(
+            make_kernel("vectorized", D3Q19, TRT.from_tau(0.65), CELLS), tree, "vectorized"
+        )
         assert contract_of(k)["steady_state"] is True
 
 

@@ -18,7 +18,6 @@ existing ``chaos`` marker.
 
 import pytest
 
-from repro import flagdefs as fl
 from repro.analysis import TraceRecorder, analyze_trace
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest
@@ -31,34 +30,13 @@ from repro.comm import (
 from repro.errors import CommunicationError
 from repro.geometry import AABB
 from repro.lbm import NoSlip, TRT, UBB
+from repro.scenarios import lid_driven_cavity
 
 RANKS = 2
 STEPS = 12
 CELLS = (4, 4, 4)
 GRID = (2, 1, 1)
 RESILIENCE = dict(retry_timeout=0.02, max_retries=25)
-
-
-def _lid_setter(grid):
-    gx, gy, gz = grid
-
-    def setter(blk, ff):
-        d = ff.data
-        i, j, k = blk.grid_index
-        if i == 0:
-            d[0] = fl.NO_SLIP
-        if i == gx - 1:
-            d[-1] = fl.NO_SLIP
-        if j == 0:
-            d[:, 0] = fl.NO_SLIP
-        if j == gy - 1:
-            d[:, -1] = fl.NO_SLIP
-        if k == 0:
-            d[:, :, 0] = fl.NO_SLIP
-        if k == gz - 1:
-            d[:, :, -1] = fl.VELOCITY_BC
-
-    return setter
 
 
 def _forest():
@@ -83,7 +61,7 @@ def _traced_run(faults=None, fingerprints=False, **kw):
         TRT.from_tau(0.65),
         kw.pop("steps", STEPS),
         conditions=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-        flag_setter=_lid_setter(GRID),
+        flag_setter=lid_driven_cavity(GRID),
         **RESILIENCE,
         **kw,
     )
@@ -139,7 +117,7 @@ class TestCrashAbortSuppression:
                 TRT.from_tau(0.65),
                 STEPS,
                 conditions=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-                flag_setter=_lid_setter(GRID),
+                flag_setter=lid_driven_cavity(GRID),
                 **RESILIENCE,
             )
         assert analyze_trace(rec) == []

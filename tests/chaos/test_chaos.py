@@ -18,7 +18,6 @@ import os
 import numpy as np
 import pytest
 
-from repro import flagdefs as fl
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest
 from repro.comm import (
@@ -31,6 +30,7 @@ from repro.errors import RankCrashedError
 from repro.geometry import AABB
 from repro.lbm import NoSlip, TRT, UBB
 from repro.perf.timing import TimingTree, reduce_trees
+from repro.scenarios import lid_driven_cavity
 
 RANKS = 2
 STEPS = 12
@@ -41,28 +41,6 @@ GRID = (2, 1, 1)
 # messages for at most a barrier interval, so short timeouts just mean
 # more (successfully absorbed) retransmission rounds.
 RESILIENCE = dict(retry_timeout=0.02, max_retries=25)
-
-
-def _lid_setter(grid):
-    gx, gy, gz = grid
-
-    def setter(blk, ff):
-        d = ff.data
-        i, j, k = blk.grid_index
-        if i == 0:
-            d[0] = fl.NO_SLIP
-        if i == gx - 1:
-            d[-1] = fl.NO_SLIP
-        if j == 0:
-            d[:, 0] = fl.NO_SLIP
-        if j == gy - 1:
-            d[:, -1] = fl.NO_SLIP
-        if k == 0:
-            d[:, :, 0] = fl.NO_SLIP
-        if k == gz - 1:
-            d[:, :, -1] = fl.VELOCITY_BC
-
-    return setter
 
 
 def _forest():
@@ -81,7 +59,7 @@ def _run(faults=None, trees=None, **kw):
         TRT.from_tau(0.65),
         kw.pop("steps", STEPS),
         conditions=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-        flag_setter=_lid_setter(GRID),
+        flag_setter=lid_driven_cavity(GRID),
         timing_trees=trees,
         **RESILIENCE,
         **kw,

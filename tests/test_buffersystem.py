@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import flagdefs as fl
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest, view_for_rank
 from repro.comm import (
@@ -29,28 +28,7 @@ from repro.lbm import NoSlip, PressureABB, TRT, UBB
 from repro.lbm.kernels import default_dense_kernel
 from repro.lbm.kernels.common import box_cells, interior_partition
 from repro.perf.timing import TimingTree, reduce_trees
-
-
-def _lid_setter(grid):
-    gx, gy, gz = grid
-
-    def setter(blk, ff):
-        d = ff.data
-        i, j, k = blk.grid_index
-        if i == 0:
-            d[0] = fl.NO_SLIP
-        if i == gx - 1:
-            d[-1] = fl.NO_SLIP
-        if j == 0:
-            d[:, 0] = fl.NO_SLIP
-        if j == gy - 1:
-            d[:, -1] = fl.NO_SLIP
-        if k == 0:
-            d[:, :, 0] = fl.NO_SLIP
-        if k == gz - 1:
-            d[:, :, -1] = fl.VELOCITY_BC
-
-    return setter
+from repro.scenarios import lid_driven_cavity
 
 
 def _dense_forest(grid=(2, 2, 2), cells=(5, 5, 5), ranks=4):
@@ -66,7 +44,7 @@ def _dense_sim(mode, workers=1, grid=(2, 2, 2), cells=(5, 5, 5), ranks=4):
         _dense_forest(grid, cells, ranks),
         TRT.from_tau(0.65),
         boundaries=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-        flag_setter=_lid_setter(grid),
+        flag_setter=lid_driven_cavity(grid),
         comm_mode=mode,
         workers=workers,
     )
@@ -320,7 +298,7 @@ class TestSpmdBufferSystem:
             TRT.from_tau(0.65),
             self.STEPS,
             conditions=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-            flag_setter=_lid_setter(self.GRID),
+            flag_setter=lid_driven_cavity(self.GRID),
             timing_trees=trees,
             resilient=resilient,
             retry_timeout=0.02,
@@ -374,7 +352,7 @@ class TestSpmdBufferSystem:
                 self._forest(),
                 TRT.from_tau(0.65),
                 boundaries=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-                flag_setter=_lid_setter(self.GRID),
+                flag_setter=lid_driven_cavity(self.GRID),
                 comm_mode="overlap",
             ).run(self.STEPS)
             counters = sim.timeloop.tree.counters
@@ -412,7 +390,7 @@ class TestDriverParity:
             TRT.from_tau(0.65),
             self.STEPS,
             conditions=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-            flag_setter=_lid_setter((2, 2, 2)),
+            flag_setter=lid_driven_cavity((2, 2, 2)),
             timing_trees=trees,
             comm_mode=mode,
         )

@@ -22,6 +22,7 @@ from repro.core import PdfField, Simulation
 from repro.errors import CommunicationError, ConfigurationError
 from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree
 from repro.lbm import D3Q19, NoSlip, PressureABB, TRT, UBB
+from repro.scenarios import lid_driven_cavity
 
 from helpers import exchange_on_ranks
 
@@ -200,28 +201,6 @@ class TestGhostSlices:
                     executor(plan, fields, comm=None)
 
 
-def _lid_setter(root_grid):
-    gx, gy, gz = root_grid
-
-    def setter(blk, ff):
-        d = ff.data
-        i, j, k = blk.grid_index
-        if i == 0:
-            d[0] = fl.NO_SLIP
-        if i == gx - 1:
-            d[-1] = fl.NO_SLIP
-        if j == 0:
-            d[:, 0] = fl.NO_SLIP
-        if j == gy - 1:
-            d[:, -1] = fl.NO_SLIP
-        if k == 0:
-            d[:, :, 0] = fl.NO_SLIP
-        if k == gz - 1:
-            d[:, :, -1] = fl.VELOCITY_BC
-
-    return setter
-
-
 class TestDistributedSimulation:
     def test_matches_single_block_bitwise(self):
         col = TRT.from_tau(0.8)
@@ -243,7 +222,7 @@ class TestDistributedSimulation:
         )
         balance_forest(forest, 4, strategy="round_robin")
         dsim = DistributedSimulation(
-            forest, col, flag_setter=_lid_setter((2, 2, 2)), boundaries=bcs
+            forest, col, flag_setter=lid_driven_cavity((2, 2, 2)), boundaries=bcs
         )
         dsim.run(40)
         assert np.nanmax(np.abs(ref.density() - dsim.gather_density())) == 0.0
@@ -261,7 +240,7 @@ class TestDistributedSimulation:
             sim = DistributedSimulation(
                 forest,
                 col,
-                flag_setter=_lid_setter(grid),
+                flag_setter=lid_driven_cavity(grid),
                 boundaries=[NoSlip(), UBB(velocity=(0.04, 0.0, 0.0))],
             )
             sim.run(25)

@@ -46,6 +46,7 @@ from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree
 from repro.lbm import NoSlip, PressureABB, TRT, UBB
 from repro.lbm.kernels.vectorized import VectorizedD3Q19Kernel
 from repro.perf.timing import TimingTree
+from repro.scenarios import lid_driven_cavity
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +145,25 @@ class TestEngineProtocol:
         with pytest.raises(ConfigurationError):
             ThreadedEngine(0)
         assert EXEC_MODES == ("serial", "threads")
+
+    def test_default_mode_follows_workers(self):
+        assert make_engine().mode == "serial"
+        assert make_engine(None, 1).mode == "serial"
+        engine = make_engine(None, 3)
+        assert engine.mode == "threads" and engine.workers == 3
+        engine.shutdown()
+        # workers is checked in every mode, serial included.
+        for mode in (None, "serial", "threads"):
+            with pytest.raises(ConfigurationError, match="workers"):
+                make_engine(mode, 0)
+
+    def test_drivers_reject_bad_workers_through_make_engine(self):
+        sim = Simulation(cells=(4, 4, 4), collision=TRT.from_tau(0.8), workers=0)
+        sim.flags.fill(fl.FLUID)
+        with pytest.raises(ConfigurationError, match="workers"):
+            sim.finalize()
+        with pytest.raises(ConfigurationError, match="exec_mode"):
+            _dense_dist("per-face", exec_mode="processes")
 
     def test_serial_is_inline_and_done(self):
         order = []
@@ -346,28 +366,6 @@ def _cavity_sim(workers, cells=(12, 12, 12)):
     return sim
 
 
-def _lid_setter(grid):
-    gx, gy, gz = grid
-
-    def setter(blk, ff):
-        d = ff.data
-        i, j, k = blk.grid_index
-        if i == 0:
-            d[0] = fl.NO_SLIP
-        if i == gx - 1:
-            d[-1] = fl.NO_SLIP
-        if j == 0:
-            d[:, 0] = fl.NO_SLIP
-        if j == gy - 1:
-            d[:, -1] = fl.NO_SLIP
-        if k == 0:
-            d[:, :, 0] = fl.NO_SLIP
-        if k == gz - 1:
-            d[:, :, -1] = fl.VELOCITY_BC
-
-    return setter
-
-
 def _dense_forest(grid=(2, 2, 2), cells=(5, 5, 5), ranks=4):
     forest = SetupBlockForest.create(
         AABB((0, 0, 0), tuple(float(g) for g in grid)), grid, cells
@@ -381,7 +379,7 @@ def _dense_dist(mode, workers=1, **kw):
         _dense_forest(),
         TRT.from_tau(0.65),
         boundaries=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-        flag_setter=_lid_setter((2, 2, 2)),
+        flag_setter=lid_driven_cavity((2, 2, 2)),
         comm_mode=mode,
         workers=workers,
         **kw,
@@ -438,7 +436,7 @@ class TestDeterminismDense:
         sim = _cavity_sim(workers)
         sim.run(self.STEPS)
         # The single large block really was slab-split.
-        assert len(sim._kernel_tasks) == workers
+        assert len(sim.schedule.kernel_tasks) == workers
         assert np.array_equal(sim.pdfs.src, baseline)
         sim.close()
 
@@ -499,7 +497,7 @@ def _spmd_run(faults=None, **kw):
         TRT.from_tau(0.65),
         SPMD_STEPS,
         conditions=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
-        flag_setter=_lid_setter(SPMD_GRID),
+        flag_setter=lid_driven_cavity(SPMD_GRID),
         retry_timeout=0.02,
         max_retries=25,
         **kw,

@@ -269,6 +269,25 @@ class TestCheckpointV2:
         a, b = ref.velocity(), resumed.velocity()
         assert np.array_equal(np.nan_to_num(a), np.nan_to_num(b))
 
+    def test_single_block_keys_are_block_zero(self, tmp_path):
+        """A Simulation is block 0 of the shared block runtime: its files
+        carry ``pdf:0``/``flags:0``, and files with those keys written
+        before it ran the shared schedule still load."""
+        p = str(tmp_path / "c.npz")
+        first = _single_block(4)
+        save_checkpoint(first, p)
+        arrays, step, _ = read_state(p)
+        assert sorted(arrays) == ["flags:0", "pdf:0"]
+        assert step == 4
+        legacy = str(tmp_path / "legacy.npz")
+        write_state(
+            legacy, {"pdf:0": first.pdfs.src, "flags:0": first.flags.data}, step=4
+        )
+        resumed = _single_block(0)
+        assert load_checkpoint(resumed, legacy) == 4
+        assert np.array_equal(resumed.pdfs.src, first.pdfs.src)
+        assert np.array_equal(resumed.pdfs.dst, first.pdfs.src)
+
     def test_crc_of_non_contiguous_input_is_crc_of_c_order_bytes(self, tmp_path):
         """The CRC is taken without a tobytes() copy, but its value is
         unchanged: older v2 files still verify."""

@@ -7,7 +7,6 @@ import io
 import numpy as np
 import pytest
 
-from repro import flagdefs as fl
 from repro.balance import balance_forest
 from repro.blocks import (
     SetupBlockForest,
@@ -21,31 +20,11 @@ from repro.comm import (
     VirtualMPI,
     run_spmd_simulation,
 )
-from repro.errors import CommunicationError, PartitioningError
+from repro.errors import CheckpointError, CommunicationError, PartitioningError
 from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree
+from repro.io.checkpoint import read_state, write_state
 from repro.lbm import NoSlip, PressureABB, TRT, UBB
-
-
-def lid_setter(grid):
-    gx, gy, gz = grid
-
-    def setter(blk, ff):
-        d = ff.data
-        i, j, k = blk.grid_index
-        if i == 0:
-            d[0] = fl.NO_SLIP
-        if i == gx - 1:
-            d[-1] = fl.NO_SLIP
-        if j == 0:
-            d[:, 0] = fl.NO_SLIP
-        if j == gy - 1:
-            d[:, -1] = fl.NO_SLIP
-        if k == 0:
-            d[:, :, 0] = fl.NO_SLIP
-        if k == gz - 1:
-            d[:, :, -1] = fl.VELOCITY_BC
-
-    return setter
+from repro.scenarios import lid_driven_cavity
 
 
 class TestViewForRank:
@@ -121,7 +100,7 @@ class TestSpmdSimulation:
         balance_forest(forest, 4, strategy="round_robin")
         bcs = [NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))]
         col = TRT.from_tau(0.8)
-        setter = lid_setter((2, 2, 2))
+        setter = lid_driven_cavity((2, 2, 2))
         ref = DistributedSimulation(forest, col, flag_setter=setter, boundaries=bcs)
         ref.run(15)
         world = VirtualMPI(4, timeout=120)
@@ -157,6 +136,53 @@ class TestSpmdSimulation:
         balance_forest(forest, 2, strategy="round_robin")
         with pytest.raises(CommunicationError):
             run_spmd_simulation(VirtualMPI(3, timeout=10), forest, TRT.from_tau(0.8), 1)
+
+
+class TestSpmdRestore:
+    """``restore_from`` goes through the same per-block restore as
+    ``load_checkpoint``: a file lacking a rank's block, or holding it at
+    another shape, fails with ``CheckpointError`` on that rank."""
+
+    GRID = (2, 1, 1)
+
+    def _run(self, **kw):
+        forest = SetupBlockForest.create(
+            AABB((0, 0, 0), (2.0, 1.0, 1.0)), self.GRID, (4, 4, 4)
+        )
+        balance_forest(forest, 2, strategy="morton")
+        return run_spmd_simulation(
+            VirtualMPI(2, timeout=30), forest, TRT.from_tau(0.8), 4,
+            conditions=[NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))],
+            flag_setter=lid_driven_cavity(self.GRID), **kw,
+        )
+
+    def _checkpoint(self, tmp_path):
+        path = str(tmp_path / "good.npz")
+        self._run(checkpoint_every=2, checkpoint_path=path)
+        arrays, step, _ = read_state(path)
+        assert step == 4 and len(arrays) == 2
+        return arrays
+
+    def _assert_restore_fails(self, path, match):
+        with pytest.raises(CommunicationError) as info:
+            self._run(restore_from=path)
+        assert isinstance(info.value.__cause__, CheckpointError)
+        assert match in str(info.value.__cause__)
+
+    def test_missing_block(self, tmp_path):
+        arrays = self._checkpoint(tmp_path)
+        dropped = sorted(arrays)[-1]
+        path = str(tmp_path / "missing.npz")
+        write_state(path, {k: v for k, v in arrays.items() if k != dropped}, step=4)
+        self._assert_restore_fails(path, "lacks block")
+
+    def test_wrong_block_shape(self, tmp_path):
+        arrays = self._checkpoint(tmp_path)
+        key = sorted(arrays)[0]
+        arrays[key] = arrays[key][:, :-1]
+        path = str(tmp_path / "shape.npz")
+        write_state(path, arrays, step=4)
+        self._assert_restore_fails(path, "shape")
 
 
 class TestParallelSetup:
