@@ -5,10 +5,14 @@ design with cell-structured (indirect addressing) codes like HemeLB.
 This bench measures the trade on one partially filled block:
 
 * the block-structured interval kernel pays for superfluous run cells
-  and full-block storage but streams contiguously;
+  (NumPy backend) and full-block storage but streams contiguously —
+  each result row is labelled with the ``interval`` backend it ran
+  (``numpy``, or ``compiled`` when a C compiler is present);
 * the cell-structured solver touches exactly the fluid cells but pays
   an indirect gather per link and a neighbor table in memory.
 """
+
+import shutil
 
 import numpy as np
 import pytest
@@ -18,9 +22,14 @@ from repro import flagdefs as fl
 from repro.harness import format_table
 from repro.lbm import TRT
 from repro.lbm.cellstructured import CellStructuredSolver
-from repro.lbm.kernels import IntervalSparseKernel
+from repro.lbm.kernels import CompiledIntervalKernel, IntervalSparseKernel
 
 N = 32
+#: The two backends of the ``interval`` strategy.
+BACKENDS = {"numpy": IntervalSparseKernel, "compiled": CompiledIntervalKernel}
+needs_cc = pytest.mark.skipif(
+    shutil.which("cc") is None, reason="no C compiler ('cc') on PATH"
+)
 
 
 def tube_flags(radius: float):
@@ -34,20 +43,22 @@ def tube_flags(radius: float):
     return flags
 
 
-def _interval_setup(radius):
+def _interval_setup(radius, backend="numpy"):
     flags = tube_flags(radius)
     mask = np.zeros((N, N, N), dtype=bool)
     mask[1:-1, 1:-1, 1:-1] = flags[1:-1, 1:-1, 1:-1] == fl.FLUID
-    kern = IntervalSparseKernel(mask[1:-1, 1:-1, 1:-1], TRT.from_tau(0.8))
+    kern = BACKENDS[backend](mask[1:-1, 1:-1, 1:-1], TRT.from_tau(0.8))
     rng = np.random.default_rng(0)
     src = 0.5 + 0.01 * rng.random((19, N, N, N))
     return kern, src, np.zeros_like(src)
 
 
+@pytest.mark.parametrize("backend", ["numpy", pytest.param("compiled", marks=needs_cc)])
 @pytest.mark.parametrize("radius", [4.0, 12.0], ids=["sparse", "fuller"])
-def test_block_interval(benchmark, radius):
-    kern, src, dst = _interval_setup(radius)
+def test_block_interval(benchmark, radius, backend):
+    kern, src, dst = _interval_setup(radius, backend)
     benchmark(kern, src, dst)
+    benchmark.extra_info["backend"] = backend
     if benchmark.stats:
         benchmark.extra_info["mflups"] = (
             kern.fluid_cells / benchmark.stats["mean"] / 1e6

@@ -3,14 +3,19 @@ blocks at varying fluid fraction.
 
 Paper shape: at low fluid fraction the fluid-proportional strategies
 (index list, interval) far outperform the conditional strategy, whose
-cost stays proportional to the whole block.
+cost stays proportional to the whole block.  The §4.3 comparisons use
+the NumPy rows only; ``interval-compiled`` (the generated C backend of
+``interval``, skipped without a C compiler) must beat NumPy ``interval``.
 """
+
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.lbm.collision import TRT
 from repro.lbm.kernels import (
+    CompiledIntervalKernel,
     ConditionalSparseKernel,
     IndexListSparseKernel,
     IntervalSparseKernel,
@@ -21,7 +26,15 @@ STRATEGIES = {
     "conditional": ConditionalSparseKernel,
     "indexlist": IndexListSparseKernel,
     "interval": IntervalSparseKernel,
+    "interval-compiled": CompiledIntervalKernel,
 }
+needs_cc = pytest.mark.skipif(
+    shutil.which("cc") is None, reason="no C compiler ('cc') on PATH"
+)
+ROWS = [
+    pytest.param(name, marks=needs_cc) if name == "interval-compiled" else name
+    for name in STRATEGIES
+]
 
 
 def tube_mask(radius_cells: float) -> np.ndarray:
@@ -40,7 +53,7 @@ def _setup(strategy: str, radius: float):
     return kern, src, dst
 
 
-@pytest.mark.parametrize("strategy", list(STRATEGIES))
+@pytest.mark.parametrize("strategy", ROWS)
 @pytest.mark.parametrize("radius", [4.0, 12.0], ids=["sparse", "dense"])
 def test_sparse_strategy(benchmark, strategy, radius):
     kern, src, dst = _setup(strategy, radius)
@@ -84,3 +97,17 @@ def test_strategies_converge_when_dense():
     cond = _mflups("conditional", 12.0)
     itv = _mflups("interval", 12.0)
     assert itv < 10.0 * cond
+
+
+@needs_cc
+@pytest.mark.parametrize("radius", [4.0, 12.0], ids=["sparse", "dense"])
+def test_compiled_interval_beats_numpy(radius):
+    """The compiled backend of ``interval`` is at least as fast as the
+    NumPy one, at any fill."""
+    numpy_rate = _mflups("interval", radius)
+    compiled_rate = _mflups("interval-compiled", radius)
+    print(
+        f"\ntube radius {radius}: interval {numpy_rate:.2f}, "
+        f"interval-compiled {compiled_rate:.2f} MFLUPS"
+    )
+    assert compiled_rate >= numpy_rate

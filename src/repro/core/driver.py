@@ -98,20 +98,13 @@ class BlockDriver:
         inflow changing its UBB velocity between runs).
 
         The new condition must keep the old flag bit — the precomputed
-        link lists stay valid, only the applied values change.
+        link lists stay valid, only the applied values change (see
+        :meth:`~repro.lbm.boundary.BoundaryHandling.replace`).
         """
         self._require_ready("updating boundaries")
-        if new.flag != old.flag:
-            raise ConfigurationError(
-                "replacement boundary must keep the same flag bit"
-            )
         replaced = 0
         for rt in self.runtimes.values():
-            conditions = rt.handler.conditions
-            for i, cond in enumerate(conditions):
-                if cond == old:
-                    conditions[i] = new
-                    replaced += 1
+            replaced += rt.handler.replace(old, new)
         if replaced == 0:
             raise ConfigurationError("condition is not active on any block")
         return self

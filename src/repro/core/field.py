@@ -54,13 +54,19 @@ class PdfField:
         self.src, self.dst = self.dst, self.src
 
     def set_equilibrium(self, rho: float = 1.0, u=None) -> None:
-        """Initialize src (everywhere, ghosts included) to equilibrium."""
+        """Initialize src and dst (everywhere, ghosts included) to the
+        equilibrium of the uniform state ``(rho, u)``.
+
+        The equilibrium is computed for one cell and broadcast, so the
+        set-up writes each field once and allocates no field-sized
+        temporaries.
+        """
         if u is None:
             u = np.zeros(self.model.dim)
-        shape = self.padded_shape
-        rho_f = np.full(shape, float(rho))
-        u_f = np.broadcast_to(np.asarray(u, dtype=np.float64), shape + (self.model.dim,))
-        self.src[...] = equilibrium(self.model, rho_f, u_f)
+        feq = equilibrium(
+            self.model, np.full((), float(rho)), np.asarray(u, dtype=np.float64)
+        )
+        self.src[...] = feq.reshape((self.model.q,) + (1,) * self.model.dim)
         self.dst[...] = self.src
 
     def memory_bytes(self) -> int:

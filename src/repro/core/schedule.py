@@ -42,6 +42,7 @@ from ..errors import ConfigurationError
 from ..exec import ExecutionEngine, RoundHandle, SweepTask, slab_boxes, slabs_per_block
 from ..lbm.boundary import BoundaryHandling
 from ..lbm.collision import SRT, TRT
+from ..lbm.kernels import compiled
 from ..lbm.kernels.common import box_cells, interior_partition
 from ..lbm.kernels.registry import (
     KERNEL_TIERS,
@@ -108,7 +109,10 @@ def make_block_kernel(
     :func:`~repro.lbm.kernels.registry.default_dense_kernel` otherwise.
     A sparse strategy name (``conditional`` / ``indexlist`` /
     ``interval``) builds that strategy over the fluid cells (D3Q19
-    only); a dense tier on a block with OUTSIDE cells raises
+    only).  ``interval`` is built compiled when
+    :func:`~repro.lbm.kernels.compiled.available` — the test
+    :func:`~repro.lbm.kernels.registry.default_dense_kernel` uses — and
+    in NumPy otherwise; both give the same bits.  A dense tier on a block with OUTSIDE cells raises
     :class:`~repro.errors.ConfigurationError`.
     """
     has_outside = bool((flags.interior == fl.OUTSIDE).any())
@@ -117,6 +121,8 @@ def make_block_kernel(
     if name in SPARSE_KERNELS:
         if model.name != "D3Q19":
             raise ConfigurationError("sparse kernels require D3Q19")
+        if name == "interval" and compiled.available():
+            return name, compiled.CompiledIntervalKernel(fluid, collision)
         return name, SPARSE_KERNELS[name](fluid, collision)
     if has_outside:
         raise ConfigurationError(
@@ -124,24 +130,6 @@ def make_block_kernel(
             "use a sparse strategy (conditional/indexlist/interval)"
         )
     return name, make_kernel(name, model, collision, flags.cells)
-
-
-def _handler_writes_ghosts(handler: BoundaryHandling) -> bool:
-    """True if any boundary link writes a wall cell in the ghost shell.
-
-    Such writes are clobbered when a later unpack refreshes the ghost
-    layer, so the overlap schedule must re-apply the (idempotent)
-    boundary sweep after the exchange completes.
-    """
-    shape = handler.flag_field.data.shape
-    interior = np.zeros(shape, dtype=bool)
-    interior[(slice(1, -1),) * len(shape)] = True
-    ghost_flat = ~interior.reshape(-1)
-    for per_dir in handler._links:
-        for links in per_dir:
-            if links.wall.size and bool(ghost_flat[links.wall].any()):
-                return True
-    return False
 
 
 def _region_task(kern, field, box, name: str) -> SweepTask:
@@ -292,7 +280,7 @@ class BlockSweepSchedule:
         remote = set(remote_dst)
         self.reapply = [
             key for key, rt in runtimes.items()
-            if key in remote and _handler_writes_ghosts(rt.handler)
+            if key in remote and rt.handler.writes_ghost_cells()
         ]
         # Overlap-efficiency accounting (see :meth:`_finish_comm`).
         self._inner_handle: Optional[RoundHandle] = None

@@ -9,7 +9,8 @@ crash-recovery guarantee (``tests/chaos/``).
 
 Format v2 (see ``docs/resilience.md`` for the full layout):
 
-* arrays are keyed ``pdf:<block-id>`` and ``flags:<block-id>``;
+* arrays are keyed ``pdf:<block-id>`` and ``flags:<block-id>`` and
+  stored uncompressed (compressed files load as well);
 * a JSON metadata record (``__meta_json__``) carries the format
   version, the step counter, the sorted key list, a CRC-32 per array,
   and the serialized RNG state;
@@ -100,7 +101,7 @@ def write_state(
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **{_META_JSON_KEY: meta_arr}, **arrays)
+            np.savez(fh, **{_META_JSON_KEY: meta_arr}, **arrays)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -5,8 +5,10 @@ These are the three boundary conditions used by the paper (§2.1, citing
 sweep runs *before* the fused stream-collide kernel and writes the PDFs
 of wall cells such that the subsequent uniform stream-pull produces the
 correct values in the adjacent fluid cells.  The sweep operates on
-precomputed per-direction index lists, so applying the boundary
-conditions each step is a handful of vectorized gathers and scatters.
+precomputed link tables: on D3Q19 fields one call of the compiled
+tier's generated boundary loop per block, otherwise (no C compiler, or
+another lattice) a handful of vectorized NumPy gathers and scatters per
+direction, with the same bits.
 
 With post-collision fields ``f~(t)`` and pull direction ``a`` pointing
 from the wall cell ``w`` into the fluid cell ``x = w + e_a``:
@@ -21,18 +23,17 @@ from the wall cell ``w`` into the fluid cell ``x = w + e_a``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Sequence, Tuple, Union
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from .. import flagdefs as fl
 from ..errors import ConfigurationError
+from .kernels import compiled
+from .lattice import LatticeModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.flags import FlagField
-from .lattice import LatticeModel
 
 __all__ = ["NoSlip", "UBB", "PressureABB", "BoundaryHandling"]
 
@@ -87,12 +88,26 @@ def _shift_mask(mask: np.ndarray, e: Sequence[int]) -> np.ndarray:
     return out
 
 
-@dataclass
-class _DirectionLinks:
-    """Wall/fluid flat index pairs for one (condition, direction)."""
+def _validate(model: LatticeModel, cond: Condition) -> None:
+    """Reject a condition that cannot apply to ``model``: a UBB velocity
+    needs one component per model dimension."""
+    if isinstance(cond, UBB):
+        uw = np.asarray(cond.velocity, dtype=np.float64)
+        if uw.shape != (model.dim,):
+            raise ConfigurationError(
+                f"UBB velocity has {uw.shape} components, "
+                f"model needs {model.dim}"
+            )
+    elif not isinstance(cond, (NoSlip, PressureABB)):
+        raise ConfigurationError(f"unknown condition {cond!r}")
 
-    wall: np.ndarray
-    fluid: np.ndarray
+
+#: Loop code of each condition type, as the compiled dispatcher reads it.
+_KINDS = {
+    NoSlip: compiled.BOUNDARY_KINDS.index("noslip"),
+    UBB: compiled.BOUNDARY_KINDS.index("ubb"),
+    PressureABB: compiled.BOUNDARY_KINDS.index("pressure_abb"),
+}
 
 
 class BoundaryHandling:
@@ -107,7 +122,20 @@ class BoundaryHandling:
         must match the PDF field's spatial shape).
     conditions:
         The boundary condition instances active on this block.  Each
-        covers the cells whose flags intersect its ``flag`` bit.
+        covers the cells whose flags intersect its ``flag`` bit.  They
+        are validated here, whether or not the block has links of them.
+
+    The links are stored once, as concatenated ``(wall, fluid)`` flat
+    spatial indices with per-(condition, direction) offsets, plus one
+    coefficient per (condition, direction): the UBB momentum correction
+    or the PressureABB prefactor ``2 w_a rho_w``.  A D3Q19 field is
+    swept by the compiled tier's boundary loop
+    (:func:`~repro.lbm.kernels.compiled.boundary_loop`) in one call when
+    it built in this process, and by the NumPy path otherwise; both
+    perform the same IEEE operations in the same order, so they give
+    the same bits.  Wall and fluid cells are disjoint
+    (:meth:`~repro.core.flags.FlagField.validate_exclusive`), so the
+    order in which links are applied does not matter.
     """
 
     def __init__(
@@ -118,95 +146,165 @@ class BoundaryHandling:
     ):
         self.model = model
         self.flag_field = flag_field
-        self.conditions = list(conditions)
+        self._conditions = list(conditions)
         seen: set[int] = set()
-        for c in self.conditions:
+        for c in self._conditions:
+            _validate(model, c)
             if c.flag in seen:
                 raise ConfigurationError(f"duplicate boundary flag {c.flag}")
             seen.add(c.flag)
-        self._links: List[List[_DirectionLinks]] = []
-        self._strides: Tuple[int, ...] = ()
         self._build()
+        self._refresh()
+        self._loop = compiled.boundary_loop() if model.name == "D3Q19" else None
+
+    @property
+    def conditions(self) -> Tuple[Condition, ...]:
+        """The active conditions, in application order (change them with
+        :meth:`replace`)."""
+        return tuple(self._conditions)
 
     def _build(self) -> None:
         padded = self.flag_field.data.shape
-        if len(padded) != self.model.dim:
+        model = self.model
+        if len(padded) != model.dim:
             raise ConfigurationError("flag field dimension != model dimension")
-        strides = [1] * self.model.dim
-        for d in range(self.model.dim - 2, -1, -1):
+        strides = [1] * model.dim
+        for d in range(model.dim - 2, -1, -1):
             strides[d] = strides[d + 1] * padded[d + 1]
-        self._strides = tuple(strides)
-        fluid = (self.flag_field.data & fl.FLUID) != 0
         # Fluid cells must be interior; pulls from any wall cell (interior
         # or ghost) are legal.
-        for c in self.conditions:
-            wall_mask = (self.flag_field.data & np.uint8(c.flag)) != 0
-            per_dir: List[_DirectionLinks] = []
-            for a in range(1, self.model.q):
-                e = self.model.velocities[a]
-                # wall cell w with fluid neighbor x = w + e_a
-                sel = wall_mask & _shift_mask(fluid, e)
-                w_idx = np.flatnonzero(sel)
-                off = int(np.dot(e, strides))
-                per_dir.append(_DirectionLinks(wall=w_idx, fluid=w_idx + off))
-            self._links.append(per_dir)
+        fluid = (self.flag_field.data & fl.FLUID) != 0
+        q, n_cond = model.q, len(self._conditions)
+        # near[a - 1, w]: the cell w + e_a is fluid.
+        near = np.zeros((q - 1,) + padded, dtype=bool)
+        for a in range(1, q):
+            near[a - 1] = _shift_mask(fluid, model.velocities[a])
+        walls = np.zeros((n_cond, 1) + padded, dtype=bool)
+        for k, c in enumerate(self._conditions):
+            walls[k, 0] = (self.flag_field.data & np.uint8(c.flag)) != 0
+        # Links in (condition, direction, wall cell) order: one flat
+        # nonzero over the stacked masks, split into its three indices.
+        hits = np.flatnonzero(walls & near[None])
+        pair, wall = np.divmod(hits, fluid.size)  # pair = k * (q - 1) + a - 1
+        step = np.array([int(np.dot(e, strides)) for e in model.velocities], dtype=np.int64)
+        self._wall = wall
+        self._fluid = wall + step[pair % (q - 1) + 1]
+        # off[k, a] .. off[k, a + 1]: the links of condition k, direction
+        # a (none for the rest direction a = 0).
+        start = np.zeros(n_cond * (q - 1) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pair, minlength=n_cond * (q - 1)), out=start[1:])
+        first = np.maximum(np.arange(q + 1) - 1, 0)
+        self._off = start[np.arange(n_cond)[:, None] * (q - 1) + first]
+
+    def _refresh(self) -> None:
+        """Recompute the per-condition loop codes and coefficients."""
+        model = self.model
+        w = model.weights
+        kind = np.zeros(len(self._conditions), dtype=np.int64)
+        coef = np.zeros((len(self._conditions), model.q), dtype=np.float64)
+        for k, cond in enumerate(self._conditions):
+            kind[k] = next(code for cls, code in _KINDS.items() if isinstance(cond, cls))
+            for a in range(1, model.q):
+                if isinstance(cond, UBB):
+                    e = model.velocities[a].astype(np.float64)
+                    uw = np.asarray(cond.velocity, dtype=np.float64)
+                    coef[k, a] = 6.0 * float(w[a]) * cond.rho0 * float(np.dot(e, uw))
+                elif isinstance(cond, PressureABB):
+                    coef[k, a] = 2.0 * float(w[a]) * cond.rho_w
+        self._kind = kind
+        self._coef = coef
+        # Arguments of the compiled loop after the field pointer and its
+        # PDF-axis stride; the arrays live as long as the handler.
+        self._loop_args = (
+            len(self._conditions), kind.ctypes.data, self._wall.ctypes.data,
+            self._fluid.ctypes.data, self._off.ctypes.data, coef.ctypes.data,
+        )
+
+    def replace(self, old: Condition, new: Condition) -> int:
+        """Replace every active condition equal to ``old`` with ``new``;
+        returns how many were replaced.
+
+        ``new`` must keep ``old``'s flag bit, so the link tables stay
+        valid; the coefficients are recomputed.
+        """
+        if new.flag != old.flag:
+            raise ConfigurationError("replacement boundary must keep the same flag bit")
+        _validate(self.model, new)
+        replaced = 0
+        for i, cond in enumerate(self._conditions):
+            if cond == old:
+                self._conditions[i] = new
+                replaced += 1
+        if replaced:
+            self._refresh()
+        return replaced
 
     @property
     def link_count(self) -> int:
         """Total number of boundary links handled per application."""
-        return sum(
-            len(d.wall) for per_dir in self._links for d in per_dir
-        )
+        return int(self._wall.size)
+
+    def writes_ghost_cells(self) -> bool:
+        """True if any boundary link writes a wall cell in the ghost shell.
+
+        A later ghost unpack overwrites such writes, so the overlap
+        schedule re-applies the (idempotent) sweep after the exchange.
+        """
+        shape = self.flag_field.data.shape
+        coords = np.unravel_index(self._wall, shape)
+        return any(bool(((c == 0) | (c == n - 1)).any()) for c, n in zip(coords, shape))
 
     def apply(self, src: np.ndarray) -> None:
         """Write boundary PDFs into ``src`` (call before the LBM sweep)."""
-        if src.shape[1:] != self.flag_field.data.shape:
+        shape = self.flag_field.data.shape
+        if src.shape[1:] != shape:
             raise ValueError("PDF field spatial shape != flag field shape")
-        q = self.model.q
-        flat = src.reshape(q, -1)
+        if not src.flags.c_contiguous:
+            raise ValueError("boundary handling needs a C-contiguous PDF field")
+        if not self._wall.size:
+            return
+        if self._loop is not None:
+            compiled.check_boundary_field(src, shape)
+            self._loop(src.ctypes.data, src.strides[0] // 8, *self._loop_args)
+            return
+        flat = src.reshape(self.model.q, -1)
         inv = self.model.inverse
-        w = self.model.weights
-        for cond, per_dir in zip(self.conditions, self._links):
-            for a0, links in enumerate(per_dir):
-                a = a0 + 1
-                if links.wall.size == 0:
+        for kind, off, coef in zip(self._kind, self._off, self._coef):
+            for a in range(1, self.model.q):
+                lo, hi = off[a], off[a + 1]
+                if lo == hi:
                     continue
-                abar = int(inv[a])
-                pulled = flat[abar][links.fluid]
-                if isinstance(cond, NoSlip):
-                    flat[a][links.wall] = pulled
-                elif isinstance(cond, UBB):
-                    e = self.model.velocities[a].astype(np.float64)
-                    uw = np.asarray(cond.velocity, dtype=np.float64)
-                    if uw.shape != (self.model.dim,):
-                        raise ConfigurationError(
-                            f"UBB velocity has {uw.shape} components, "
-                            f"model needs {self.model.dim}"
-                        )
-                    corr = 6.0 * float(w[a]) * cond.rho0 * float(np.dot(e, uw))
-                    flat[a][links.wall] = pulled + corr
-                elif isinstance(cond, PressureABB):
-                    e = self.model.velocities[a].astype(np.float64)
-                    # Macroscopic velocity at the adjacent fluid cells.
-                    rho_x = flat[0][links.fluid].copy()
-                    j = np.zeros((self.model.dim, links.fluid.size))
-                    for b in range(1, q):
-                        fb = flat[b][links.fluid]
-                        rho_x += fb
-                        eb = self.model.velocities[b]
-                        for d in range(self.model.dim):
-                            c = int(eb[d])
-                            if c:
-                                j[d] += fb if c == 1 else -fb
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        u = j / rho_x
-                    u = np.where(np.isfinite(u), u, 0.0)
-                    eu = np.tensordot(e, u, axes=([0], [0]))
-                    usq = (u * u).sum(axis=0)
-                    feq_sym = (
-                        2.0 * float(w[a]) * cond.rho_w
-                        * (1.0 + 4.5 * eu * eu - 1.5 * usq)
-                    )
-                    flat[a][links.wall] = -pulled + feq_sym
-                else:  # pragma: no cover - guarded by type
-                    raise ConfigurationError(f"unknown condition {cond!r}")
+                wall, fluid = self._wall[lo:hi], self._fluid[lo:hi]
+                pulled = flat[int(inv[a])][fluid]
+                if kind == _KINDS[NoSlip]:
+                    flat[a][wall] = pulled
+                elif kind == _KINDS[UBB]:
+                    flat[a][wall] = pulled + coef[a]
+                else:
+                    term = self._pressure_term(flat, fluid, self.model.velocities[a])
+                    flat[a][wall] = -pulled + coef[a] * term
+
+    def _pressure_term(self, flat: np.ndarray, fluid: np.ndarray, e) -> np.ndarray:
+        """``1 + 4.5 (e.u)^2 - 1.5 u^2`` with ``u`` the velocity of the
+        fluid cells ``fluid`` (0 where the density is 0)."""
+        model = self.model
+        rho = flat[0][fluid]
+        j = [np.zeros(fluid.size) for _ in range(model.dim)]
+        for b in range(1, model.q):
+            fb = flat[b][fluid]
+            rho += fb
+            for d in range(model.dim):
+                c = int(model.velocities[b, d])
+                if c > 0:
+                    j[d] += fb
+                elif c < 0:
+                    j[d] -= fb
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = [jd / rho for jd in j]
+        u = [np.where(np.isfinite(ud), ud, 0.0) for ud in u]
+        eu = float(e[0]) * u[0]
+        usq = u[0] * u[0]
+        for d in range(1, model.dim):
+            eu = eu + float(e[d]) * u[d]
+            usq = usq + u[d] * u[d]
+        return 1.0 + 4.5 * eu * eu - 1.5 * usq

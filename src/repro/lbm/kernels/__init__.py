@@ -1,7 +1,7 @@
 """LBM compute kernels: the paper's optimization tiers plus sparse-block
 strategies (see §4.1 and §4.3)."""
 
-from .compiled import CompiledD3Q19Kernel
+from .compiled import CompiledD3Q19Kernel, CompiledIntervalKernel
 from .common import alloc_pdf_field, interior_slices, pdf_shape, pull_slices
 from .contracts import allocation_free, contract_of
 from .d3q19 import d3q19_step
@@ -14,6 +14,7 @@ from .sparse import (
     IntervalSparseKernel,
     SPARSE_KERNELS,
     fluid_intervals,
+    fluid_runs,
 )
 from .vectorized import VectorizedD3Q19Kernel
 
@@ -23,6 +24,6 @@ __all__ = [
     "d3q19_step", "generic_step", "reference_step",
     "KERNEL_TIERS", "default_dense_kernel", "make_kernel",
     "ConditionalSparseKernel", "IndexListSparseKernel", "IntervalSparseKernel",
-    "SPARSE_KERNELS", "fluid_intervals", "VectorizedD3Q19Kernel",
-    "CompiledD3Q19Kernel",
+    "SPARSE_KERNELS", "fluid_intervals", "fluid_runs", "VectorizedD3Q19Kernel",
+    "CompiledD3Q19Kernel", "CompiledIntervalKernel",
 ]

@@ -1,20 +1,35 @@
-"""Generated C stream-collide kernel — the compiled tier.
+"""Generated C kernels — the compiled tier.
 
 The paper's fastest kernels run at the memory-bandwidth roofline
 (§4.1); NumPy cannot get there because every arithmetic pass of the
 ``vectorized`` tier streams the whole block through memory once (about
 130 passes per call).  This tier follows the code-generation route of
-the waLBerla Python extension (pystencils): generate the fused D3Q19
-pull-stream-collide loop from the lattice description, compile it once
+the waLBerla Python extension (pystencils, lbmpy): generate every hot
+loop of the time step from one lattice description, compile it once
 per process, and call it from Python.
 
 * **Generator.** :func:`generate_source` emits C from :data:`D3Q19` and
   :func:`~repro.lbm.kernels.d3q19.build_pair_table` — the tables the
-  ``vectorized`` tier uses — and performs, per cell, the same IEEE
-  operations in the same order as
-  :class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`.  With
-  ``-ffp-contract=off`` (no fused multiply-add) and no ``-ffast-math``
-  the tier is bit-identical to ``vectorized``.
+  NumPy tiers use.  Four loops share one source:
+
+  - the generated **row loop**, which performs, per cell, the same IEEE
+    operations in the same order as
+    :class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`;
+  - the **dense sweep** (:class:`CompiledD3Q19Kernel`), one row-loop
+    call per ``(x, y)`` line of a halo-inclusive view;
+  - the **sparse sweep** (:class:`CompiledIntervalKernel`, the
+    ``interval`` strategy of §4.3), one row-loop call per maximal
+    contiguous fluid run of a block;
+  - the **boundary links** — NoSlip, UBB and PressureABB loops behind
+    one dispatcher, which
+    :class:`~repro.lbm.boundary.BoundaryHandling` calls once per block
+    and sweep — in the NumPy boundary path's operation order.
+
+  With ``-ffp-contract=off`` (no fused multiply-add) and no
+  ``-ffast-math`` every loop is bit-identical to its NumPy path; the
+  NumPy sparse kernels collide in the same order
+  (:func:`~repro.lbm.kernels.sparse._collide_packed`), so the dense, the
+  sparse and the boundary results do not depend on the backend.
 * **Build.** The first :func:`available` call or kernel construction
   compiles the source, once per process, with
   ``cc -O3 -ffp-contract=off -shared -fPIC`` into a private temporary
@@ -22,16 +37,19 @@ per process, and call it from Python.
   ``-march=native`` and no OpenMP: intra-rank threading stays with
   :mod:`repro.exec`, and ``ctypes`` releases the GIL during the call,
   so the engine's workers run kernels concurrently.
-* **Argument checks.** The kernel takes halo-inclusive views (region
-  views, slabs, overlap boxes) and passes the data pointers and element
+* **Argument checks.** The sweeps take halo-inclusive views (region
+  views, slabs, overlap boxes) and pass the data pointers and element
   strides to C; the rows along the innermost (z) axis must be
-  contiguous, as every view of a C-ordered PDF field is.  Before any
-  pointer reaches C the arguments are checked and anything the loop
-  cannot read as-is is rejected, never reinterpreted.
+  contiguous, as every view of a C-ordered PDF field is.  The boundary
+  loop indexes a whole C-contiguous field by flat spatial index.
+  Before any pointer reaches C the arguments are checked and anything
+  a loop cannot read as-is is rejected, never reinterpreted.
 
-:func:`available` tells whether the loop built in this process; the
+:func:`available` tells whether the loops built in this process; the
 registry's :func:`~repro.lbm.kernels.registry.default_dense_kernel`
-uses it to pick ``compiled`` or ``vectorized``.
+uses it to pick ``compiled`` or ``vectorized``, the same test picks the
+``interval`` backend, and boundary handling uses
+:func:`boundary_loop` for D3Q19 fields.
 """
 
 from __future__ import annotations
@@ -42,7 +60,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, List, NamedTuple, Optional, Union
+from typing import Any, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,18 +69,35 @@ from ..collision import SRT, TRT
 from ..lattice import D3Q19, LatticeModel
 from .common import check_pdf_args
 from .contracts import allocation_free
-from .d3q19 import build_pair_table
+from .d3q19 import build_pair_table, momentum_terms
+from .sparse import IntervalAccounting, check_mask, fluid_runs
 
 __all__ = [
+    "BOUNDARY_KINDS",
     "CompiledD3Q19Kernel",
+    "CompiledIntervalKernel",
     "available",
+    "boundary_loop",
+    "check_boundary_field",
     "generate_source",
 ]
 
 Collision = Union[SRT, TRT]
 
-#: Name of the exported C entry point.
-ENTRY = "d3q19_stream_collide"
+#: Exported C entry points: the dense and the sparse sweep, and the
+#: boundary-link dispatcher.
+ENTRIES = {
+    "dense": "d3q19_stream_collide",
+    "sparse": "d3q19_sparse_sweep",
+    "boundary": "d3q19_boundary",
+}
+
+#: How many runs ahead the sparse sweep prefetches a run's rows.
+PREFETCH_RUNS = 2
+
+#: Boundary loops by code, as ``d3q19_boundary`` dispatches its ``kind``
+#: argument (see :class:`~repro.lbm.boundary.BoundaryHandling`).
+BOUNDARY_KINDS = ("noslip", "ubb", "pressure_abb")
 
 #: Compiler flags.  ``-ffp-contract=off`` forbids fused multiply-adds,
 #: which round once where NumPy rounds twice; no ``-ffast-math`` (it
@@ -82,7 +117,6 @@ def _row_function() -> List[str]:
     """C source of one row sweep: ``n`` contiguous cells, pointers
     pre-offset to the row's first cell."""
     q = D3Q19.q
-    vel = D3Q19.velocities
     params = [f"const double *restrict s{a}" for a in range(q)]
     params += [f"double *restrict d{a}" for a in range(q)]
     params += ["ptrdiff_t n", "double lam_e", "double lam_o"]
@@ -99,8 +133,7 @@ def _row_function() -> List[str]:
         out.append(f"        rho = rho + g{a};")
     # Momentum: the first nonzero direction per component is written
     # (copy or negate), the rest accumulated in direction order.
-    for comp, u in enumerate(_COMPONENTS):
-        terms = [(a, int(vel[a, comp])) for a in range(1, q) if vel[a, comp] != 0]
+    for u, terms in zip(_COMPONENTS, momentum_terms(D3Q19)):
         (a0, s0), rest = terms[0], terms[1:]
         out.append(f"        double {u} = {'' if s0 > 0 else '-'}g{a0};")
         for a, sgn in rest:
@@ -142,66 +175,239 @@ def _row_function() -> List[str]:
     return out
 
 
-def generate_source() -> str:
-    """C source of the fused D3Q19 pull-stream-collide loop.
+def _row_pointers(x: str, y: str, z: str) -> List[Tuple[str, str]]:
+    """Per direction ``a``, the C expressions of the pull source and the
+    destination of padded cell ``(x, y, z)``: cell ``(x, y, z)`` reads
+    direction ``a`` from ``(x, y, z) - e_a``."""
+    out = []
+    for a in range(D3Q19.q):
+        ex, ey, ez = (int(c) for c in D3Q19.velocities[a])
+        out.append((
+            f"src + {a} * sq + ({x} - ({ex})) * sx + ({y} - ({ey})) * sy + ({z} - ({ez}))",
+            f"dst + {a} * sq + {x} * sx + {y} * sy + {z}",
+        ))
+    return out
 
-    The exported function ``d3q19_stream_collide(src, dst, nx, ny, nz,
-    sq, sx, sy, lam_e, lam_o)`` sweeps the ``nx*ny*nz`` interior of a
-    halo-inclusive SoA field pair whose element strides are ``sq`` (PDF
-    axis), ``sx``/``sy`` (outer cell axes) and 1 (innermost axis).  SRT
-    runs as TRT with ``lam_e == lam_o``, exactly as in the NumPy tiers.
+
+def _row_call(indent: str, x: str, y: str, z: str, n: str) -> List[str]:
+    """C statements that sweep the row of ``n`` cells starting at padded
+    cell ``(x, y, z)``: pull pointers, then one :func:`_row_function`
+    call."""
+    pointers = _row_pointers(x, y, z)
+    out = [f"{indent}const double *s{a} = {s};" for a, (s, _) in enumerate(pointers)]
+    out += [f"{indent}double *d{a} = {d};" for a, (_, d) in enumerate(pointers)]
+    srcs = ", ".join(f"s{a}" for a in range(D3Q19.q))
+    dsts = ", ".join(f"d{a}" for a in range(D3Q19.q))
+    out.append(f"{indent}row({srcs},\n{indent}    {dsts}, {n}, lam_e, lam_o);")
+    return out
+
+
+def _dense_function() -> List[str]:
+    """C source of the dense sweep over a whole halo-inclusive view."""
+    out = [
+        f"void {ENTRIES['dense']}(const double *src, double *dst,",
+        "    ptrdiff_t nx, ptrdiff_t ny, ptrdiff_t nz,",
+        "    ptrdiff_t sq, ptrdiff_t sx, ptrdiff_t sy,",
+        "    double lam_e, double lam_o)",
+        "{",
+        "    for (ptrdiff_t x = 1; x <= nx; ++x) {",
+        "        for (ptrdiff_t y = 1; y <= ny; ++y) {",
+    ]
+    out += _row_call(" " * 12, "x", "y", "1", "nz")
+    out += ["        }", "    }", "}"]
+    return out
+
+
+def _sparse_function() -> List[str]:
+    """C source of the sparse sweep: one :func:`_row_function` call per
+    run ``(x, y, z0, n)`` of the int64 run table (interior coordinates)."""
+    out = [
+        f"void {ENTRIES['sparse']}(const double *src, double *dst,",
+        "    const int64_t *runs, ptrdiff_t nruns,",
+        "    ptrdiff_t sq, ptrdiff_t sx, ptrdiff_t sy,",
+        "    double lam_e, double lam_o)",
+        "{",
+        "    for (ptrdiff_t r = 0; r < nruns; ++r) {",
+        "        const int64_t *run = runs + 4 * r;",
+        "        const ptrdiff_t x = run[0] + 1, y = run[1] + 1, z = run[2] + 1;",
+        f"        if (r + {PREFETCH_RUNS} < nruns) {{",
+        f"            const int64_t *next = runs + 4 * (r + {PREFETCH_RUNS});",
+        "            const ptrdiff_t px = next[0] + 1, py = next[1] + 1, pz = next[2] + 1;",
+        "            const ptrdiff_t last = next[3] - 1;",
+    ]
+    # Short runs leave 38 streams with gaps that the hardware prefetcher
+    # does not follow: fetch both ends of a later run's rows ahead.
+    for s_ptr, d_ptr in _row_pointers("px", "py", "pz"):
+        out.append(f"            __builtin_prefetch({s_ptr}, 0);")
+        out.append(f"            __builtin_prefetch({s_ptr} + last, 0);")
+        out.append(f"            __builtin_prefetch({d_ptr}, 1);")
+        out.append(f"            __builtin_prefetch({d_ptr} + last, 1);")
+    out.append("        }")
+    out += _row_call(" " * 8, "x", "y", "z", "run[3]")
+    out += ["    }", "}"]
+    return out
+
+
+def _boundary_functions() -> List[str]:
+    """C source of the three boundary link loops and their dispatcher.
+
+    Every loop walks the links of one condition direction by direction:
+    links of direction ``a`` are ``off[a] .. off[a + 1] - 1`` of the
+    ``wall``/``fluid`` flat-index arrays (spatial indices into the
+    padded field), and ``coef[a]`` is the condition's per-direction
+    coefficient.  Each link reads the fluid cell and writes the wall
+    cell, so (with wall and fluid cells disjoint) link order does not
+    matter.  PressureABB recomputes the fluid cell's density and
+    velocity in the NumPy path's order, ``isfinite -> 0`` guard included.
     """
     q = D3Q19.q
     vel = D3Q19.velocities
+    inv = ", ".join(str(int(b)) for b in D3Q19.inverse)
+    evec = ", ".join(
+        "{" + ", ".join(_lit(float(c)) for c in vel[a]) + "}" for a in range(q)
+    )
+    link_loop = [
+        "    for (int a = 1; a < 19; ++a) {",
+        "        double *fa = f + a * sq;",
+        "        const double *fb = f + INV[a] * sq;",
+    ]
+    out = [
+        f"static const int INV[19] = {{{inv}}};",
+        f"static const double E[19][3] = {{{evec}}};",
+        "",
+        "static void noslip(double *f, ptrdiff_t sq, const int64_t *wall,",
+        "    const int64_t *fluid, const int64_t *off)",
+        "{",
+        *link_loop,
+        "        for (int64_t i = off[a]; i < off[a + 1]; ++i)",
+        "            fa[wall[i]] = fb[fluid[i]];",
+        "    }",
+        "}",
+        "",
+        "static void ubb(double *f, ptrdiff_t sq, const int64_t *wall,",
+        "    const int64_t *fluid, const int64_t *off, const double *coef)",
+        "{",
+        *link_loop,
+        "        const double c = coef[a];",
+        "        for (int64_t i = off[a]; i < off[a + 1]; ++i)",
+        "            fa[wall[i]] = fb[fluid[i]] + c;",
+        "    }",
+        "}",
+        "",
+        "static void pressure_abb(double *f, ptrdiff_t sq, const int64_t *wall,",
+        "    const int64_t *fluid, const int64_t *off, const double *coef)",
+        "{",
+        *link_loop,
+        "        const double c = coef[a];",
+        "        const double e0 = E[a][0], e1 = E[a][1], e2 = E[a][2];",
+        "        for (int64_t i = off[a]; i < off[a + 1]; ++i) {",
+        "            const int64_t x = fluid[i];",
+    ]
+    for b in range(q):
+        out.append(f"            const double g{b} = f[{b} * sq + x];")
+    out.append("            double rho = g0 + g1;")
+    for b in range(2, q):
+        out.append(f"            rho = rho + g{b};")
+    for comp, u in enumerate(_COMPONENTS):
+        j = "j" + u[1]
+        out.append(f"            double {j} = 0.0;")
+        for b in range(1, q):
+            c = int(vel[b, comp])
+            if c:
+                out.append(f"            {j} = {j} {'+' if c > 0 else '-'} g{b};")
+    for u in _COMPONENTS:
+        out.append(f"            double {u} = j{u[1]} / rho;")
+        out.append(f"            if (!isfinite({u})) {u} = 0.0;")
+    out += [
+        "            const double eu = (e0 * ux + e1 * uy) + e2 * uz;",
+        "            const double usq = (ux * ux + uy * uy) + uz * uz;",
+        "            fa[wall[i]] = -fb[x] + c * ((1.0 + (4.5 * eu) * eu) - 1.5 * usq);",
+        "        }",
+        "    }",
+        "}",
+        "",
+        f"void {ENTRIES['boundary']}(double *f, ptrdiff_t sq, ptrdiff_t ncond,",
+        "    const int64_t *kind, const int64_t *wall, const int64_t *fluid,",
+        "    const int64_t *off, const double *coef)",
+        "{",
+        "    for (ptrdiff_t k = 0; k < ncond; ++k) {",
+        "        const int64_t *o = off + k * 20;",
+        "        const double *c = coef + k * 19;",
+        "        switch (kind[k]) {",
+    ]
+    calls = {
+        "noslip": "noslip(f, sq, wall, fluid, o)",
+        "ubb": "ubb(f, sq, wall, fluid, o, c)",
+        "pressure_abb": "pressure_abb(f, sq, wall, fluid, o, c)",
+    }
+    for code, kind in enumerate(BOUNDARY_KINDS):
+        out.append(f"        case {code}: {calls[kind]}; break;")
+    out += ["        }", "    }", "}"]
+    return out
+
+
+def generate_source() -> str:
+    """C source of the compiled tier: four generated loops over one
+    D3Q19 SoA layout (SRT runs as TRT with ``lam_e == lam_o``, exactly
+    as in the NumPy tiers).
+
+    * ``d3q19_stream_collide(src, dst, nx, ny, nz, sq, sx, sy, lam_e,
+      lam_o)`` sweeps the ``nx*ny*nz`` interior of a halo-inclusive
+      field pair whose element strides are ``sq`` (PDF axis), ``sx`` /
+      ``sy`` (outer cell axes) and 1 (innermost axis);
+    * ``d3q19_sparse_sweep(src, dst, runs, nruns, sq, sx, sy, lam_e,
+      lam_o)`` sweeps the ``nruns`` contiguous fluid runs ``(x, y, z0,
+      n)`` of an int64 run table, same layout;
+    * ``d3q19_boundary(f, sq, ncond, kind, wall, fluid, off, coef)``
+      applies ``ncond`` boundary conditions (``kind`` indexes
+      :data:`BOUNDARY_KINDS`) to a C-contiguous field through their
+      concatenated link tables: condition ``k``'s direction-``a`` links
+      are ``off[k, a] .. off[k, a + 1] - 1``, its coefficients
+      ``coef[k, :]``.
+
+    Both sweeps call the same generated row loop, so the dense and the
+    sparse path perform the same IEEE operations per cell.
+    """
     lines = [
         "/* Generated by repro.lbm.kernels.compiled: D3Q19 fused",
-        " * pull-stream-collide, SRT/TRT, two-grid, SoA with contiguous rows. */",
+        " * pull-stream-collide (dense and sparse sweeps, SRT/TRT, two-grid,",
+        " * SoA with contiguous rows) and link-wise boundary conditions. */",
+        "#include <math.h>",
         "#include <stddef.h>",
+        "#include <stdint.h>",
         "",
     ]
-    lines += _row_function()
-    lines.append("")
-    lines.append(
-        f"void {ENTRY}(const double *src, double *dst,\n"
-        "    ptrdiff_t nx, ptrdiff_t ny, ptrdiff_t nz,\n"
-        "    ptrdiff_t sq, ptrdiff_t sx, ptrdiff_t sy,\n"
-        "    double lam_e, double lam_o)"
-    )
-    lines.append("{")
-    lines.append("    for (ptrdiff_t x = 1; x <= nx; ++x) {")
-    lines.append("        for (ptrdiff_t y = 1; y <= ny; ++y) {")
-    # Pull: cell (x, y, z) reads direction a from (x, y, z) - e_a.
-    for a in range(q):
-        ex, ey, ez = (int(c) for c in vel[a])
-        lines.append(
-            f"            const double *s{a} = src + {a} * sq + (x - ({ex})) * sx"
-            f" + (y - ({ey})) * sy + (1 - ({ez}));"
-        )
-    for a in range(q):
-        lines.append(f"            double *d{a} = dst + {a} * sq + x * sx + y * sy + 1;")
-    srcs = ", ".join(f"s{a}" for a in range(q))
-    dsts = ", ".join(f"d{a}" for a in range(q))
-    lines.append(f"            row({srcs},\n                {dsts}, nz, lam_e, lam_o);")
-    lines.append("        }")
-    lines.append("    }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    for part in (_row_function(), _dense_function(), _sparse_function(),
+                 _boundary_functions()):
+        lines += part
+        lines.append("")
+    return "\n".join(lines)
 
 
 class _Build(NamedTuple):
     """Outcome of this process's one build attempt: the loaded entry
-    point, or ``None`` and the reason it is missing."""
+    points, or ``None`` and the reason they are missing."""
 
-    fn: Any = None
+    dense: Any = None
+    sparse: Any = None
+    boundary: Any = None
     reason: str = ""
 
 
 _lock = threading.Lock()
 _build: Optional[_Build] = None
 
+#: ctypes argument types of each entry point.
+_ARGTYPES = {
+    "dense": [ctypes.c_void_p] * 2 + [ctypes.c_ssize_t] * 6 + [ctypes.c_double] * 2,
+    "sparse": [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 4 + [ctypes.c_double] * 2,
+    "boundary": [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t]
+    + [ctypes.c_void_p] * 5,
+}
+
 
 def _compile_and_load() -> _Build:
-    """Generate, compile and load the loop; never raises."""
+    """Generate, compile and load the loops; never raises."""
     cc = shutil.which("cc")
     if cc is None:
         return _Build(reason="no C compiler ('cc') on PATH")
@@ -234,14 +440,13 @@ def _compile_and_load() -> _Build:
     finally:
         # The loaded library stays mapped after its file is removed.
         shutil.rmtree(tmp, ignore_errors=True)
-    fn = getattr(lib, ENTRY)
-    fn.argtypes = (
-        [ctypes.c_void_p, ctypes.c_void_p]
-        + [ctypes.c_ssize_t] * 6
-        + [ctypes.c_double] * 2
-    )
-    fn.restype = None
-    return _Build(fn=fn)
+    fns = {}
+    for key, symbol in ENTRIES.items():
+        fn = getattr(lib, symbol)
+        fn.argtypes = _ARGTYPES[key]
+        fn.restype = None
+        fns[key] = fn
+    return _Build(**fns)
 
 
 def _get_build() -> _Build:
@@ -254,9 +459,26 @@ def _get_build() -> _Build:
 
 
 def available() -> bool:
-    """Whether the compiled loop built and loaded in this process
-    (builds it on first call)."""
-    return _get_build().fn is not None
+    """Whether the compiled loops built and loaded in this process
+    (builds them on first call)."""
+    return _get_build().dense is not None
+
+
+def _require(key: str) -> Any:
+    """The loaded entry point ``key``; raises
+    :class:`~repro.errors.ConfigurationError` with the build failure."""
+    build = _get_build()
+    fn = getattr(build, key)
+    if fn is None:
+        raise ConfigurationError(f"compiled kernel tier unavailable: {build.reason}")
+    return fn
+
+
+def _lambdas(collision: Collision) -> Tuple[float, float]:
+    """``(lambda_e, lambda_o)``; SRT runs as TRT with equal rates."""
+    if isinstance(collision, SRT):
+        return -1.0 / collision.tau, -1.0 / collision.tau
+    return collision.lambda_e, collision.lambda_o
 
 
 def _check_buffers(src: np.ndarray, dst: np.ndarray) -> None:
@@ -299,14 +521,8 @@ class CompiledD3Q19Kernel:
 
     def __init__(self, collision: Collision):
         self.collision = collision
-        if isinstance(collision, SRT):
-            self._lam_e = self._lam_o = -1.0 / collision.tau
-        else:
-            self._lam_e, self._lam_o = collision.lambda_e, collision.lambda_o
-        build = _get_build()
-        if build.fn is None:
-            raise ConfigurationError(f"compiled kernel tier unavailable: {build.reason}")
-        self._fn = build.fn
+        self._lam_e, self._lam_o = _lambdas(collision)
+        self._fn = _require("dense")
 
     def __call__(self, src: np.ndarray, dst: np.ndarray) -> None:
         """Run one time step: ``dst[interior] = collide(pull(src))``."""
@@ -323,3 +539,69 @@ class CompiledD3Q19Kernel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<compiled kernel, D3Q19, {self.collision}>"
+
+
+@allocation_free(steady_state=True)
+class CompiledIntervalKernel(IntervalAccounting):
+    """The ``interval`` sparse strategy (§4.3) in generated, compiled C.
+
+    Sweeps every maximal contiguous fluid run of the block with the
+    dense tier's row loop, so each fluid cell gets the operations of
+    :class:`CompiledD3Q19Kernel` — and, with the shared operation order,
+    of the NumPy :class:`~repro.lbm.kernels.sparse.IntervalSparseKernel`,
+    bit for bit.  Writes fluid cells only.  The run table ``(x, y, z0,
+    n)`` is built once here; the kernel owns no scratch memory.
+    Accounting (``fluid_cells``, ``processed_cells``, ``intervals``)
+    is the NumPy strategy's, so both backends report the same rates.
+    """
+
+    model: LatticeModel = D3Q19
+
+    def __init__(self, mask: np.ndarray, collision: Collision):
+        super().__init__(mask, collision)
+        self._lam_e, self._lam_o = _lambdas(collision)
+        self._fn = _require("sparse")
+        #: Contiguous fluid runs ``(x, y, z0, n)``, int64, C order.
+        self.runs = fluid_runs(self.mask)
+        self._runs_ptr = self.runs.ctypes.data
+
+    def __call__(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Run one time step on the fluid cells of ``mask``."""
+        check_pdf_args(D3Q19, src, dst)
+        check_mask(self.mask, src)
+        _check_buffers(src, dst)
+        sq, sx, sy, _ = src.strides
+        self._fn(
+            src.ctypes.data, dst.ctypes.data,
+            self._runs_ptr, self.runs.shape[0],
+            sq // 8, sx // 8, sy // 8,
+            self._lam_e, self._lam_o,
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<compiled interval kernel, {len(self.runs)} runs, {self.collision}>"
+
+
+def check_boundary_field(f: np.ndarray, shape: Tuple[int, ...]) -> None:
+    """Reject a PDF field the boundary loop cannot index as-is: it needs
+    a writeable, aligned, C-contiguous float64 D3Q19 array of spatial
+    ``shape`` (link tables hold flat spatial indices)."""
+    if f.dtype != np.float64:
+        raise ValueError(f"compiled boundary loop needs a float64 field, got {f.dtype}")
+    if f.shape != (D3Q19.q,) + tuple(shape):
+        raise ValueError(
+            f"field shape {f.shape} != {(D3Q19.q,) + tuple(shape)}"
+        )
+    if not f.flags.c_contiguous:
+        raise ValueError("compiled boundary loop needs a C-contiguous field")
+    if not f.flags.aligned:
+        raise ValueError("compiled boundary loop needs an aligned field")
+    if not f.flags.writeable:
+        raise ValueError("compiled boundary loop needs a writeable field")
+
+
+def boundary_loop() -> Any:
+    """The loaded ``d3q19_boundary`` entry point, or ``None`` when the
+    build failed (builds on first call).  Its caller owns the link
+    tables and checks the field with :func:`check_boundary_field`."""
+    return _get_build().boundary

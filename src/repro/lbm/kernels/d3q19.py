@@ -31,7 +31,7 @@ from ..lattice import D3Q19, LatticeModel
 from .common import check_pdf_args, interior_slices, pull_slices
 from .contracts import allocation_free
 
-__all__ = ["d3q19_step", "build_pair_table"]
+__all__ = ["d3q19_step", "build_pair_table", "momentum_terms"]
 
 Collision = Union[SRT, TRT]
 
@@ -43,6 +43,17 @@ def build_pair_table(model: LatticeModel) -> List[Tuple[int, int, float, np.ndar
         pairs.append((int(a), int(b), float(model.weights[a]),
                       model.velocities[a].astype(np.float64)))
     return pairs
+
+
+def momentum_terms(model: LatticeModel) -> List[List[Tuple[int, int]]]:
+    """Per velocity component, the ``(direction, sign)`` terms of the
+    momentum sum in direction order — the accumulation schedule every
+    bit-identical tier follows (first term written, the rest added)."""
+    vels = model.velocities
+    return [
+        [(a, int(vels[a, comp])) for a in range(1, model.q) if vels[a, comp] != 0]
+        for comp in range(model.dim)
+    ]
 
 
 _PAIRS = build_pair_table(D3Q19)

@@ -26,6 +26,15 @@ The paper describes three strategies for partially filled blocks:
 
 All three share the collision arithmetic through :func:`_collide_packed`
 and are verified against the dense reference kernel on the fluid cells.
+The packed strategies perform the ``vectorized`` tier's operations in
+its order, so on every cell they sweep they give the dense tiers' bits.
+
+``interval`` also has a compiled backend,
+:class:`~repro.lbm.kernels.compiled.CompiledIntervalKernel`, which
+sweeps the maximal contiguous fluid runs of :func:`fluid_runs` with the
+generated row loop of the ``compiled`` tier and gives this module's
+``interval`` bits; block set-up picks it whenever that tier builds.
+Both backends share :class:`IntervalAccounting`.
 """
 
 from __future__ import annotations
@@ -38,20 +47,24 @@ from ..collision import SRT, TRT
 from ..lattice import D3Q19, LatticeModel
 from .common import check_pdf_args, interior_slices
 from .contracts import allocation_free
-from .d3q19 import build_pair_table, d3q19_step
+from .d3q19 import build_pair_table, d3q19_step, momentum_terms
 
 __all__ = [
     "ConditionalSparseKernel",
     "IndexListSparseKernel",
     "IntervalSparseKernel",
     "SPARSE_KERNELS",
+    "check_mask",
     "fluid_intervals",
+    "fluid_runs",
 ]
 
 Collision = Union[SRT, TRT]
 
 
-def _check_mask(mask: np.ndarray, src: np.ndarray) -> None:
+def check_mask(mask: np.ndarray, src: np.ndarray) -> None:
+    """Reject a fluid mask that is not boolean or does not match the
+    interior of ``src``."""
     if mask.dtype != np.bool_:
         raise TypeError("fluid mask must be boolean")
     if mask.shape != tuple(s - 2 for s in src.shape[1:]):
@@ -69,32 +82,38 @@ def _collide_packed(
     """Collide packed per-direction value arrays; returns post-collision list.
 
     ``g[a]`` holds the pulled pre-collision values of direction ``a`` for
-    an arbitrary set of cells (1-D or N-D, all the same shape).  Division
-    by zero density (possible for superfluous packed lanes that are not
+    an arbitrary set of cells (1-D or N-D, all the same shape).  The
+    arithmetic is the IEEE operation sequence of
+    :class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel` (and so
+    of the compiled tier's row loop), in the same order: on every cell
+    it sweeps, a sparse kernel gives the dense tiers' bits.  Division by
+    zero density (possible for superfluous packed lanes that are not
     fluid) is silenced; those lanes are never scattered back.
     """
-    vels = model.velocities
-    rho = g[0].astype(np.float64, copy=True)
-    for a in range(1, model.q):
+    rho = g[0] + g[1]
+    for a in range(2, model.q):
         rho += g[a]
-    jx = np.zeros_like(rho)
-    jy = np.zeros_like(rho)
-    jz = np.zeros_like(rho)
-    for a in range(1, model.q):
-        ex, ey, ez = int(vels[a, 0]), int(vels[a, 1]), int(vels[a, 2])
-        if ex:
-            jx += g[a] if ex == 1 else -g[a]
-        if ey:
-            jy += g[a] if ey == 1 else -g[a]
-        if ez:
-            jz += g[a] if ez == 1 else -g[a]
+    # First nonzero direction per component writes, the rest accumulate.
+    j = []
+    for terms in momentum_terms(model):
+        (a0, s0), rest = terms[0], terms[1:]
+        acc = g[a0].copy() if s0 > 0 else -g[a0]
+        for a, sgn in rest:
+            if sgn > 0:
+                acc += g[a]
+            else:
+                acc -= g[a]
+        j.append(acc)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_rho = 1.0 / rho
     inv_rho = np.where(np.isfinite(inv_rho), inv_rho, 0.0)
-    ux = jx * inv_rho
-    uy = jy * inv_rho
-    uz = jz * inv_rho
-    usq_term = 1.0 - 1.5 * (ux * ux + uy * uy + uz * uz)
+    u = [jc * inv_rho for jc in j]
+    # usq = ((ux^2 + uy^2) + uz^2) * -1.5 + 1.0
+    usq = u[0] * u[0]
+    for uc in u[1:]:
+        usq += uc * uc
+    usq *= -1.5
+    usq += 1.0
 
     if isinstance(collision, SRT):
         lam_e = lam_o = -1.0 / collision.tau
@@ -103,16 +122,24 @@ def _collide_packed(
 
     post: List[np.ndarray] = [None] * model.q  # type: ignore[list-item]
     w0 = float(model.weights[0])
-    feq0 = w0 * rho * usq_term
-    post[0] = g[0] + lam_e * (g[0] - feq0)
+    post[0] = g[0] + (g[0] - rho * usq * w0) * lam_e
     for a, b, w, e in build_pair_table(model):
-        eu = e[0] * ux + e[1] * uy + e[2] * uz
-        wrho = w * rho
-        eq_plus = wrho * (usq_term + 4.5 * eu * eu)
-        eq_minus = 3.0 * wrho * eu
+        eu = None
+        for comp, uc in zip(e, u):
+            if comp == 0.0:
+                continue
+            if eu is None:
+                eu = uc * comp
+            elif comp == 1.0:
+                eu += uc
+            else:
+                eu -= uc
+        wrho = rho * w
+        eq_plus = (eu * eu * 4.5 + usq) * wrho
+        eq_minus = wrho * eu * 3.0
         ga, gb = g[a], g[b]
-        sym = lam_e * (0.5 * (ga + gb) - eq_plus)
-        asym = lam_o * (0.5 * (ga - gb) - eq_minus)
+        sym = ((ga + gb) * 0.5 - eq_plus) * lam_e
+        asym = ((ga - gb) * 0.5 - eq_minus) * lam_o
         post[a] = ga + sym + asym
         post[b] = gb + sym - asym
     return post
@@ -139,7 +166,7 @@ class ConditionalSparseKernel:
 
     def __call__(self, src: np.ndarray, dst: np.ndarray) -> None:
         check_pdf_args(D3Q19, src, dst)
-        _check_mask(self.mask, src)
+        check_mask(self.mask, src)
         if self._scratch is None or self._scratch.shape != src.shape:
             self._scratch = np.zeros_like(src)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -195,7 +222,7 @@ class IndexListSparseKernel:
 
     def __call__(self, src: np.ndarray, dst: np.ndarray) -> None:
         check_pdf_args(D3Q19, src, dst)
-        _check_mask(self.mask, src)
+        check_mask(self.mask, src)
         if self._idx is None:
             self._prepare(src.shape[1:])
         idx, offs = self._idx, self._offs
@@ -213,15 +240,49 @@ def fluid_intervals(mask: np.ndarray) -> List[Tuple[int, int, int, int]]:
     A "line" runs along the innermost (z) axis, matching the C-contiguous
     memory layout.  Lines without fluid cells are omitted.
     """
-    out: List[Tuple[int, int, int, int]] = []
-    nx, ny, _nz = mask.shape
-    for i in range(nx):
-        for j in range(ny):
-            line = mask[i, j]
-            nz_idx = np.nonzero(line)[0]
-            if nz_idx.size:
-                out.append((i, j, int(nz_idx[0]), int(nz_idx[-1]) + 1))
-    return out
+    mask = np.asarray(mask, dtype=bool)
+    if mask.size == 0:
+        return []
+    nz = mask.shape[2]
+    ii, jj = np.nonzero(mask.any(axis=2))
+    first = mask.argmax(axis=2)[ii, jj]
+    last = nz - mask[:, :, ::-1].argmax(axis=2)[ii, jj]
+    return list(zip(ii.tolist(), jj.tolist(), first.tolist(), last.tolist()))
+
+
+def fluid_runs(mask: np.ndarray) -> np.ndarray:
+    """Maximal contiguous fluid runs along the innermost (z) axis.
+
+    Returns an int64 array of shape ``(n_runs, 4)`` with rows ``(i, j,
+    z0, n)`` — the run covers cells ``(i, j, z0 .. z0 + n - 1)`` — in C
+    order.  Unlike :func:`fluid_intervals` a run never contains a
+    non-fluid cell, so a line with gaps yields several runs.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    edges = np.diff(mask.astype(np.int8), axis=2, prepend=0, append=0)
+    i, j, z0 = np.nonzero(edges == 1)
+    z1 = np.nonzero(edges == -1)[2]
+    runs = np.empty((z0.size, 4), dtype=np.int64)
+    runs[:, 0], runs[:, 1], runs[:, 2], runs[:, 3] = i, j, z0, z1 - z0
+    return runs
+
+
+class IntervalAccounting:
+    """Mask, per-line intervals and padded-run accounting of the
+    ``interval`` strategy, shared by its NumPy and compiled backends so
+    both report the same cell counts and rates."""
+
+    name = "interval"
+
+    def __init__(self, mask: np.ndarray, collision: Collision):
+        self.mask = np.asarray(mask, dtype=bool)
+        self.collision = collision
+        self.fluid_cells = int(self.mask.sum())
+        self.intervals = fluid_intervals(self.mask)
+        #: Work charged per step: padded-run lanes (>= covered cells).
+        width = max((last - first for _, _, first, last in self.intervals), default=0)
+        self.run_width = width
+        self.processed_cells = width * len(self.intervals)
 
 
 @allocation_free(
@@ -231,7 +292,7 @@ def fluid_intervals(mask: np.ndarray) -> List[Tuple[int, int, int, int]]:
     "contract, not zero allocation",
     warmup=("_prepare",),
 )
-class IntervalSparseKernel:
+class IntervalSparseKernel(IntervalAccounting):
     """Strategy 3: per-line [first, last] runs, processed as padded slabs.
 
     All runs are packed into a 2-D array of shape ``(n_lines, W)`` where
@@ -239,19 +300,12 @@ class IntervalSparseKernel:
     are computed superfluously and never written back.  Gathers use
     consecutive flat indices, so memory access is streaming within each
     run — the property that makes this strategy vectorizable in the paper.
+    This is the NumPy backend of ``interval``; the compiled one is
+    :class:`~repro.lbm.kernels.compiled.CompiledIntervalKernel`.
     """
 
-    name = "interval"
-
     def __init__(self, mask: np.ndarray, collision: Collision):
-        self.mask = np.asarray(mask, dtype=bool)
-        self.collision = collision
-        self.fluid_cells = int(self.mask.sum())
-        self.intervals = fluid_intervals(self.mask)
-        #: Work actually performed: padded-run lanes (>= covered cells).
-        width = max((last - first for _, _, first, last in self.intervals), default=0)
-        self.run_width = width
-        self.processed_cells = width * len(self.intervals)
+        super().__init__(mask, collision)
         self._idx: np.ndarray | None = None
         self._valid: np.ndarray | None = None
         self._offs: np.ndarray | None = None
@@ -259,32 +313,24 @@ class IntervalSparseKernel:
     def _prepare(self, padded_shape) -> None:
         s0 = padded_shape[1] * padded_shape[2]
         s1 = padded_shape[2]
-        n = len(self.intervals)
-        W = self.run_width
-        idx = np.zeros((n, W), dtype=np.int64)
-        valid = np.zeros((n, W), dtype=bool)
-        lane = np.arange(W, dtype=np.int64)
-        for r, (i, j, first, last) in enumerate(self.intervals):
-            base = (i + 1) * s0 + (j + 1) * s1 + (first + 1)
-            length = last - first
-            # Clamp so superfluous lanes never index out of the line.
-            k = np.minimum(lane, max(length - 1, 0))
-            idx[r] = base + k
-            valid[r] = lane < length
+        i, j, first, last = np.asarray(self.intervals, dtype=np.int64).reshape(-1, 4).T
+        base = (i + 1) * s0 + (j + 1) * s1 + (first + 1)
+        length = last - first
+        lane = np.arange(self.run_width, dtype=np.int64)
+        # Clamp so superfluous lanes never index out of the line.
+        idx = base[:, None] + np.minimum(lane, np.maximum(length - 1, 0)[:, None])
+        valid = lane < length[:, None]
         # Only scatter back true fluid lanes (runs may contain gaps).
-        mask_flat = np.zeros(int(np.prod(padded_shape)), dtype=bool)
-        interior = interior_slices(3)
         pad_mask = np.zeros(padded_shape, dtype=bool)
-        pad_mask[interior] = self.mask
-        mask_flat = pad_mask.ravel()
-        valid &= mask_flat[idx]
+        pad_mask[interior_slices(3)] = self.mask
+        valid &= pad_mask.ravel()[idx]
         self._idx = idx
         self._valid = valid
         self._offs = _flat_offsets(D3Q19, padded_shape)
 
     def __call__(self, src: np.ndarray, dst: np.ndarray) -> None:
         check_pdf_args(D3Q19, src, dst)
-        _check_mask(self.mask, src)
+        check_mask(self.mask, src)
         if not self.intervals:
             return
         if self._idx is None:

@@ -29,7 +29,7 @@ from ..collision import SRT, TRT
 from ..lattice import D3Q19, LatticeModel
 from .common import check_pdf_args, interior_slices, pull_slices
 from .contracts import allocation_free
-from .d3q19 import build_pair_table
+from .d3q19 import build_pair_table, momentum_terms
 
 __all__ = ["VectorizedD3Q19Kernel"]
 
@@ -88,14 +88,7 @@ class VectorizedD3Q19Kernel:
         self._pull = [pull_slices(D3Q19.velocities[a]) for a in range(19)]
         # Per-component (sign, direction) accumulation schedule for the
         # first-write momentum sums: list of (a, +1/-1) per component.
-        self._mom_terms = []
-        for comp in range(3):
-            terms = []
-            for a in range(1, 19):
-                c = int(D3Q19.velocities[a, comp])
-                if c != 0:
-                    terms.append((a, c))
-            self._mom_terms.append(terms)
+        self._mom_terms = momentum_terms(D3Q19)
 
     def _get_scratch(self, shape: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
         """Scratch buffers for an interior ``shape``.

@@ -8,8 +8,9 @@ properties the static checker (KRN001) cannot see on its own:
 2. the registry wrappers (``_StatelessKernel``, ``InstrumentedKernel``)
    forward the contract, so ``contract_of(make_kernel(...))`` works;
 3. the declarations match runtime reality — tracemalloc proves the
-   ``steady_state=True`` tiers (``vectorized``, ``compiled``) allocate
-   nothing field-sized after warm-up, and that the
+   ``steady_state=True`` tiers (``vectorized``, ``compiled`` and the
+   compiled ``interval`` backend) allocate nothing field-sized after
+   warm-up, and that the
    ``steady_state=False`` generic tier really does allocate (so the
    annotation could not honestly be flipped).
 """
@@ -29,7 +30,7 @@ from repro.lbm.kernels import (
     make_kernel,
 )
 from repro.lbm.kernels.registry import instrument_kernel
-from repro.lbm.kernels.compiled import CompiledD3Q19Kernel
+from repro.lbm.kernels.compiled import CompiledD3Q19Kernel, CompiledIntervalKernel
 from repro.lbm.kernels.generic import generic_step
 from repro.lbm.kernels.sparse import (
     ConditionalSparseKernel,
@@ -80,6 +81,11 @@ class TestDeclarations:
 
     def test_compiled_is_a_steady_state_tier(self):
         contract = contract_of(CompiledD3Q19Kernel)
+        assert contract["steady_state"] is True
+        assert contract["warmup"] == ()
+
+    def test_compiled_interval_is_a_steady_state_tier(self):
+        contract = contract_of(CompiledIntervalKernel)
         assert contract["steady_state"] is True
         assert contract["warmup"] == ()
 
@@ -151,6 +157,14 @@ class TestTracemallocCrossCheck:
     def test_compiled_steady_state_allocates_nothing_field_sized(self):
         self._assert_steady_state_allocates_nothing_field_sized(
             CompiledD3Q19Kernel(TRT.from_tau(0.65))
+        )
+
+    @needs_cc
+    def test_compiled_interval_steady_state_allocates_nothing_field_sized(self):
+        mask = np.ones(BIG_CELLS, dtype=bool)
+        mask[::3, 1::2, ::5] = False  # gappy lines: several runs each
+        self._assert_steady_state_allocates_nothing_field_sized(
+            CompiledIntervalKernel(mask, TRT.from_tau(0.65))
         )
 
     def test_generic_tier_really_allocates(self):
