@@ -15,6 +15,14 @@ reports
   path), best-of ``REPEATS`` interleaved samples,
 * **total MLUPS** — cell updates over accounted wall time.
 
+A second, sparse case runs a coronary-like forest (most ghost-region
+cells flagged OUTSIDE by their sender) on in-process ranks twice: with
+the compiled ghost copy, which leaves those cells out after the first
+two exchanges, and with the NumPy fallback (a forced failed build).  It
+checks that both give the same bits in every cell of both grids and
+that the compiled exchange is not slower; it is skipped without a C
+compiler.
+
 The result lands in ``BENCH_comm.json`` next to the repo root so the
 bench trajectory has data, together with the interconnect-model
 validation of :func:`repro.perf.network.exchange_time_from_counters`:
@@ -28,20 +36,24 @@ or via pytest (``pytest benchmarks/bench_ghost_comm.py``).
 
 import json
 import os
+import shutil
 import time
 
+import numpy as np
 import pytest
 
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest, view_for_rank
 from repro.comm import (
     COMM_MODES,
+    DistributedSimulation,
     VirtualMPI,
     build_rank_plan,
     run_spmd_simulation,
 )
-from repro.geometry import AABB
-from repro.lbm import NoSlip, TRT, UBB
+from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree
+from repro.lbm import NoSlip, PressureABB, TRT, UBB
+from repro.lbm.kernels import compiled
 from repro.perf.machines import JUQUEEN, SUPERMUC
 from repro.perf.network import exchange_time_from_counters, network_for
 from repro.perf.timing import TimingTree, reduce_trees
@@ -150,6 +162,66 @@ def _model_validation(reduced) -> dict:
     return out
 
 
+SPARSE_WARMUP = 3         # the first two exchanges copy every cell
+SPARSE_STEPS = 20
+
+
+def _sparse_sim():
+    """Coronary-like forest on 4 in-process ranks, coalesced exchange."""
+    geom = CapsuleTreeGeometry(CoronaryTree.generate(generations=3, seed=4))
+    forest = SetupBlockForest.create(
+        geom.aabb(), (4, 4, 4), (12, 12, 12), geometry=geom
+    )
+    balance_forest(forest, 4, strategy="metis")
+    return DistributedSimulation(
+        forest,
+        TRT.from_tau(0.8),
+        geometry=geom,
+        boundaries=[NoSlip(), UBB(velocity=(0.0, 0.0, 0.01)), PressureABB(rho_w=1.0)],
+        comm_mode="coalesced",
+    )
+
+
+def _sparse_sample(fallback: bool):
+    """``(exchange seconds per step, {block: (src, dst)})`` of one run."""
+    with pytest.MonkeyPatch.context() as m:
+        if fallback:
+            m.setattr(compiled, "_build", compiled._Build(reason="forced failure"))
+        sim = _sparse_sim()
+    try:
+        sim.run(SPARSE_WARMUP)
+        before = sim.timeloop.timings().get("communication", 0.0)
+        sim.run(SPARSE_STEPS)
+        seconds = sim.timeloop.timings()["communication"] - before
+        grids = {k: (f.src.copy(), f.dst.copy()) for k, f in sim.fields.items()}
+        return seconds / SPARSE_STEPS, grids
+    finally:
+        sim.close()
+
+
+def run_sparse_case() -> dict:
+    """The sparse case: compiled copy vs NumPy fallback, interleaved
+    best-of ``REPEATS``; ``identical`` compares every cell of both
+    grids after the last repeat."""
+    best = {"compiled": float("inf"), "fallback": float("inf")}
+    grids = {}
+    for _ in range(REPEATS):
+        for name in best:
+            seconds, grids[name] = _sparse_sample(name == "fallback")
+            best[name] = min(best[name], seconds)
+    identical = grids["compiled"].keys() == grids["fallback"].keys() and all(
+        np.array_equal(a, b)
+        for key in grids["compiled"]
+        for a, b in zip(grids["compiled"][key], grids["fallback"][key])
+    )
+    return {
+        "exchange_seconds_per_step": best,
+        "speedup": best["fallback"] / best["compiled"],
+        "identical": identical,
+        "steps": SPARSE_STEPS,
+    }
+
+
 def run_benchmark(write_json: bool = True) -> dict:
     forest = _forest()
     per_face_msgs = _per_face_messages_per_step(forest)
@@ -167,6 +239,8 @@ def run_benchmark(write_json: bool = True) -> dict:
         "modes": modes,
         "network_model_validation": _model_validation(reduced),
     }
+    if compiled.available():
+        payload["sparse_ghost_copy"] = run_sparse_case()
     if write_json:
         with open(OUT_PATH, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -206,6 +280,18 @@ def test_coalescing_reduces_messages_and_comm_time():
     )
 
 
+@pytest.mark.bench
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler ('cc') on PATH")
+def test_sparse_compiled_copy_identical_and_not_slower():
+    """On a sparse forest the compiled copy, which leaves out cells the
+    sender flags OUTSIDE, gives the fallback's bits in both grids and
+    does not make the exchange slower."""
+    case = run_sparse_case()
+    assert case["identical"]
+    times = case["exchange_seconds_per_step"]
+    assert times["compiled"] <= times["fallback"], times
+
+
 def main():
     payload = run_benchmark()
     print(f"{'mode':<10} {'msg/step':>9} {'kB/step':>9} "
@@ -223,6 +309,14 @@ def main():
             f"(1 node) -> "
             f"{entry['predicted_exchange_seconds_4096_nodes'] * 1e6:.1f} us/step "
             f"(4096 nodes)"
+        )
+    sparse = payload.get("sparse_ghost_copy")
+    if sparse is not None:
+        t = sparse["exchange_seconds_per_step"]
+        print(
+            f"sparse forest exchange: compiled {t['compiled'] * 1e3:.2f} ms/step, "
+            f"fallback {t['fallback'] * 1e3:.2f} ms/step "
+            f"({sparse['speedup']:.2f}x), identical bits: {sparse['identical']}"
         )
     print(f"wrote {os.path.abspath(OUT_PATH)}")
 

@@ -26,21 +26,48 @@ buffer are ordered by the per-face message tag
 to the same value for the same (destination block, side).  This is the
 same trick waLBerla uses to keep its buffer system header-free.
 
+Sparse-aware compiled copy
+--------------------------
+Where the compiled tier builds
+(:func:`~repro.lbm.kernels.compiled.ghost_copy_loop`), pack, the
+same-rank copies and unpack run in C: one call per rank to pack, one
+for the same-rank copies and one per received message to unpack.  The
+copy leaves out every cell the *sending* block flags OUTSIDE: no kernel
+and no boundary writes those cells after set-up, so their ghost copies
+cannot change.  Only the sender's interior flags decide — a receiver's
+ghost flags can differ from them (a ``flag_setter`` leaves interface
+ghost flags at OUTSIDE, and voxelization may flag a ghost cell OUTSIDE
+where the sender has a wall).  Pack and the same-rank copies read the
+source block's own flags; unpack uses the sender's, which the first
+exchange carries once per peer in one extra message on
+:data:`MASK_TAG`.  The first two exchanges, one per grid of the
+two-grid scheme, copy every cell, so the ghost copies of OUTSIDE cells
+hold whatever values the fields were given before stepping.  Messages
+keep their full size and layout; only the memory traffic inside a rank
+shrinks.  Without a compiler every exchange runs the NumPy box copies,
+with the same bits.
+
 Timing scopes and counters: ``pack`` / ``local copy`` / ``wire`` /
 ``unpack`` sub-scopes under the caller's communication sweep, plus
 ``comm.messages_coalesced``, ``comm.coalesced_bytes``,
-``comm.remote_bytes`` and ``comm.local_bytes`` counters.
+``comm.remote_bytes`` and ``comm.local_bytes`` counters.  The one-time
+mask messages are set-up traffic: they are timed under ``pack`` and
+``unpack`` but not counted.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import flagdefs as fl
 from ..errors import CommunicationError
+from ..lbm.kernels import compiled
 from ..perf.timing import TimingTree
 from .ghostlayer import (
     CommStats,
@@ -66,6 +93,14 @@ __all__ = [
 #: it can never collide with a per-face tag (``root_index * 27 + code``,
 #: always >= 0).
 BULK_TAG = -1
+
+#: Tag of the one-time message, per peer, that carries the sender's copy
+#: masks (see the module docstring).  Negative, like :data:`BULK_TAG`.
+MASK_TAG = -2
+
+#: Exchanges that copy every cell before the copy leaves out OUTSIDE
+#: cells: one per grid of the two-grid scheme.
+FULL_EXCHANGES = 2
 
 #: Valid ``comm_mode`` values accepted by the simulation drivers.
 COMM_MODES = ("per-face", "coalesced", "overlap")
@@ -136,7 +171,7 @@ def _group(entries, fields) -> Tuple[PeerMessage, ...]:
         offset = 0
         for tag, block_id, sl in sorted(by_peer[peer], key=lambda e: e[0]):
             shape = fields[block_id].src[sl].shape
-            n = int(np.prod(shape))
+            n = math.prod(shape)
             segs.append(
                 BufferSegment(tag, block_id, sl, shape, offset, offset + n)
             )
@@ -161,6 +196,224 @@ def coalesce_plan(plan: RankGhostPlan, fields) -> CoalescedPlan:
     )
 
 
+@lru_cache(maxsize=None)
+def _c_strides(shape: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Element strides of a C-contiguous array of ``shape``."""
+    strides = [1] * len(shape)
+    for a in range(len(shape) - 2, -1, -1):
+        strides[a] = strides[a + 1] * shape[a + 1]
+    return tuple(strides)
+
+
+_REGIONS: Dict[tuple, tuple] = {}
+
+
+def _region(arr_shape: Tuple[int, ...], slices: tuple):
+    """``(base, strides, shape)`` of ``slices`` (PDF axis whole, unit
+    steps) in a C-contiguous array of ``arr_shape``, in elements.
+    Ghost plans use a few dozen distinct regions, so results are kept."""
+    sx, sy, sz = slices[1:]
+    key = (arr_shape, sx.start, sx.stop, sy.start, sy.stop, sz.start, sz.stop)
+    hit = _REGIONS.get(key)
+    if hit is not None:
+        return hit
+    strides = _c_strides(arr_shape)
+    base = 0
+    shape = [arr_shape[0]]
+    for a, sl in enumerate((sx, sy, sz), start=1):
+        start, stop, _ = sl.indices(arr_shape[a])
+        base += start * strides[a]
+        shape.append(stop - start)
+    hit = _REGIONS[key] = (base, strides, tuple(shape))
+    return hit
+
+
+def _compiled_copy_applies(plan: CoalescedPlan, fields) -> bool:
+    """Whether the compiled ghost copy can run ``plan``: whole PDF axes
+    (no direction filter) over 4-D float64 C-contiguous fields.  Both
+    ends of a channel decide alike, because it depends only on the
+    build and on run-wide settings."""
+    if compiled.ghost_copy_loop() is None:
+        return False
+    def whole(index) -> bool:
+        return isinstance(index, slice) and index == slice(None)
+
+    for msg in plan.sends + plan.recvs:
+        for seg in msg.segments:
+            if not whole(seg.slices[0]):
+                return False
+    for _, ghost_sl, _, src_sl in plan.local_copies:
+        if not (whole(ghost_sl[0]) and whole(src_sl[0])):
+            return False
+    for field in fields.values():
+        src = field.src
+        if src.ndim != 4 or src.dtype != np.float64 or not src.flags.c_contiguous:
+            return False
+    return True
+
+
+class _CompiledGhostCopy:
+    """Tables, pointer slots and masks of one rank's compiled ghost copy.
+
+    Pointer-table slots: the rank's blocks (their current ``src``
+    grids), then one send buffer per peer, then the payload being
+    unpacked.  The pack and same-rank tables come from the source
+    blocks' flags at construction; the unpack tables come from the
+    peers' masks (:meth:`set_unpack_masks`) on the first exchange.
+    """
+
+    def __init__(self, plan: CoalescedPlan, fields, flags, send_buffers):
+        self._fn = compiled.ghost_copy_loop()
+        self.blocks = list(fields)
+        self._fields = [fields[b] for b in self.blocks]
+        nb = len(self.blocks)
+        self.payload_slot = nb + len(send_buffers)
+        self.ptrs = np.zeros(self.payload_slot + 1, dtype=np.uintp)
+        for j, buf in enumerate(send_buffers):
+            self.ptrs[nb + j] = buf.ctypes.data
+        self._ptrs_addr = self.ptrs.ctypes.data
+        #: Addresses of the grids and payloads seen (see :func:`_address`).
+        self._known: Dict[int, Tuple[np.ndarray, int]] = {}
+        self._payloads: Dict[int, Tuple[np.ndarray, int]] = {}
+        #: Per block: pointer slot, grid shape, and the padded OUTSIDE
+        #: mask of its own flags (``None`` when it has no OUTSIDE cell).
+        self._info = {}
+        for i, b in enumerate(self.blocks):
+            shape = self._fields[i].src.shape
+            ff = flags.get(b) if flags is not None else None
+            outside = None
+            if ff is not None:
+                if ff.data.shape != shape[1:]:
+                    raise CommunicationError(
+                        f"block {b}: flags {ff.data.shape} do not match its "
+                        f"field {shape[1:]}"
+                    )
+                if (ff.interior == fl.OUTSIDE).any():
+                    outside = ff.data == fl.OUTSIDE
+            self._info[b] = (i, shape, outside)
+
+        boxes = []
+        #: Per peer message, the sender's copy mask of every segment,
+        #: flattened and concatenated (uint8) — the one-time mask message.
+        self.mask_messages = []
+        for j, msg in enumerate(plan.sends):
+            mask = np.ones(self.mask_cells(msg), dtype=np.uint8)
+            for seg in msg.segments:
+                slot, shape, outside = self._info[seg.block_id]
+                sbase, sstr, region = _region(shape, seg.slices)
+                copy = None
+                if outside is not None:
+                    copy = ~outside[seg.slices[1:]]
+                    mask[seg.start // region[0]:seg.stop // region[0]] = copy.reshape(-1)
+                boxes.append(compiled.GhostBox(
+                    slot, sbase, sstr, nb + j, seg.start, _c_strides(seg.shape),
+                    region, copy,
+                ))
+            self.mask_messages.append(mask)
+        self.pack = self._bind(compiled.ghost_copy_table(boxes))
+        boxes = []
+        for dst_id, ghost_sl, src_id, src_sl in plan.local_copies:
+            src_slot, src_shape, outside = self._info[src_id]
+            dst_slot, dst_shape, _ = self._info[dst_id]
+            sbase, sstr, region = _region(src_shape, src_sl)
+            dbase, dstr, _ = _region(dst_shape, ghost_sl)
+            copy = None if outside is None else ~outside[src_sl[1:]]
+            boxes.append(compiled.GhostBox(
+                src_slot, sbase, sstr, dst_slot, dbase, dstr, region, copy
+            ))
+        self.local = self._bind(compiled.ghost_copy_table(boxes))
+        self._recvs = plan.recvs
+        #: Per received message, its bound unpack tables (set on the
+        #: first exchange).
+        self.unpack: Optional[list] = None
+
+    @staticmethod
+    def _bind(tables):
+        """``(segs, runs, nseg, segs_addr, runs_addr)`` of a table pair;
+        the arrays stay referenced so the addresses stay valid."""
+        segs, runs = tables
+        return segs, runs, len(segs), segs.ctypes.data, runs.ctypes.data
+
+    @staticmethod
+    def mask_cells(msg: PeerMessage) -> int:
+        """Cells (one mask byte each) in a peer message's mask: a
+        segment's cells start at its element offset over the PDF count."""
+        return msg.elements // msg.segments[0].shape[0] if msg.segments else 0
+
+    def set_unpack_masks(self, masks) -> None:
+        """Build the unpack tables from each peer's mask message
+        (``masks[i]`` for ``plan.recvs[i]``, already checked)."""
+        tables = []
+        for msg, mask in zip(self._recvs, masks):
+            boxes = []
+            for seg in msg.segments:
+                slot, shape, _ = self._info[seg.block_id]
+                dbase, dstr, region = _region(shape, seg.slices)
+                nq = region[0]
+                copy = mask[seg.start // nq:seg.stop // nq].reshape(region[1:])
+                boxes.append(compiled.GhostBox(
+                    self.payload_slot, seg.start, _c_strides(seg.shape),
+                    slot, dbase, dstr, region, copy.view(np.bool_),
+                ))
+            tables.append(self._bind(compiled.ghost_copy_table(boxes)))
+        self.unpack = tables
+
+    def refresh(self) -> None:
+        """Point the block slots at the blocks' current ``src`` grids,
+        checking every array the first time it is seen."""
+        for i, field in enumerate(self._fields):
+            arr = field.src
+            entry = self._known.get(id(arr))
+            if entry is None or entry[0] is not arr:
+                self._check_grid(self.blocks[i], arr)
+            self.ptrs[i] = _address(self._known, arr, 4 * len(self.blocks))
+
+    def _check_grid(self, block_id, arr) -> None:
+        """Reject a grid whose address the copy cannot use as planned."""
+        expected = self._info[block_id][1]
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == np.float64
+            and arr.shape == expected
+            and arr.flags.c_contiguous
+            and arr.flags.aligned
+            and arr.flags.writeable
+        ):
+            raise CommunicationError(
+                f"block {block_id}: ghost copy needs a writeable, aligned, "
+                f"C-contiguous float64 grid of shape {expected}"
+            )
+
+    def run(self, table) -> None:
+        """One C call over a bound table (slots already pointed)."""
+        _segs, _runs, nseg, segs_addr, runs_addr = table
+        if nseg:
+            self._fn(self._ptrs_addr, segs_addr, nseg, runs_addr)
+
+    def run_unpack(self, i: int, payload: np.ndarray) -> None:
+        """Unpack received message ``i`` from ``payload`` (checked by
+        the caller)."""
+        self.ptrs[self.payload_slot] = _address(
+            self._payloads, payload, 4 * len(self._recvs)
+        )
+        self.run(self.unpack[i])
+
+
+def _address(cache: Dict[int, Tuple[np.ndarray, int]], arr: np.ndarray,
+             limit: int) -> int:
+    """Data address of ``arr``, looked up once per array: grids and the
+    peers' persistent send buffers recur every exchange, and reading
+    ``arr.ctypes.data`` allocates.  ``cache`` maps ``id(arr)`` to
+    ``(arr, address)``; holding the array keeps its ``id`` from being
+    reused, and the cache is emptied when it reaches ``limit`` entries."""
+    entry = cache.get(id(arr))
+    if entry is None or entry[0] is not arr:
+        if len(cache) >= limit:
+            cache.clear()
+        entry = cache[id(arr)] = (arr, arr.ctypes.data)
+    return entry[1]
+
+
 class BufferSystem:
     """Bulk ghost exchange over persistent per-peer buffers.
 
@@ -182,6 +435,11 @@ class BufferSystem:
         ``comm.messages_coalesced`` / ``comm.coalesced_bytes`` /
         ``comm.remote_bytes`` / ``comm.local_bytes`` counters
         accumulate.
+    flags:
+        Optional mapping block id -> :class:`~repro.core.flags.FlagField`
+        of the same blocks.  With the compiled copy, cells a block flags
+        OUTSIDE are not re-copied after the first two exchanges (see the
+        module docstring); without ``flags`` every cell is copied.
 
     Use :meth:`exchange` for the fused path or the :meth:`start` /
     :meth:`finish` pair to overlap interior computation with the
@@ -197,7 +455,9 @@ class BufferSystem:
     :meth:`finish` runs before any rank's next :meth:`start`.  Under
     fault injection the :class:`~repro.comm.vmpi.ReliableComm` sequence
     numbers discard stale deliveries (which alias the same buffer)
-    before their payload is read.
+    before their payload is read.  Every incoming payload must be a
+    C-contiguous float64 array of the planned size; anything else
+    raises :class:`~repro.errors.CommunicationError` before it is read.
     """
 
     def __init__(
@@ -206,6 +466,7 @@ class BufferSystem:
         fields: Dict[object, object],
         comm,
         tree: Optional[TimingTree] = None,
+        flags: Optional[Dict[object, object]] = None,
     ):
         self.plan: CoalescedPlan = coalesce_plan(plan, fields)
         self.fields = fields
@@ -225,6 +486,15 @@ class BufferSystem:
             self._sends.append((msg, buf, views))
         self._recv_channels = [(msg.peer, BULK_TAG) for msg in self.plan.recvs]
         self._requests: list = []
+        #: The compiled ghost copy, or ``None`` (NumPy box copies).
+        self._copy: Optional[_CompiledGhostCopy] = None
+        if _compiled_copy_applies(self.plan, fields):
+            self._copy = _CompiledGhostCopy(
+                self.plan, fields, flags, [buf for _, buf, _ in self._sends]
+            )
+        self._full_left = FULL_EXCHANGES
+        self._masks_sent = False
+        self._compiled_now = False
 
     # -- accounting ---------------------------------------------------------
     def _record(self, name: str, seconds: float) -> None:
@@ -243,23 +513,41 @@ class BufferSystem:
         Send buffers are owned by this object and reused next step (see
         the class docstring's buffer-reuse rule).
         """
+        copy = self._copy
+        self._compiled_now = copy is not None and self._full_left == 0
+        if self._full_left:
+            self._full_left -= 1
         t0 = time.perf_counter()
         sent = 0
         fields = self.fields
-        for msg, buf, views in self._sends:
-            for view, block_id, sl in views:
-                np.copyto(view, fields[block_id].src[sl])
+        if self._compiled_now:
+            copy.refresh()
+            copy.run(copy.pack)
+        else:
+            for _msg, _buf, views in self._sends:
+                for view, block_id, sl in views:
+                    np.copyto(view, fields[block_id].src[sl])
+        for msg, buf, _views in self._sends:
             sent += msg.nbytes
             self._requests.append(
                 self.comm.isend(buf, dest=msg.peer, tag=BULK_TAG)
             )
+        if copy is not None and not self._masks_sent:
+            self._masks_sent = True
+            for msg, mask in zip(self.plan.sends, copy.mask_messages):
+                self._requests.append(
+                    self.comm.isend(mask, dest=msg.peer, tag=MASK_TAG)
+                )
         self._record("pack", time.perf_counter() - t0)
         self._count("comm.messages_coalesced", len(self.plan.sends))
         self._count("comm.coalesced_bytes", sent)
         t0 = time.perf_counter()
         local = self.plan.local_copies
-        for block_id, ghost_sl, src_id, src_sl in local:
-            fields[block_id].src[ghost_sl] = fields[src_id].src[src_sl]
+        if self._compiled_now:
+            copy.run(copy.local)
+        else:
+            for block_id, ghost_sl, src_id, src_sl in local:
+                fields[block_id].src[ghost_sl] = fields[src_id].src[src_sl]
         self._record("local copy", time.perf_counter() - t0)
         self.stats.add(
             len(local), self._local_bytes, len(self.plan.sends), sent, self.tree
@@ -275,6 +563,8 @@ class BufferSystem:
         wire = 0.0
         unpack = 0.0
         probe_timeout = getattr(self.comm, "retry_timeout", None)
+        compiled_now = self._compiled_now
+        copy = self._copy
         t0 = time.perf_counter()
         for i, data in drain_arrival_order(
             self.comm, self._recv_channels, probe_timeout
@@ -282,28 +572,81 @@ class BufferSystem:
             wire += time.perf_counter() - t0
             t0 = time.perf_counter()
             msg = self.plan.recvs[i]
-            flat = np.asarray(data)
-            if flat.shape != (msg.elements,):
-                raise CommunicationError(
-                    f"bulk message from rank {msg.peer}: got shape "
-                    f"{flat.shape}, expected ({msg.elements},)"
-                )
-            for seg in msg.segments:
-                self.fields[seg.block_id].src[seg.slices] = flat[
-                    seg.start:seg.stop
-                ].reshape(seg.shape)
+            _check_payload(data, msg)
+            if compiled_now:
+                copy.run_unpack(i, data)
+            else:
+                for seg in msg.segments:
+                    self.fields[seg.block_id].src[seg.slices] = data[
+                        seg.start:seg.stop
+                    ].reshape(seg.shape)
             unpack += time.perf_counter() - t0
             t0 = time.perf_counter()
+        if copy is not None and copy.unpack is None:
+            unpack += self._receive_masks(probe_timeout)
         for req in self._requests:
             req.wait()
         self._requests.clear()
         self._record("wire", wire)
         self._record("unpack", unpack)
 
+    def _receive_masks(self, probe_timeout) -> float:
+        """Receive every peer's one-time mask message and build the
+        unpack tables; returns the seconds spent."""
+        t0 = time.perf_counter()
+        channels = [(msg.peer, MASK_TAG) for msg in self.plan.recvs]
+        masks = [None] * len(channels)
+        for i, data in drain_arrival_order(self.comm, channels, probe_timeout):
+            msg = self.plan.recvs[i]
+            cells = _CompiledGhostCopy.mask_cells(msg)
+            if not (
+                isinstance(data, np.ndarray)
+                and data.dtype == np.uint8
+                and data.shape == (cells,)
+                and data.flags.c_contiguous
+                and int(data.max(initial=0)) <= 1
+            ):
+                raise CommunicationError(
+                    f"mask message from rank {msg.peer}: expected a "
+                    f"C-contiguous uint8 array of {cells} zeros and ones, got "
+                    f"{getattr(data, 'dtype', type(data).__name__)} "
+                    f"{getattr(data, 'shape', '')}"
+                )
+            masks[i] = data
+        self._copy.set_unpack_masks(masks)
+        return time.perf_counter() - t0
+
     def exchange(self) -> None:
         """One full bulk exchange: ``start`` + ``finish``."""
         self.start()
         self.finish()
+
+    def resync(self) -> None:
+        """Copy every cell again in the next two exchanges, after the
+        fields were rewritten between steps (a checkpoint load does
+        this).  Collective: every rank of the exchange calls it before
+        the same exchange, since a full unpack reads the cells a
+        sparse-aware pack leaves stale."""
+        self._full_left = FULL_EXCHANGES
+
+
+def _check_payload(data, msg: PeerMessage) -> None:
+    """Raise :class:`~repro.errors.CommunicationError` unless ``data`` is
+    a C-contiguous float64 array of ``msg.elements`` values — checked
+    before any value is read, by either copy path."""
+    if not (
+        isinstance(data, np.ndarray)
+        and data.dtype == np.float64
+        and data.shape == (msg.elements,)
+        and data.flags.c_contiguous
+        and data.flags.aligned
+    ):
+        raise CommunicationError(
+            f"bulk message from rank {msg.peer}: expected a C-contiguous "
+            f"float64 array of shape ({msg.elements},), got "
+            f"{getattr(data, 'dtype', type(data).__name__)} "
+            f"{getattr(data, 'shape', '')}"
+        )
 
 
 def make_exchange(
@@ -312,10 +655,12 @@ def make_exchange(
     fields: Dict[object, object],
     comm,
     tree: Optional[TimingTree] = None,
+    flags: Optional[Dict[object, object]] = None,
 ):
     """The executor that runs ``plan`` under ``comm_mode``:
     :class:`~repro.comm.ghostlayer.SpmdGhostExchange` for
-    ``"per-face"``, :class:`BufferSystem` for ``"coalesced"`` and
-    ``"overlap"``."""
-    executor = SpmdGhostExchange if comm_mode == "per-face" else BufferSystem
-    return executor(plan, fields, comm, tree=tree)
+    ``"per-face"``, :class:`BufferSystem` (given the blocks' ``flags``)
+    for ``"coalesced"`` and ``"overlap"``."""
+    if comm_mode == "per-face":
+        return SpmdGhostExchange(plan, fields, comm, tree=tree)
+    return BufferSystem(plan, fields, comm, tree=tree, flags=flags)

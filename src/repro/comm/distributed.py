@@ -139,6 +139,11 @@ class _InProcessRanks:
         self.start()
         self.finish()
 
+    def resync(self) -> None:
+        """Every rank's ``resync()``: the next exchanges copy every cell."""
+        for ex in self.executors:
+            ex.resync()
+
     @property
     def stats(self) -> CommStats:
         """The ranks' ledgers, summed."""
@@ -295,9 +300,12 @@ class DistributedSimulation(BlockDriver):
         for view in self.views:
             plan = build_rank_plan(view, view.rank, pdf_filter=pdf_filter)
             fields = {blk.id: self.fields[blk.id] for blk in view.blocks}
+            flags = {blk.id: self.flags[blk.id] for blk in view.blocks}
             comm = Comm(view.rank, world)
             executors.append(
-                make_exchange(comm_mode, plan, fields, comm, self.timeloop.tree)
+                make_exchange(
+                    comm_mode, plan, fields, comm, self.timeloop.tree, flags=flags
+                )
             )
             remote_dst.update(entry[2] for entry in plan.recvs)
         self.exchange = _InProcessRanks(executors)

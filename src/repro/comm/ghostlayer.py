@@ -16,7 +16,9 @@ SPMD rank program on one thread per rank, and
 :class:`~repro.comm.distributed.DistributedSimulation` on in-process
 ranks driven from one thread.  Every executor offers ``start()`` (pack,
 post sends, local copies), ``finish()`` (drain and unpack) and
-``exchange()`` (both), and keeps a :class:`CommStats` ledger of the
+``exchange()`` (both) and ``resync()`` (copy every cell in the next
+exchanges, after the fields were rewritten between steps), and keeps a
+:class:`CommStats` ledger of the
 bytes and messages moved within and between ranks, feeding the
 communication-time models in :mod:`repro.perf`.
 """
@@ -363,3 +365,6 @@ class SpmdGhostExchange:
         """One full ghost exchange: :meth:`start` + :meth:`finish`."""
         self.start()
         self.finish()
+
+    def resync(self) -> None:
+        """Nothing to do: every exchange copies every cell."""

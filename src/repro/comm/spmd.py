@@ -186,7 +186,8 @@ def spmd_rank_program(
         else comm
     )
     fields = {bid: rt.field for bid, rt in runtimes.items()}
-    exchange = make_exchange(comm_mode, plan, fields, channel, tree)
+    flags = {bid: rt.flags for bid, rt in runtimes.items()}
+    exchange = make_exchange(comm_mode, plan, fields, channel, tree, flags=flags)
 
     def scope(name: str):
         return tree.scoped(name) if tree is not None else nullcontext()

@@ -14,12 +14,13 @@ the same:
     overlap:  communication -> boundary -> inner kernel
               -> communication finish -> frontier kernel -> swap
 
-Every ghost-exchange executor offers ``exchange()``; those used under
+Every ghost-exchange executor offers ``exchange()`` and ``resync()``
+(copy every cell again, called by a checkpoint load); those used under
 overlap (:class:`~repro.comm.ghostlayer.SpmdGhostExchange`,
 :class:`~repro.comm.buffersystem.BufferSystem`) also offer ``start()``
 (pack, post sends, local copies) and ``finish()`` (drain and unpack);
 the in-process driver wraps one executor per virtual rank behind the
-same three calls.
+same calls.
 
 Work items are built once.  Closures re-read ``field.src`` /
 ``field.dst`` at call time so the two-grid swap stays transparent, and
@@ -160,8 +161,8 @@ class BlockSweepSchedule:
         Block id -> :class:`BlockRuntime` of every block this rank
         steps (cell extents and fluid-cell counts included).
     exchange:
-        The ghost-exchange executor (``exchange``, plus ``start`` /
-        ``finish`` under overlap).
+        The ghost-exchange executor (``exchange`` and ``resync``, plus
+        ``start`` / ``finish`` under overlap).
     engine:
         The rank's sweep engine (:mod:`repro.exec`).
     tree:

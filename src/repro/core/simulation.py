@@ -154,7 +154,7 @@ class Simulation(BlockDriver):
         # ghost exchange is the periodic wrap, for any lattice model.
         self.schedule = BlockSweepSchedule(
             self.runtimes,
-            SimpleNamespace(exchange=self._wrap_periodic),
+            SimpleNamespace(exchange=self._wrap_periodic, resync=lambda: None),
             self.engine,
             self.timeloop.tree,
             overlap=False,

@@ -268,7 +268,7 @@ def load_checkpoint(
         with np.load(path) as data:
             if _META_KEY in data:
                 steps = _load_v1(sim, data, path)
-                sim.timeloop.steps_run = steps
+                _restored(sim, steps)
                 return steps
     except CheckpointError:
         raise
@@ -299,8 +299,17 @@ def load_checkpoint(
                 )
             flags[...] = farr
     _rng_state_load(rng, rng_state)
-    sim.timeloop.steps_run = steps
+    _restored(sim, steps)
     return steps
+
+
+def _restored(sim, steps: int) -> None:
+    """Set the step counter after a load, and have the ghost exchange
+    copy every cell again: the load rewrote both grids, ghost layers and
+    OUTSIDE cells included."""
+    sim.timeloop.steps_run = steps
+    if sim.schedule is not None:
+        sim.schedule.exchange.resync()
 
 
 # ---------------------------------------------------------------------------

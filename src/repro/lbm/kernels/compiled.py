@@ -10,7 +10,7 @@ per process, and call it from Python.
 
 * **Generator.** :func:`generate_source` emits C from :data:`D3Q19` and
   :func:`~repro.lbm.kernels.d3q19.build_pair_table` — the tables the
-  NumPy tiers use.  Four loops share one source:
+  NumPy tiers use.  Five loops share one source:
 
   - the generated **row loop**, which performs, per cell, the same IEEE
     operations in the same order as
@@ -23,7 +23,14 @@ per process, and call it from Python.
   - the **boundary links** — NoSlip, UBB and PressureABB loops behind
     one dispatcher, which
     :class:`~repro.lbm.boundary.BoundaryHandling` calls once per block
-    and sweep — in the NumPy boundary path's operation order.
+    and sweep — in the NumPy boundary path's operation order;
+  - the **ghost copy**, which
+    :class:`~repro.comm.buffersystem.BufferSystem` calls once per rank
+    to pack, once per rank for the same-rank copies and once per
+    received message to unpack: it walks per-segment run tables
+    (:func:`ghost_copy_table`) that leave out the cells the sending
+    block flags OUTSIDE.  It moves 64-bit words, so every value
+    arrives bit for bit.
 
   With ``-ffp-contract=off`` (no fused multiply-add) and no
   ``-ffast-math`` every loop is bit-identical to its NumPy path; the
@@ -76,20 +83,25 @@ __all__ = [
     "BOUNDARY_KINDS",
     "CompiledD3Q19Kernel",
     "CompiledIntervalKernel",
+    "GHOST_SEGMENT_FIELDS",
+    "GhostBox",
     "available",
     "boundary_loop",
     "check_boundary_field",
     "generate_source",
+    "ghost_copy_loop",
+    "ghost_copy_table",
 ]
 
 Collision = Union[SRT, TRT]
 
-#: Exported C entry points: the dense and the sparse sweep, and the
-#: boundary-link dispatcher.
+#: Exported C entry points: the dense and the sparse sweep, the
+#: boundary-link dispatcher and the ghost copy.
 ENTRIES = {
     "dense": "d3q19_stream_collide",
     "sparse": "d3q19_sparse_sweep",
     "boundary": "d3q19_boundary",
+    "ghost_copy": "ghost_copy",
 }
 
 #: How many runs ahead the sparse sweep prefetches a run's rows.
@@ -346,8 +358,75 @@ def _boundary_functions() -> List[str]:
     return out
 
 
+#: Fields of one ghost-copy segment record (int64), in table order.
+#: ``*_slot`` index the pointer table of a :func:`ghost_copy_loop` call,
+#: ``*_base`` is the element offset of the region's first element from
+#: that pointer, ``*_q`` / ``*_1`` / ``*_2`` / ``*_run`` are element
+#: strides of the PDF axis, the two cross axes and the run axis.  A
+#: segment with ``run_lo < 0`` copies the whole ``n1 x n2`` box of
+#: ``n``-cell lines; otherwise it copies runs ``run_lo .. run_hi - 1``
+#: of the run table.
+GHOST_SEGMENT_FIELDS = (
+    "src_slot", "src_base", "dst_slot", "dst_base",
+    "src_q", "dst_q", "src_1", "dst_1", "src_2", "dst_2",
+    "src_run", "dst_run", "nq", "n1", "n2", "n", "run_lo", "run_hi",
+)
+
+
+def _ghost_copy_function() -> List[str]:
+    """C source of the ghost copy: per segment, PDF planes outermost,
+    then the box's lines or the segment's runs ``(src_off, dst_off, n)``
+    along the run axis.  Values move as 64-bit words, so the copy is
+    bitwise whatever they hold."""
+    nf = len(GHOST_SEGMENT_FIELDS)
+    field = {name: f"g[{i}]" for i, name in enumerate(GHOST_SEGMENT_FIELDS)}
+    return [
+        "static inline void copy_run(const uint64_t *restrict a,",
+        "    uint64_t *restrict b, ptrdiff_t n, ptrdiff_t sa, ptrdiff_t sb)",
+        "{",
+        "    if (sa == 1 && sb == 1)",
+        "        for (ptrdiff_t i = 0; i < n; ++i) b[i] = a[i];",
+        "    else if (sa == 1)",
+        "        for (ptrdiff_t i = 0; i < n; ++i) b[i * sb] = a[i];",
+        "    else if (sb == 1)",
+        "        for (ptrdiff_t i = 0; i < n; ++i) b[i] = a[i * sa];",
+        "    else",
+        "        for (ptrdiff_t i = 0; i < n; ++i) b[i * sb] = a[i * sa];",
+        "}",
+        "",
+        f"void {ENTRIES['ghost_copy']}(const uintptr_t *ptrs, const int64_t *segs,",
+        "    ptrdiff_t nseg, const int64_t *runs)",
+        "{",
+        "    for (ptrdiff_t k = 0; k < nseg; ++k) {",
+        f"        const int64_t *g = segs + {nf} * k;",
+        f"        const uint64_t *src = (const uint64_t *)ptrs[{field['src_slot']}] + {field['src_base']};",
+        f"        uint64_t *dst = (uint64_t *)ptrs[{field['dst_slot']}] + {field['dst_base']};",
+        f"        const ptrdiff_t s1 = {field['src_1']}, d1 = {field['dst_1']};",
+        f"        const ptrdiff_t s2 = {field['src_2']}, d2 = {field['dst_2']};",
+        f"        const ptrdiff_t sr = {field['src_run']}, dr = {field['dst_run']};",
+        f"        const ptrdiff_t n1 = {field['n1']}, n2 = {field['n2']}, n = {field['n']};",
+        f"        const int64_t *r0 = runs + 3 * {field['run_lo']};",
+        f"        const int64_t *r1 = runs + 3 * {field['run_hi']};",
+        f"        for (ptrdiff_t q = 0; q < {field['nq']}; ++q) {{",
+        f"            const uint64_t *sp = src + q * {field['src_q']};",
+        f"            uint64_t *dp = dst + q * {field['dst_q']};",
+        f"            if ({field['run_lo']} < 0) {{",
+        "                for (ptrdiff_t i1 = 0; i1 < n1; ++i1)",
+        "                    for (ptrdiff_t i2 = 0; i2 < n2; ++i2)",
+        "                        copy_run(sp + i1 * s1 + i2 * s2, dp + i1 * d1 + i2 * d2,",
+        "                                 n, sr, dr);",
+        "            } else {",
+        "                for (const int64_t *r = r0; r < r1; r += 3)",
+        "                    copy_run(sp + r[0], dp + r[1], r[2], sr, dr);",
+        "            }",
+        "        }",
+        "    }",
+        "}",
+    ]
+
+
 def generate_source() -> str:
-    """C source of the compiled tier: four generated loops over one
+    """C source of the compiled tier: five generated loops over one
     D3Q19 SoA layout (SRT runs as TRT with ``lam_e == lam_o``, exactly
     as in the NumPy tiers).
 
@@ -363,7 +442,11 @@ def generate_source() -> str:
       :data:`BOUNDARY_KINDS`) to a C-contiguous field through their
       concatenated link tables: condition ``k``'s direction-``a`` links
       are ``off[k, a] .. off[k, a + 1] - 1``, its coefficients
-      ``coef[k, :]``.
+      ``coef[k, :]``;
+    * ``ghost_copy(ptrs, segs, nseg, runs)`` copies the ``nseg``
+      regions of a segment table (:data:`GHOST_SEGMENT_FIELDS`, built by
+      :func:`ghost_copy_table`) between the arrays of the pointer table
+      ``ptrs``.
 
     Both sweeps call the same generated row loop, so the dense and the
     sparse path perform the same IEEE operations per cell.
@@ -371,14 +454,15 @@ def generate_source() -> str:
     lines = [
         "/* Generated by repro.lbm.kernels.compiled: D3Q19 fused",
         " * pull-stream-collide (dense and sparse sweeps, SRT/TRT, two-grid,",
-        " * SoA with contiguous rows) and link-wise boundary conditions. */",
+        " * SoA with contiguous rows), link-wise boundary conditions and the",
+        " * ghost-region copy. */",
         "#include <math.h>",
         "#include <stddef.h>",
         "#include <stdint.h>",
         "",
     ]
     for part in (_row_function(), _dense_function(), _sparse_function(),
-                 _boundary_functions()):
+                 _boundary_functions(), _ghost_copy_function()):
         lines += part
         lines.append("")
     return "\n".join(lines)
@@ -391,6 +475,7 @@ class _Build(NamedTuple):
     dense: Any = None
     sparse: Any = None
     boundary: Any = None
+    ghost_copy: Any = None
     reason: str = ""
 
 
@@ -403,6 +488,7 @@ _ARGTYPES = {
     "sparse": [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 4 + [ctypes.c_double] * 2,
     "boundary": [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t]
     + [ctypes.c_void_p] * 5,
+    "ghost_copy": [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p],
 }
 
 
@@ -605,3 +691,96 @@ def boundary_loop() -> Any:
     build failed (builds on first call).  Its caller owns the link
     tables and checks the field with :func:`check_boundary_field`."""
     return _get_build().boundary
+
+
+def ghost_copy_loop() -> Any:
+    """The loaded ``ghost_copy`` entry point, or ``None`` when the build
+    failed (builds on first call).  Its caller owns the segment and run
+    tables of :func:`ghost_copy_table` and the pointer table, and checks
+    every array a pointer comes from."""
+    return _get_build().ghost_copy
+
+
+class GhostBox(NamedTuple):
+    """One region copy for :func:`ghost_copy_table`.
+
+    The region has ``shape`` ``(nq, n_x, n_y, n_z)``; ``*_base`` is the
+    element offset of its first element from the array in pointer-table
+    slot ``*_slot``, and ``*_strides`` are its element strides along
+    ``(q, x, y, z)`` in that array.  ``copy`` is a boolean ``(n_x, n_y,
+    n_z)`` mask of the cells to copy (every PDF of a cell moves or none
+    does), or ``None`` for all of them.
+    """
+
+    src_slot: int
+    src_base: int
+    src_strides: Tuple[int, int, int, int]
+    dst_slot: int
+    dst_base: int
+    dst_strides: Tuple[int, int, int, int]
+    shape: Tuple[int, int, int, int]
+    copy: Optional[np.ndarray] = None
+
+
+def _line_runs(copy: np.ndarray):
+    """Maximal runs of True along the last axis of a 3-D mask, in C
+    order: ``(i1, i2, start, length)`` arrays."""
+    n1, n2, n = copy.shape
+    edges = np.zeros((n1, n2, n + 1), dtype=np.int8)
+    edges[..., :-1] = copy
+    edges[..., 1:] -= copy
+    i1, i2, start = np.nonzero(edges == 1)
+    stop = np.nonzero(edges == -1)[2]
+    return i1, i2, start, stop - start
+
+
+def ghost_copy_table(boxes) -> Tuple[np.ndarray, np.ndarray]:
+    """Segment and run tables (int64, C order) of the ghost copy for
+    ``boxes`` (:class:`GhostBox`), for ``ghost_copy_loop()(ptrs, segs,
+    len(segs), runs)``.
+
+    Runs lie along each region's longest axis (the innermost one on a
+    tie).  A box whose ``copy`` mask is ``None`` or all true becomes one
+    whole-box segment without runs; one with no cell to copy is left
+    out; any other gets the maximal runs of its mask, so a copy never
+    touches a cell the mask excludes.
+    """
+    segs: List[List[int]] = []
+    runs: List[np.ndarray] = []
+    n_runs = 0
+    for src_slot, src_base, ss, dst_slot, dst_base, ds, shape, copy in boxes:
+        nq, nx, ny, nz = shape
+        # Strides and extents are indexed (q, x, y, z); the run axis is
+        # the longest, the innermost one on a tie.
+        axis, o1, o2 = (
+            (3, 1, 2) if nz >= nx and nz >= ny
+            else (2, 1, 3) if ny >= nx
+            else (1, 2, 3)
+        )
+        row = [
+            src_slot, src_base, dst_slot, dst_base, ss[0], ds[0],
+            ss[o1], ds[o1], ss[o2], ds[o2], ss[axis], ds[axis],
+            nq, shape[o1], shape[o2], shape[axis], -1, -1,
+        ]
+        if copy is not None:
+            if copy.shape != shape[1:]:
+                raise ValueError(f"copy mask {copy.shape} != region {shape[1:]}")
+            if not copy.all():
+                if not copy.any():
+                    continue
+                i1, i2, start, length = _line_runs(
+                    copy.transpose(o1 - 1, o2 - 1, axis - 1)
+                )
+                table = np.empty((len(start), 3), dtype=np.int64)
+                table[:, 0] = i1 * ss[o1] + i2 * ss[o2] + start * ss[axis]
+                table[:, 1] = i1 * ds[o1] + i2 * ds[o2] + start * ds[axis]
+                table[:, 2] = length
+                row[-2:] = n_runs, n_runs + len(table)
+                n_runs += len(table)
+                runs.append(table)
+        segs.append(row)
+    seg_table = np.array(segs, dtype=np.int64).reshape(-1, len(GHOST_SEGMENT_FIELDS))
+    run_table = (
+        np.concatenate(runs) if runs else np.zeros((0, 3), dtype=np.int64)
+    )
+    return seg_table, run_table
