@@ -19,7 +19,6 @@ array copy of the exchange itself.
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.balance import balance_forest

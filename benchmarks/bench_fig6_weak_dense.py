@@ -12,7 +12,6 @@ Two parts, mirroring the repo's correctness/performance split:
 
 import pytest
 
-from repro import flagdefs as fl
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest
 from repro.comm import DistributedSimulation

@@ -105,65 +105,9 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _emit_profile(timeloop, args, scenario: str, derived=None) -> None:
-    """Print the reduced timing tree + comm breakdown for one in-process
-    run and write the JSON (and optional CSV) report."""
-    from .harness import format_comm_breakdown, format_timing_tree
-    from .perf.timing import reduce_trees
-
-    reduced = reduce_trees([timeloop.tree])
-    print()
-    print(format_timing_tree(
-        reduced, title=f"{scenario} ({timeloop.steps_run} steps)"
-    ))
-    print()
-    print(format_comm_breakdown(reduced))
-    if derived:
-        print("derived metrics:")
-        for k, v in derived.items():
-            print(f"  {k:<28s} {v:,.3f}")
-    json_path = args.profile_json or "repro_profile.json"
-    payload = {
-        "schema": "repro.profile/1",
-        "scenario": scenario,
-        "ranks": 1,
-        "steps": timeloop.steps_run,
-        "derived": dict(derived or {}),
-        "timing": reduced.to_dict(),
-    }
-    import json
-
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    print(f"wrote {json_path}")
-    if args.profile_csv:
-        _write_profile_csv(reduced, args.profile_csv)
-        print(f"wrote {args.profile_csv}")
-
-
-def _write_profile_csv(reduced, path: str) -> None:
-    """Flat per-scope CSV of a reduced timing tree."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "path", "depth", "calls",
-                "total_min", "total_avg", "total_max", "n_ranks",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(reduced.rows())
-
-
-def _cmd_profile(args) -> int:
-    """Bare ``--profile``: the SPMD cavity profile across virtual ranks."""
-    from .harness import profile_spmd_cavity
-
-    result = profile_spmd_cavity(
-        ranks=args.profile_ranks, steps=args.profile_steps
-    )
+def _write_profile(result, args) -> None:
+    """Print a :class:`~repro.harness.ProfileResult` and write its JSON
+    (and optional CSV) report."""
     print(result.report())
     json_path = args.profile_json or "repro_profile.json"
     result.to_json(json_path)
@@ -171,6 +115,36 @@ def _cmd_profile(args) -> int:
     if args.profile_csv:
         result.to_csv(args.profile_csv)
         print(f"wrote {args.profile_csv}")
+
+
+def _profile_in_process(sim, args, scenario: str, cells_per_block, derived) -> None:
+    """``--profile`` after an in-process run: the time loop's tree as a
+    one-rank profile."""
+    from .harness import ProfileResult
+    from .perf.timing import reduce_trees
+
+    _write_profile(
+        ProfileResult(
+            scenario=scenario,
+            ranks=1,
+            steps=sim.timeloop.steps_run,
+            blocks=len(sim.runtimes),
+            cells_per_block=tuple(cells_per_block),
+            reduced=reduce_trees([sim.timeloop.tree]),
+            derived=derived,
+        ),
+        args,
+    )
+
+
+def _cmd_profile(args) -> int:
+    """Bare ``--profile``: the SPMD cavity profile across virtual ranks."""
+    from .harness import profile_spmd_cavity
+
+    _write_profile(
+        profile_spmd_cavity(ranks=args.profile_ranks, steps=args.profile_steps),
+        args,
+    )
     return 0
 
 
@@ -330,9 +304,8 @@ def _cmd_cavity(args) -> int:
     )
     sim.close()
     if args.profile:
-        _emit_profile(
-            sim.timeloop, args, f"cavity {n}^3",
-            derived={"kernel MLUPS": sim.mlups()},
+        _profile_in_process(
+            sim, args, f"cavity {n}^3", sim.cells, {"kernel MLUPS": sim.mlups()}
         )
     if args.vtk:
         from .io import write_simulation_vtk
@@ -383,12 +356,9 @@ def _cmd_coronary(args) -> int:
     )
     sim.close()
     if args.profile:
-        _emit_profile(
-            sim.timeloop, args, "coronary pipeline",
-            derived={
-                "MFLUPS": sim.mflups(),
-                "comm fraction": sim.comm_fraction(),
-            },
+        _profile_in_process(
+            sim, args, "coronary pipeline", forest.cells_per_block,
+            {"MFLUPS": sim.mflups(), "comm fraction": sim.comm_fraction()},
         )
     if args.vtk:
         from .io import write_simulation_vtk

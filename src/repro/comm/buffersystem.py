@@ -61,20 +61,23 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from .. import flagdefs as fl
-from ..errors import CommunicationError
+from ..errors import CommunicationError, ConfigurationError
 from ..lbm.kernels import compiled
+from ..lbm.lattice import LatticeModel
 from ..perf.timing import TimingTree
 from .ghostlayer import (
     CommStats,
     RankGhostPlan,
     SpmdGhostExchange,
+    _check_payload,
     _check_plan_blocks,
     _local_copy_bytes,
+    build_rank_plan,
     drain_arrival_order,
 )
 
@@ -572,7 +575,9 @@ class BufferSystem:
             wire += time.perf_counter() - t0
             t0 = time.perf_counter()
             msg = self.plan.recvs[i]
-            _check_payload(data, msg)
+            _check_payload(
+                data, (msg.elements,), f"bulk message from rank {msg.peer}"
+            )
             if compiled_now:
                 copy.run_unpack(i, data)
             else:
@@ -630,37 +635,45 @@ class BufferSystem:
         self._full_left = FULL_EXCHANGES
 
 
-def _check_payload(data, msg: PeerMessage) -> None:
-    """Raise :class:`~repro.errors.CommunicationError` unless ``data`` is
-    a C-contiguous float64 array of ``msg.elements`` values — checked
-    before any value is read, by either copy path."""
-    if not (
-        isinstance(data, np.ndarray)
-        and data.dtype == np.float64
-        and data.shape == (msg.elements,)
-        and data.flags.c_contiguous
-        and data.flags.aligned
-    ):
-        raise CommunicationError(
-            f"bulk message from rank {msg.peer}: expected a C-contiguous "
-            f"float64 array of shape ({msg.elements},), got "
-            f"{getattr(data, 'dtype', type(data).__name__)} "
-            f"{getattr(data, 'shape', '')}"
-        )
-
-
 def make_exchange(
     comm_mode: str,
-    plan: RankGhostPlan,
-    fields: Dict[object, object],
+    view,
+    runtimes: Dict[object, object],
     comm,
     tree: Optional[TimingTree] = None,
-    flags: Optional[Dict[object, object]] = None,
-):
-    """The executor that runs ``plan`` under ``comm_mode``:
-    :class:`~repro.comm.ghostlayer.SpmdGhostExchange` for
-    ``"per-face"``, :class:`BufferSystem` (given the blocks' ``flags``)
-    for ``"coalesced"`` and ``"overlap"``."""
+    pdf_filter: Optional[LatticeModel] = None,
+) -> Tuple[object, FrozenSet[object]]:
+    """One rank's ghost exchange: the plan of its block ``view`` (a
+    :class:`~repro.blocks.forest.ProcessView`) and the executor that runs
+    it under ``comm_mode`` over ``comm``.
+
+    ``runtimes`` maps block id to a
+    :class:`~repro.core.schedule.BlockRuntime` and must hold every block
+    of ``view`` (it may hold more).  The executor is
+    :class:`~repro.comm.ghostlayer.SpmdGhostExchange` for ``"per-face"``
+    and :class:`BufferSystem` (given the blocks' flags) for
+    ``"coalesced"`` and ``"overlap"``.  ``pdf_filter`` restricts the plan
+    to the PDF directions each neighbor pulls (see
+    :func:`~repro.comm.ghostlayer.build_rank_plan`) and needs
+    ``"per-face"``.  Returns ``(executor, remote_dst)``, the latter the
+    ids of the blocks whose ghost layers are fed by another rank.
+
+    Raises :class:`~repro.errors.ConfigurationError` for an unknown
+    ``comm_mode`` or a filter under another mode; this is the one place
+    either rule is checked.
+    """
+    if comm_mode not in COMM_MODES:
+        raise ConfigurationError(
+            f"comm_mode must be one of {COMM_MODES}, got {comm_mode!r}"
+        )
+    if pdf_filter is not None and comm_mode != "per-face":
+        raise ConfigurationError(
+            "filtered_communication requires comm_mode='per-face'"
+        )
+    plan = build_rank_plan(view, view.rank, pdf_filter=pdf_filter)
+    fields = {blk.id: runtimes[blk.id].field for blk in view.blocks}
+    remote_dst = frozenset(entry[2] for entry in plan.recvs)
     if comm_mode == "per-face":
-        return SpmdGhostExchange(plan, fields, comm, tree=tree)
-    return BufferSystem(plan, fields, comm, tree=tree, flags=flags)
+        return SpmdGhostExchange(plan, fields, comm, tree=tree), remote_dst
+    flags = {blk.id: runtimes[blk.id].flags for blk in view.blocks}
+    return BufferSystem(plan, fields, comm, tree=tree, flags=flags), remote_dst

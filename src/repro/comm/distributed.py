@@ -36,9 +36,8 @@ from ..geometry.voxelize import ColorMap, voxelize_block
 from ..lbm.boundary import BoundaryHandling, Condition, NoSlip
 from ..lbm.collision import SRT, TRT
 from ..lbm.lattice import D3Q19, LatticeModel
-from ..lbm.macroscopic import density as _density, velocity as _velocity
-from .buffersystem import COMM_MODES, make_exchange
-from .ghostlayer import CommStats, build_rank_plan
+from .buffersystem import make_exchange
+from .ghostlayer import CommStats
 from .vmpi import Comm, VirtualMPI
 
 __all__ = [
@@ -246,17 +245,7 @@ class DistributedSimulation(BlockDriver):
     ):
         if forest.n_processes == 0:
             raise ConfigurationError("forest must be balanced first")
-        if comm_mode not in COMM_MODES:
-            raise ConfigurationError(
-                f"comm_mode must be one of {COMM_MODES}, got {comm_mode!r}"
-            )
-        if filtered_communication and comm_mode != "per-face":
-            raise ConfigurationError(
-                "filtered_communication requires comm_mode='per-face'"
-            )
         self.timeloop = TimeLoop()
-        self.engine = make_engine(exec_mode, workers, self.timeloop.tree)
-        self.timeloop.engine = self.engine
         self.comm_mode = comm_mode
         self.forest = forest
         self.model = model
@@ -298,17 +287,17 @@ class DistributedSimulation(BlockDriver):
         executors = []
         remote_dst = set()
         for view in self.views:
-            plan = build_rank_plan(view, view.rank, pdf_filter=pdf_filter)
-            fields = {blk.id: self.fields[blk.id] for blk in view.blocks}
-            flags = {blk.id: self.flags[blk.id] for blk in view.blocks}
-            comm = Comm(view.rank, world)
-            executors.append(
-                make_exchange(
-                    comm_mode, plan, fields, comm, self.timeloop.tree, flags=flags
-                )
+            executor, dst = make_exchange(
+                comm_mode, view, self.runtimes, Comm(view.rank, world),
+                self.timeloop.tree, pdf_filter=pdf_filter,
             )
-            remote_dst.update(entry[2] for entry in plan.recvs)
+            executors.append(executor)
+            remote_dst |= dst
         self.exchange = _InProcessRanks(executors)
+        # Started after make_exchange has validated comm_mode, so a
+        # rejected configuration leaves no worker threads behind.
+        self.engine = make_engine(exec_mode, workers, self.timeloop.tree)
+        self.timeloop.engine = self.engine
         self.schedule = BlockSweepSchedule(
             self.runtimes,
             self.exchange,
@@ -329,47 +318,25 @@ class DistributedSimulation(BlockDriver):
     def total_fluid_cells(self) -> int:
         return self.schedule.fluid_per_step
 
-    def max_velocity(self) -> float:
-        vmax = 0.0
-        for key, field in self.fields.items():
-            u = _velocity(self.model, field.interior_view)
-            mask = self.flags[key].fluid_mask()
-            if mask.any():
-                vmax = max(vmax, float(np.abs(u[mask]).max()))
-        return vmax
-
-    def block_density(self, key) -> np.ndarray:
-        """Interior density of one block (NaN on non-fluid cells)."""
-        rho = _density(self.model, self.fields[key].interior_view)
-        return np.where(self.flags[key].fluid_mask(), rho, np.nan)
-
-    def block_velocity(self, key) -> np.ndarray:
-        u = _velocity(self.model, self.fields[key].interior_view)
-        mask = self.flags[key].fluid_mask()
-        return np.where(mask[..., None], u, np.nan)
+    def _gather(self, block_values, trailing: Tuple[int, ...] = ()) -> np.ndarray:
+        """Place each block's ``block_values(key)`` into a global array
+        (NaN where no block covers a cell)."""
+        cells = np.asarray(self.forest.cells_per_block)
+        grid = np.asarray(self.forest.root_grid)
+        out = np.full(tuple(grid * cells) + trailing, np.nan)
+        for key, blk in self.blocks.items():
+            lo = np.asarray(blk.grid_index) * cells
+            sl = tuple(slice(int(l), int(l + c)) for l, c in zip(lo, cells))
+            out[sl] = block_values(key)
+        return out
 
     def gather_density(self) -> np.ndarray:
         """Assemble the global density field (NaN where no block/fluid)."""
-        cells = np.asarray(self.forest.cells_per_block)
-        grid = np.asarray(self.forest.root_grid)
-        out = np.full(tuple(grid * cells), np.nan)
-        for key, blk in self.blocks.items():
-            gi = np.asarray(blk.grid_index)
-            lo = gi * cells
-            sl = tuple(slice(int(l), int(l + c)) for l, c in zip(lo, cells))
-            out[sl] = self.block_density(key)
-        return out
+        return self._gather(self.block_density)
 
     def gather_velocity(self) -> np.ndarray:
-        cells = np.asarray(self.forest.cells_per_block)
-        grid = np.asarray(self.forest.root_grid)
-        out = np.full(tuple(grid * cells) + (self.model.dim,), np.nan)
-        for key, blk in self.blocks.items():
-            gi = np.asarray(blk.grid_index)
-            lo = gi * cells
-            sl = tuple(slice(int(l), int(l + c)) for l, c in zip(lo, cells))
-            out[sl] = self.block_velocity(key)
-        return out
+        """Assemble the global velocity field (NaN where no block/fluid)."""
+        return self._gather(self.block_velocity, (self.model.dim,))
 
     # -- performance ------------------------------------------------------------
     def comm_fraction(self) -> float:

@@ -266,6 +266,25 @@ def _check_plan_blocks(plan: RankGhostPlan, fields) -> None:
             )
 
 
+def _check_payload(data, shape: Tuple[int, ...], sender: str) -> None:
+    """Raise :class:`~repro.errors.CommunicationError` unless ``data`` is
+    a C-contiguous float64 array of ``shape`` — checked before any value
+    is written, by every executor and copy path (NumPy would otherwise
+    cast a float32 payload silently)."""
+    if not (
+        isinstance(data, np.ndarray)
+        and data.dtype == np.float64
+        and data.shape == shape
+        and data.flags.c_contiguous
+        and data.flags.aligned
+    ):
+        raise CommunicationError(
+            f"{sender}: expected a C-contiguous float64 array of shape "
+            f"{shape}, got {getattr(data, 'dtype', type(data).__name__)} "
+            f"{getattr(data, 'shape', '')}"
+        )
+
+
 def _local_copy_bytes(plan: RankGhostPlan, fields) -> int:
     """Bytes one exchange copies between blocks of the same rank."""
     return sum(
@@ -350,12 +369,10 @@ class SpmdGhostExchange:
             for i, data in drain_arrival_order(
                 self.comm, self._channels, probe_timeout
             ):
-                _source, _tag, block_id, ghost_sl = plan.recvs[i]
-                if data.shape != self._recv_shapes[i]:
-                    raise CommunicationError(
-                        f"ghost region shape mismatch: got {data.shape}, "
-                        f"expected {self._recv_shapes[i]}"
-                    )
+                source, _tag, block_id, ghost_sl = plan.recvs[i]
+                _check_payload(
+                    data, self._recv_shapes[i], f"ghost message from rank {source}"
+                )
                 fields[block_id].src[ghost_sl] = data
             for req in self._requests:
                 req.wait()

@@ -18,8 +18,10 @@ messages with timeout/retransmit recovery — so the program survives any
 delay/reorder/duplicate/drop schedule of an attached
 :class:`~repro.comm.faults.FaultInjector` bit-identically
 (``tests/chaos/`` samples such schedules).  ``checkpoint_every`` writes
-periodic atomic state checkpoints (ranks gather their block PDFs to
-rank 0, which writes via :func:`repro.io.checkpoint.write_state`); after
+periodic atomic state checkpoints from the time loop's checkpoint hook:
+ranks gather their blocks' record
+(:func:`repro.io.checkpoint.block_arrays`, PDFs and flags, the same as
+every driver writes) to rank 0, which writes one file; after
 a fault-injected rank crash aborts the run with
 :class:`~repro.errors.RankCrashedError`, ``restore_from`` resumes from
 the last checkpoint to the exact state an uninterrupted run reaches.
@@ -41,13 +43,13 @@ from ..errors import CommunicationError, ConfigurationError
 from ..exec import make_engine
 from ..geometry.implicit import ImplicitGeometry
 from ..geometry.voxelize import ColorMap
+from ..io.checkpoint import block_arrays, read_state, restore_blocks, write_state
 from ..lbm.boundary import Condition
 from ..lbm.collision import SRT, TRT
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..perf.timing import TimingTree
-from .buffersystem import COMM_MODES, make_exchange
+from .buffersystem import make_exchange
 from .distributed import build_block_runtime
-from .ghostlayer import build_rank_plan
 from .vmpi import Comm, ReliableComm, VirtualMPI
 
 __all__ = ["run_spmd_simulation", "spmd_rank_program"]
@@ -61,18 +63,11 @@ def _write_rank0_checkpoint(
     path: str,
     step: int,
 ) -> None:
-    """Collective: gather every rank's block PDFs to rank 0, which
+    """Collective: gather every rank's block record to rank 0, which
     writes one atomic checkpoint file tagged with ``step``."""
-    from ..io.checkpoint import write_state
-
-    shard = {str(bid): rt.field.src for bid, rt in runtimes.items()}
-    gathered = comm.gather(shard, root=0)
+    gathered = comm.gather(block_arrays(runtimes), root=0)
     if comm.rank == 0:
-        arrays = {
-            f"pdf:{key}": arr
-            for rank_shard in gathered
-            for key, arr in rank_shard.items()
-        }
+        arrays = {key: arr for shard in gathered for key, arr in shard.items()}
         write_state(path, arrays, step=step)
 
 
@@ -84,15 +79,12 @@ def _restore_from_checkpoint(
 
     A file lacking one of the rank's blocks, or holding it at another
     shape, raises :class:`~repro.errors.CheckpointError`."""
-    from ..io.checkpoint import read_state, restore_block
-
     payload = None
     if comm.rank == 0:
         arrays, step, _rng = read_state(path)
         payload = (arrays, step)
     arrays, step = comm.bcast(payload, root=0)
-    for bid, rt in runtimes.items():
-        restore_block(arrays, f"pdf:{bid}", rt.field, f"{path}, rank {comm.rank}")
+    restore_blocks(arrays, runtimes, f"{path}, rank {comm.rank}")
     return int(step)
 
 
@@ -161,10 +153,6 @@ def spmd_rank_program(
     """
     if checkpoint_every > 0 and not checkpoint_path:
         raise ConfigurationError("checkpoint_every needs a checkpoint_path")
-    if comm_mode not in COMM_MODES:
-        raise ConfigurationError(
-            f"comm_mode must be one of {COMM_MODES}, got {comm_mode!r}"
-        )
     view = view_for_rank(forest, comm.rank)
     runtimes: Dict[object, BlockRuntime] = {
         blk.id: build_block_runtime(
@@ -176,7 +164,6 @@ def spmd_rank_program(
     }
 
     # Precompute the communication plan and bind the exchange executor.
-    plan = build_rank_plan(view, comm.rank)
     channel = (
         ReliableComm(
             comm, retry_timeout=retry_timeout, max_retries=max_retries,
@@ -185,9 +172,7 @@ def spmd_rank_program(
         if resilient
         else comm
     )
-    fields = {bid: rt.field for bid, rt in runtimes.items()}
-    flags = {bid: rt.flags for bid, rt in runtimes.items()}
-    exchange = make_exchange(comm_mode, plan, fields, channel, tree, flags=flags)
+    exchange, remote_dst = make_exchange(comm_mode, view, runtimes, channel, tree)
 
     def scope(name: str):
         return tree.scoped(name) if tree is not None else nullcontext()
@@ -198,28 +183,28 @@ def spmd_rank_program(
     timeloop = TimeLoop(tree=tree, engine=engine)
     BlockSweepSchedule(
         runtimes, exchange, engine, tree,
-        overlap=comm_mode == "overlap",
-        remote_dst={entry[2] for entry in plan.recvs},
+        overlap=comm_mode == "overlap", remote_dst=remote_dst,
     ).register(timeloop)
+    if checkpoint_every > 0:
+        # Periodic checkpoint: collective gather + atomic rank-0 write.
+        timeloop.configure_checkpoint(
+            lambda done: _write_rank0_checkpoint(
+                comm, runtimes, checkpoint_path, done
+            ),
+            checkpoint_every,
+        )
 
-    start_step = 0
     if restore_from is not None:
-        start_step = _restore_from_checkpoint(comm, runtimes, restore_from)
+        timeloop.steps_run = _restore_from_checkpoint(comm, runtimes, restore_from)
 
     try:
-        for step in range(start_step, int(steps)):
+        for step in range(timeloop.steps_run, int(steps)):
             # Fault-schedule boundary: scheduled stalls/crashes fire here.
             if resilient:
                 channel.begin_step(step)
             else:
                 comm.fault_tick(step)
             timeloop.step()
-            # Periodic checkpoint: collective gather + atomic rank-0 write.
-            if checkpoint_every > 0 and (step + 1) % checkpoint_every == 0:
-                with scope("checkpoint"):
-                    _write_rank0_checkpoint(
-                        comm, runtimes, checkpoint_path, step + 1
-                    )
             # Keep ranks in lockstep (mirrors waLBerla's per-step sync).
             with scope("sync"):
                 comm.barrier()

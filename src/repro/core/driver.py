@@ -2,7 +2,8 @@
 
 :class:`BlockDriver` holds what a user calls on a running simulation —
 the run loop with its stability check, checkpoint hooks, boundary
-updates, mass and rate accounting, the timing report — over the
+updates, the per-block observables (density, velocity, maximum speed),
+mass and rate accounting, the timing report — over the
 driver's block id -> :class:`~repro.core.schedule.BlockRuntime` map and
 its :class:`~repro.core.schedule.BlockSweepSchedule`.  The single-block
 :class:`~repro.core.simulation.Simulation` (one block, id ``0``) and the
@@ -18,6 +19,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, NumericalError
 from ..lbm.boundary import Condition
+from ..lbm.lattice import LatticeModel
 from ..lbm.macroscopic import density as _density, velocity as _velocity
 from .schedule import BlockRuntime, BlockSweepSchedule
 from .timeloop import TimeLoop
@@ -28,13 +30,15 @@ __all__ = ["BlockDriver"]
 class BlockDriver:
     """Run loop, checkpointing and accounting over a driver's blocks.
 
-    Subclasses set ``runtimes`` (block id -> runtime), ``timeloop`` and
-    ``schedule``; a driver whose ``schedule`` is still ``None`` (a
+    Subclasses set ``runtimes`` (block id -> runtime), ``model`` (the
+    lattice model), ``timeloop`` and ``schedule``; a driver whose
+    ``schedule`` is still ``None`` (a
     :class:`~repro.core.simulation.Simulation` before ``finalize()``)
     refuses to run.
     """
 
     runtimes: Dict[object, BlockRuntime]
+    model: LatticeModel
     timeloop: Optional[TimeLoop] = None
     schedule: Optional[BlockSweepSchedule] = None
 
@@ -152,6 +156,30 @@ class BlockDriver:
             rho = _density(rt.field.model, rt.field.interior_view)
             total += float(rho[rt.flags.fluid_mask()].sum())
         return total
+
+    def max_velocity(self) -> float:
+        """Largest velocity component magnitude over every block's fluid
+        cells (the bare first moment, no body-force correction)."""
+        vmax = 0.0
+        for rt in self.runtimes.values():
+            u = _velocity(self.model, rt.field.interior_view)
+            mask = rt.flags.fluid_mask()
+            if mask.any():
+                vmax = max(vmax, float(np.abs(u[mask]).max()))
+        return vmax
+
+    def block_density(self, key) -> np.ndarray:
+        """Interior density of block ``key`` (NaN on non-fluid cells)."""
+        rt = self.runtimes[key]
+        rho = _density(self.model, rt.field.interior_view)
+        return np.where(rt.flags.fluid_mask(), rho, np.nan)
+
+    def block_velocity(self, key) -> np.ndarray:
+        """Interior velocity of block ``key``, shape ``cells + (dim,)``
+        (the bare first moment; NaN on non-fluid cells)."""
+        rt = self.runtimes[key]
+        u = _velocity(self.model, rt.field.interior_view)
+        return np.where(rt.flags.fluid_mask()[..., None], u, np.nan)
 
     def _kernel_rate(self, cells_per_step: int) -> float:
         """Million ``cells_per_step`` updates per kernel second — the

@@ -21,7 +21,7 @@ from ..lbm.boundary import BoundaryHandling, Condition
 from ..lbm.forcing import ConstantBodyForce
 from ..lbm.collision import SRT, TRT
 from ..lbm.lattice import D3Q19, LatticeModel
-from ..lbm.macroscopic import density as _density, velocity as _velocity
+from ..lbm.macroscopic import density as _density
 from .driver import BlockDriver
 from .field import PdfField
 from .flags import FlagField
@@ -185,9 +185,7 @@ class Simulation(BlockDriver):
     # -- observables ----------------------------------------------------------
     def density(self) -> np.ndarray:
         """Interior density; non-fluid cells are NaN."""
-        rho = _density(self.model, self.pdfs.interior_view)
-        out = np.where(self.flags.fluid_mask(), rho, np.nan)
-        return out
+        return self.block_density(0)
 
     def velocity(self) -> np.ndarray:
         """Interior velocity, shape ``cells + (dim,)``; non-fluid are NaN.
@@ -199,11 +197,9 @@ class Simulation(BlockDriver):
         parameter 3/16 this makes force-driven Poiseuille flow exact to
         machine precision — see ``benchmarks/bench_trt_magic.py``.
         """
-        f = self.pdfs.interior_view
-        u = _velocity(self.model, f)
+        u = self.block_velocity(0)
         if self.body_force is not None:
-            rho = _density(self.model, f)
+            rho = _density(self.model, self.pdfs.interior_view)
             with np.errstate(divide="ignore", invalid="ignore"):
                 u = u - 0.5 * self.body_force.force / rho[..., None]
-        mask = self.flags.fluid_mask()
-        return np.where(mask[..., None], u, np.nan)
+        return u

@@ -14,6 +14,7 @@ kept as a view for callers that only need per-sweep totals.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
@@ -81,7 +82,8 @@ class TimeLoop:
         The callback typically writes an atomic checkpoint (see
         :func:`repro.io.checkpoint.save_checkpoint`); its cost is timed
         under a top-level ``checkpoint`` scope of the timing tree, so
-        checkpointing overhead is observable next to the sweeps.
+        checkpointing overhead is observable next to the sweeps (it runs
+        untimed in a loop without a tree).
         """
         if every < 1:
             raise ValueError(f"checkpoint interval must be >= 1, got {every}")
@@ -102,7 +104,7 @@ class TimeLoop:
             and self.checkpoint_every > 0
             and self.steps_run % self.checkpoint_every == 0
         ):
-            with tree.scoped("checkpoint"):
+            with tree.scoped("checkpoint") if tree is not None else nullcontext():
                 self.checkpoint_fn(self.steps_run)
 
     def run(self, steps: int) -> None:
@@ -136,8 +138,12 @@ class TimeLoop:
 
     def timing_report(self) -> str:
         """The hierarchical rendering, including nested sub-scopes (and
-        the sweep engine's worker-utilization line when one is attached)."""
-        out = self.tree.render(title=f"time loop ({self.steps_run} steps)")
+        the sweep engine's worker-utilization line when one is attached);
+        the flat :meth:`report` for a loop without a timing tree."""
+        if self.tree is None:
+            out = self.report()
+        else:
+            out = self.tree.render(title=f"time loop ({self.steps_run} steps)")
         if self.engine is not None:
             out += "\n" + self.engine.summary()
         return out
@@ -148,9 +154,10 @@ class TimeLoop:
             self.engine.shutdown()
 
     def reset_timings(self) -> None:
-        """Zero all sweep accumulators and the timing tree."""
+        """Zero all sweep accumulators and the timing tree (if any)."""
         for s in self.sweeps:
             s.seconds = 0.0
             s.calls = 0
         self.steps_run = 0
-        self.tree.reset()
+        if self.tree is not None:
+            self.tree.reset()

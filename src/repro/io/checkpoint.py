@@ -21,7 +21,7 @@ Format v2 (see ``docs/resilience.md`` for the full layout):
   raises the typed :class:`~repro.errors.CheckpointError`.
 
 Format v1 (PDF grids + ``__meta__`` int triple, no flags/CRC) is still
-readable via :func:`load_checkpoint`.
+readable: :func:`read_state` maps its bare block keys to ``pdf:``.
 
 Two state shapes are supported: every simulation driver
 (:class:`~repro.core.driver.BlockDriver` — its ``runtimes`` map and
@@ -29,8 +29,10 @@ Two state shapes are supported: every simulation driver
 :class:`~repro.core.simulation.Simulation` is block ``0``), and the
 indirect-addressing :class:`~repro.lbm.cellstructured.CellStructuredSolver`
 via :func:`save_solver_checkpoint` / :func:`load_solver_checkpoint`.
-:func:`restore_block` is the one per-block restore, shared with the
-SPMD rank program's ``restore_from`` path.
+Every driver writes and restores the same record:
+:func:`block_arrays` and :func:`restore_blocks` are shared by
+:func:`save_checkpoint` / :func:`load_checkpoint` and by the SPMD rank
+program, which adds only the gather to rank 0 and the broadcast from it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ __all__ = [
     "load_solver_checkpoint",
     "write_state",
     "read_state",
+    "block_arrays",
     "restore_block",
+    "restore_blocks",
 ]
 
 _META_KEY = "__meta__"            # v1
@@ -71,7 +75,7 @@ def _crc(arr: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Low-level state container (used directly by the SPMD checkpoint path)
+# Low-level state container
 # ---------------------------------------------------------------------------
 def write_state(
     path: str,
@@ -109,7 +113,10 @@ def write_state(
 
 
 def read_state(path: str) -> Tuple[Dict[str, np.ndarray], int, Optional[str]]:
-    """Read a v2 checkpoint; returns ``(arrays, step, rng_state)``.
+    """Read a checkpoint; returns ``(arrays, step, rng_state)``.
+
+    A legacy v1 file reads as its PDF grids keyed ``pdf:<block-id>``,
+    its step counter and no RNG state.
 
     Raises :class:`~repro.errors.CheckpointError` on truncated or
     corrupted files (bad zip structure, missing members, CRC mismatch)
@@ -119,10 +126,7 @@ def read_state(path: str) -> Tuple[Dict[str, np.ndarray], int, Optional[str]]:
         with np.load(path) as data:
             if _META_JSON_KEY not in data:
                 if _META_KEY in data:
-                    raise CheckpointError(
-                        "v1 checkpoint: use load_checkpoint(sim, path) "
-                        "to restore it into a simulation"
-                    )
+                    return _read_v1(data, path)
                 raise CheckpointError(f"{path}: not a repro checkpoint file")
             try:
                 meta = json.loads(bytes(data[_META_JSON_KEY]).decode("utf-8"))
@@ -168,6 +172,20 @@ def read_state(path: str) -> Tuple[Dict[str, np.ndarray], int, Optional[str]]:
         ) from exc
 
 
+def _read_v1(data, path: str) -> Tuple[Dict[str, np.ndarray], int, None]:
+    """The ``read_state`` result of a legacy v1 file (bare block keys,
+    an int-triple ``__meta__``: version, step, block count)."""
+    version, step, n_blocks = (int(v) for v in data[_META_KEY])
+    if version != 1:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    arrays = {f"pdf:{key}": data[key] for key in data.files if key != _META_KEY}
+    if len(arrays) != n_blocks:
+        raise CheckpointError(
+            f"{path}: v1 checkpoint lists {n_blocks} blocks, holds {len(arrays)}"
+        )
+    return arrays, step, None
+
+
 # ---------------------------------------------------------------------------
 # RNG state (de)serialization
 # ---------------------------------------------------------------------------
@@ -189,34 +207,51 @@ def _rng_state_load(rng: Optional[np.random.Generator], state: Optional[str]) ->
 # ---------------------------------------------------------------------------
 # Simulation-level wrappers
 # ---------------------------------------------------------------------------
-def _sim_arrays(sim) -> Dict[str, Tuple[object, np.ndarray]]:
-    """Per-block ``(pdf_field, flag_array)`` of a simulation driver,
-    keyed ``str(block_id)`` (a single-block ``Simulation`` is ``"0"``)."""
-    return {
-        _block_key(block_id): (rt.field, rt.flags.data)
-        for block_id, rt in sim.runtimes.items()
-    }
+def block_arrays(runtimes: Mapping[object, object]) -> Dict[str, np.ndarray]:
+    """The checkpoint record of ``runtimes`` (block id ->
+    :class:`~repro.core.schedule.BlockRuntime`): ``pdf:<id>`` (the
+    ``src`` grid) and ``flags:<id>`` for each block, whichever driver or
+    rank owns it."""
+    arrays: Dict[str, np.ndarray] = {}
+    for block_id, rt in runtimes.items():
+        key = _block_key(block_id)
+        arrays[f"pdf:{key}"] = rt.field.src
+        arrays[f"flags:{key}"] = rt.flags.data
+    return arrays
 
 
 def restore_block(
-    arrays: Mapping[str, np.ndarray], key: str, field, source: str
+    arrays: Mapping[str, np.ndarray], key: str, targets, source: str
 ) -> None:
-    """Copy the checkpointed PDF grid ``arrays[key]`` into both grids
-    (``src`` and ``dst``) of ``field``.
+    """Copy the checkpointed array ``arrays[key]`` into each array of
+    ``targets``.
 
     Raises :class:`~repro.errors.CheckpointError` when ``source`` (named
-    in the message) lacks the block or holds it at another shape.
+    in the message) lacks the key or holds it at another shape.
     """
     if key not in arrays:
         raise CheckpointError(f"{source}: checkpoint lacks block {key!r}")
     arr = arrays[key]
-    if arr.shape != field.src.shape:
-        raise CheckpointError(
-            f"{source}: block {key!r} has checkpoint shape {arr.shape}, "
-            f"field shape {field.src.shape}"
-        )
-    field.src[...] = arr
-    field.dst[...] = arr
+    for target in targets:
+        if arr.shape != target.shape:
+            raise CheckpointError(
+                f"{source}: block {key!r} has checkpoint shape {arr.shape}, "
+                f"field shape {target.shape}"
+            )
+        target[...] = arr
+
+
+def restore_blocks(
+    arrays: Mapping[str, np.ndarray], runtimes: Mapping[object, object], source: str
+) -> None:
+    """Restore every block of ``runtimes`` from a :func:`block_arrays`
+    record: the PDFs into both grids, and the flags when the record
+    carries them (files written before flags were recorded lack them)."""
+    for block_id, rt in runtimes.items():
+        key = _block_key(block_id)
+        restore_block(arrays, f"pdf:{key}", (rt.field.src, rt.field.dst), source)
+        if f"flags:{key}" in arrays:
+            restore_block(arrays, f"flags:{key}", (rt.flags.data,), source)
 
 
 def save_checkpoint(
@@ -228,28 +263,12 @@ def save_checkpoint(
     NumPy generator's state alongside (restored by
     :func:`load_checkpoint`).
     """
-    arrays: Dict[str, np.ndarray] = {}
-    for key, (field, flags) in _sim_arrays(sim).items():
-        arrays[f"pdf:{key}"] = field.src
-        arrays[f"flags:{key}"] = flags
     write_state(
-        path, arrays, step=sim.timeloop.steps_run, rng_state=_rng_state_dump(rng)
+        path,
+        block_arrays(sim.runtimes),
+        step=sim.timeloop.steps_run,
+        rng_state=_rng_state_dump(rng),
     )
-
-
-def _load_v1(sim, data, path: str) -> int:
-    """Restore a legacy v1 checkpoint (PDF grids + int-triple meta)."""
-    version, steps, n_blocks = (int(v) for v in data[_META_KEY])
-    if version != 1:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    views = _sim_arrays(sim)
-    if n_blocks != len(views):
-        raise CheckpointError(
-            f"checkpoint has {n_blocks} blocks, simulation has {len(views)}"
-        )
-    for key, (field, _flags) in views.items():
-        restore_block(data, key, field, path)
-    return steps
 
 
 def load_checkpoint(
@@ -259,45 +278,20 @@ def load_checkpoint(
     step count.
 
     ``sim`` must have been built from the same balanced forest (same
-    block ids and shapes).  Reads both the current v2 format and legacy
-    v1 files.  Raises :class:`~repro.errors.CheckpointError` on
-    mismatched structure or corrupted/truncated files.
+    block ids and shapes); the file may come from any driver.  Reads
+    both the current v2 format and legacy v1 files.  Raises
+    :class:`~repro.errors.CheckpointError` on mismatched structure or
+    corrupted/truncated files.
     """
-    # Legacy v1 detection first (cheap; v1 has no JSON metadata).
-    try:
-        with np.load(path) as data:
-            if _META_KEY in data:
-                steps = _load_v1(sim, data, path)
-                _restored(sim, steps)
-                return steps
-    except CheckpointError:
-        raise
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise CheckpointError(
-            f"{path}: truncated or corrupted checkpoint ({exc})"
-        ) from exc
-
     arrays, steps, rng_state = read_state(path)
-    views = _sim_arrays(sim)
     ckpt_blocks = {k.split(":", 1)[1] for k in arrays if k.startswith("pdf:")}
-    if ckpt_blocks != set(views):
+    sim_blocks = {_block_key(block_id) for block_id in sim.runtimes}
+    if ckpt_blocks != sim_blocks:
         raise CheckpointError(
             f"checkpoint blocks {sorted(ckpt_blocks)} != simulation blocks "
-            f"{sorted(views)}"
+            f"{sorted(sim_blocks)}"
         )
-    for key, (field, flags) in views.items():
-        restore_block(arrays, f"pdf:{key}", field, path)
-        fkey = f"flags:{key}"
-        if fkey in arrays:
-            farr = arrays[fkey]
-            if farr.shape != flags.shape:
-                raise CheckpointError(
-                    f"block {key}: checkpoint flag shape {farr.shape} != "
-                    f"{flags.shape}"
-                )
-            flags[...] = farr
+    restore_blocks(arrays, sim.runtimes, path)
     _rng_state_load(rng, rng_state)
     _restored(sim, steps)
     return steps

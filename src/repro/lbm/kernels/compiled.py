@@ -722,18 +722,6 @@ class GhostBox(NamedTuple):
     copy: Optional[np.ndarray] = None
 
 
-def _line_runs(copy: np.ndarray):
-    """Maximal runs of True along the last axis of a 3-D mask, in C
-    order: ``(i1, i2, start, length)`` arrays."""
-    n1, n2, n = copy.shape
-    edges = np.zeros((n1, n2, n + 1), dtype=np.int8)
-    edges[..., :-1] = copy
-    edges[..., 1:] -= copy
-    i1, i2, start = np.nonzero(edges == 1)
-    stop = np.nonzero(edges == -1)[2]
-    return i1, i2, start, stop - start
-
-
 def ghost_copy_table(boxes) -> Tuple[np.ndarray, np.ndarray]:
     """Segment and run tables (int64, C order) of the ghost copy for
     ``boxes`` (:class:`GhostBox`), for ``ghost_copy_loop()(ptrs, segs,
@@ -768,9 +756,9 @@ def ghost_copy_table(boxes) -> Tuple[np.ndarray, np.ndarray]:
             if not copy.all():
                 if not copy.any():
                     continue
-                i1, i2, start, length = _line_runs(
+                i1, i2, start, length = fluid_runs(
                     copy.transpose(o1 - 1, o2 - 1, axis - 1)
-                )
+                ).T
                 table = np.empty((len(start), 3), dtype=np.int64)
                 table[:, 0] = i1 * ss[o1] + i2 * ss[o2] + start * ss[axis]
                 table[:, 1] = i1 * ds[o1] + i2 * ds[o2] + start * ds[axis]

@@ -259,7 +259,11 @@ def fluid_runs(mask: np.ndarray) -> np.ndarray:
     non-fluid cell, so a line with gaps yields several runs.
     """
     mask = np.asarray(mask, dtype=bool)
-    edges = np.diff(mask.astype(np.int8), axis=2, prepend=0, append=0)
+    # +1 where a run starts, -1 one past where it ends.
+    n1, n2, n = mask.shape
+    edges = np.zeros((n1, n2, n + 1), dtype=np.int8)
+    edges[..., :-1] = mask
+    edges[..., 1:] -= mask
     i, j, z0 = np.nonzero(edges == 1)
     z1 = np.nonzero(edges == -1)[2]
     runs = np.empty((z0.size, 4), dtype=np.int64)

@@ -8,6 +8,7 @@ from repro import flagdefs as fl
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest, view_for_rank
 from repro.comm import (
+    BULK_TAG,
     BufferSystem,
     Comm,
     COMM_MODES,
@@ -199,6 +200,41 @@ class TestGhostSlices:
             for executor in EXECUTORS:
                 with pytest.raises(CommunicationError):
                     executor(plan, fields, comm=None)
+
+
+class TestPayloadChecks:
+    """Either executor rejects a payload that is not a C-contiguous
+    float64 array of the receiving region's shape, before writing it."""
+
+    @staticmethod
+    def _payloads(shape):
+        good = np.full(shape, 1.1)
+        return {
+            "float32": good.astype(np.float32),
+            "strided": np.full(shape[:-1] + (2 * shape[-1],), 1.1)[..., ::2],
+            "list": good.tolist(),
+            "wrong-shape": np.full(shape[:-1] + (shape[-1] + 1,), 1.1),
+        }
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("kind", ["float32", "strided", "list", "wrong-shape"])
+    def test_malformed_payload_rejected(self, executor, kind):
+        forest, (a, _b) = _two_blocks((4, 4, 4), ranks=2)
+        world = VirtualMPI(2, timeout=10)
+        plan = build_rank_plan(view_for_rank(forest, 0), 0)
+        ((_peer, tag, _block, ghost_sl),) = plan.recvs
+        field = PdfField(D3Q19, (4, 4, 4))
+        ex = executor(plan, {a: field}, Comm(0, world))
+        shape = field.src[ghost_sl].shape
+        if executor is BufferSystem:
+            tag, shape = BULK_TAG, (int(np.prod(shape)),)
+        ex.start()
+        Comm(1, world).send(self._payloads(shape)[kind], dest=0, tag=tag)
+        with pytest.raises(
+            CommunicationError, match="from rank 1: expected a C-contiguous float64"
+        ):
+            ex.finish()
+        assert np.all(field.src[ghost_sl] == 0.0)
 
 
 class TestDistributedSimulation:

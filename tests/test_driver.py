@@ -92,6 +92,19 @@ class TestSingleBlockParity:
         assert rt.cells == CELLS and rt.fluid_cells == sim.fluid_cells
         sim.close()
 
+    def test_observables_are_the_block_zero_case(self):
+        single, one_block = _single(1), _one_block(1)
+        try:
+            single.run(STEPS)
+            one_block.run(STEPS)
+            (key,) = one_block.runtimes
+            assert np.array_equal(single.density(), one_block.block_density(key))
+            assert np.array_equal(single.velocity(), one_block.block_velocity(key))
+            assert single.max_velocity() == one_block.max_velocity() > 0.0
+        finally:
+            single.close()
+            one_block.close()
+
     def test_body_force_runs_after_the_swap(self):
         sim = Simulation(
             cells=(4, 4, 4), collision=TRT.from_tau(0.8),

@@ -7,8 +7,6 @@ pipeline, exactly as §2 of the paper describes the workflow.
     time stepping -> observables -> VTK output -> checkpoint/restore.
 """
 
-import io
-
 import numpy as np
 import pytest
 

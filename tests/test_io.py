@@ -338,19 +338,36 @@ class TestCheckpointV2:
         load_checkpoint(_cavity(0), p, rng=rng2)
         assert np.array_equal(rng2.random(5), expected)
 
+    @staticmethod
+    def _write_v1(path, sim, step):
+        """A pre-resilience (v1) file of ``sim``: bare block keys, no
+        flags, an int-triple ``__meta__``."""
+        data = {"__meta__": np.array([1, step, len(sim.fields)], dtype=np.int64)}
+        for bid, field in sim.fields.items():
+            data[str(bid)] = field.src
+        np.savez(path, **data)
+
     def test_v1_checkpoints_still_load(self, tmp_path):
         """Backwards compatibility with the pre-resilience format."""
         p = str(tmp_path / "v1.npz")
         first = _cavity(5)
-        blocks = sorted(first.fields, key=str)
-        data = {"__meta__": np.array([1, 5, len(blocks)], dtype=np.int64)}
-        for bid in blocks:
-            data[str(bid)] = first.fields[bid].src   # v1: bare keys, no flags
-        np.savez(p, **data)
+        self._write_v1(p, first, 5)
         resumed = _cavity(0)
         assert load_checkpoint(resumed, p) == 5
         for bid, f in resumed.fields.items():
             assert np.array_equal(f.src, first.fields[bid].src)
+
+
+    def test_read_state_reads_v1(self, tmp_path):
+        """``read_state`` maps a v1 file's bare block keys to ``pdf:``."""
+        p = str(tmp_path / "v1.npz")
+        sim = _cavity(3)
+        self._write_v1(p, sim, 3)
+        arrays, step, rng = read_state(p)
+        assert step == 3 and rng is None
+        assert sorted(arrays) == sorted(f"pdf:{bid}" for bid in sim.fields)
+        for bid, field in sim.fields.items():
+            assert np.array_equal(arrays[f"pdf:{bid}"], field.src)
 
 
 class TestCheckpointCorruption:

@@ -4,7 +4,6 @@
 import numpy as np
 import pytest
 
-from repro import flagdefs as fl
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest
 from repro.comm import DistributedSimulation

@@ -6,7 +6,6 @@ dedicated test modules; this file is the cross-reference the
 EXPERIMENTS.md tables are built from.
 """
 
-import numpy as np
 import pytest
 
 from repro.constants import D3Q19_BYTES_PER_CELL_WRITE_ALLOCATE

@@ -2,8 +2,6 @@
 algorithms of §2.3, asserting exact agreement with the sequential and
 direct-copy implementations."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -160,7 +158,7 @@ class TestSpmdRestore:
         path = str(tmp_path / "good.npz")
         self._run(checkpoint_every=2, checkpoint_path=path)
         arrays, step, _ = read_state(path)
-        assert step == 4 and len(arrays) == 2
+        assert step == 4 and len(arrays) == 4
         return arrays
 
     def _assert_restore_fails(self, path, match):
@@ -183,6 +181,84 @@ class TestSpmdRestore:
         path = str(tmp_path / "shape.npz")
         write_state(path, arrays, step=4)
         self._assert_restore_fails(path, "shape")
+
+
+class TestCrossDriverRestart:
+    """The SPMD program and the in-process driver write and restore one
+    checkpoint record, so either continues the other's run bit for bit."""
+
+    GRID = (2, 2, 1)
+    STEPS = 6
+
+    def _forest(self):
+        forest = SetupBlockForest.create(
+            AABB((0, 0, 0), (2.0, 2.0, 1.0)), self.GRID, (4, 4, 4)
+        )
+        balance_forest(forest, 2, strategy="morton")
+        return forest
+
+    def _bcs(self):
+        return [NoSlip(), UBB(velocity=(0.05, 0.0, 0.0))]
+
+    def _spmd(self, forest, **kw):
+        return run_spmd_simulation(
+            VirtualMPI(2, timeout=60), forest, TRT.from_tau(0.8), self.STEPS,
+            conditions=self._bcs(), flag_setter=lid_driven_cavity(self.GRID), **kw,
+        )
+
+    def _in_process(self, forest):
+        return DistributedSimulation(
+            forest, TRT.from_tau(0.8), boundaries=self._bcs(),
+            flag_setter=lid_driven_cavity(self.GRID),
+        )
+
+    def _assert_same(self, result, sim):
+        assert set(result) == set(sim.fields)
+        for key, arr in result.items():
+            assert np.array_equal(arr, sim.fields[key].interior_view)
+
+    def test_spmd_file_carries_flags_and_restarts_in_process(self, tmp_path):
+        forest = self._forest()
+        path = str(tmp_path / "spmd.npz")
+        full = self._spmd(forest, checkpoint_every=4, checkpoint_path=path)
+        arrays, step, _ = read_state(path)
+        sim = self._in_process(forest)
+        assert step == 4
+        assert sorted(arrays) == sorted(
+            f"{kind}:{key}" for key in sim.fields for kind in ("flags", "pdf")
+        )
+        for key, flags in sim.flags.items():
+            assert np.array_equal(arrays[f"flags:{key}"], flags.data)
+        assert sim.restart(path) == 4
+        sim.run(self.STEPS - 4)
+        self._assert_same(full, sim)
+
+    def test_in_process_file_restarts_spmd(self, tmp_path):
+        forest = self._forest()
+        path = str(tmp_path / "in_process.npz")
+        sim = self._in_process(forest).enable_checkpointing(path, 4)
+        sim.run(self.STEPS)
+        self._assert_same(self._spmd(forest, restore_from=path), sim)
+
+    def test_pdf_only_file_still_restores(self, tmp_path):
+        """A file without ``flags:`` keys, as SPMD runs wrote them before,
+        restores into both drivers."""
+        forest = self._forest()
+        path = str(tmp_path / "spmd.npz")
+        full = self._spmd(forest, checkpoint_every=4, checkpoint_path=path)
+        arrays, step, _ = read_state(path)
+        old = str(tmp_path / "pdf_only.npz")
+        write_state(
+            old, {k: v for k, v in arrays.items() if k.startswith("pdf:")}, step=step
+        )
+        resumed = self._spmd(forest, restore_from=old)
+        assert resumed.keys() == full.keys()
+        for key, arr in resumed.items():
+            assert np.array_equal(arr, full[key])
+        sim = self._in_process(forest)
+        sim.restart(old)
+        sim.run(self.STEPS - step)
+        self._assert_same(full, sim)
 
 
 class TestParallelSetup:

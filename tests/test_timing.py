@@ -266,6 +266,28 @@ class TestTimeLoopIntegration:
         assert loop.tree.node("a") is None
         assert loop.timings()["a"] == 0.0
 
+    def test_untimed_loop_runs_its_checkpoint(self):
+        """A loop without a tree (an SPMD rank run untimed) still calls
+        its checkpoint hook."""
+        loop = TimeLoop(tree=None).add("a", lambda: None)
+        done = []
+        loop.configure_checkpoint(done.append, 2)
+        loop.run(5)
+        assert done == [2, 4]
+
+    def test_untimed_loop_resets_its_sweeps(self):
+        loop = TimeLoop(tree=None).add("a", lambda: None)
+        loop.run(2)
+        loop.reset_timings()
+        assert loop.steps_run == 0
+        assert loop.timings()["a"] == 0.0 and loop.sweeps[0].calls == 0
+
+    def test_untimed_loop_reports_its_sweeps(self):
+        loop = TimeLoop(tree=None).add("a", lambda: None)
+        loop.run(3)
+        report = loop.timing_report()
+        assert "3 steps" in report and "a" in report and "3 calls" in report
+
     def test_nested_subscopes_from_sweep(self):
         loop = TimeLoop()
         loop.add("comm", lambda: loop.tree.record("pack", 0.01))
