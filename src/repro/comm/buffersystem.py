@@ -89,6 +89,7 @@ __all__ = [
     "coalesce_plan",
     "BufferSystem",
     "COMM_MODES",
+    "check_comm_mode",
     "make_exchange",
 ]
 
@@ -635,6 +636,24 @@ class BufferSystem:
         self._full_left = FULL_EXCHANGES
 
 
+def check_comm_mode(
+    comm_mode: str, pdf_filter: Optional[LatticeModel] = None
+) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` for an unknown
+    ``comm_mode`` or a ``pdf_filter`` under a mode other than
+    ``"per-face"``.  :func:`make_exchange` checks this; the drivers
+    also call it on entry, so a bad setting fails before any block is
+    built."""
+    if comm_mode not in COMM_MODES:
+        raise ConfigurationError(
+            f"comm_mode must be one of {COMM_MODES}, got {comm_mode!r}"
+        )
+    if pdf_filter is not None and comm_mode != "per-face":
+        raise ConfigurationError(
+            "filtered_communication requires comm_mode='per-face'"
+        )
+
+
 def make_exchange(
     comm_mode: str,
     view,
@@ -658,18 +677,10 @@ def make_exchange(
     ``"per-face"``.  Returns ``(executor, remote_dst)``, the latter the
     ids of the blocks whose ghost layers are fed by another rank.
 
-    Raises :class:`~repro.errors.ConfigurationError` for an unknown
-    ``comm_mode`` or a filter under another mode; this is the one place
-    either rule is checked.
+    Raises :class:`~repro.errors.ConfigurationError` as
+    :func:`check_comm_mode` does.
     """
-    if comm_mode not in COMM_MODES:
-        raise ConfigurationError(
-            f"comm_mode must be one of {COMM_MODES}, got {comm_mode!r}"
-        )
-    if pdf_filter is not None and comm_mode != "per-face":
-        raise ConfigurationError(
-            "filtered_communication requires comm_mode='per-face'"
-        )
+    check_comm_mode(comm_mode, pdf_filter)
     plan = build_rank_plan(view, view.rank, pdf_filter=pdf_filter)
     fields = {blk.id: runtimes[blk.id].field for blk in view.blocks}
     remote_dst = frozenset(entry[2] for entry in plan.recvs)

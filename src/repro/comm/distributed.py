@@ -36,7 +36,7 @@ from ..geometry.voxelize import ColorMap, voxelize_block
 from ..lbm.boundary import BoundaryHandling, Condition, NoSlip
 from ..lbm.collision import SRT, TRT
 from ..lbm.lattice import D3Q19, LatticeModel
-from .buffersystem import make_exchange
+from .buffersystem import check_comm_mode, make_exchange
 from .ghostlayer import CommStats
 from .vmpi import Comm, VirtualMPI
 
@@ -245,6 +245,8 @@ class DistributedSimulation(BlockDriver):
     ):
         if forest.n_processes == 0:
             raise ConfigurationError("forest must be balanced first")
+        pdf_filter = model if filtered_communication else None
+        check_comm_mode(comm_mode, pdf_filter)
         self.timeloop = TimeLoop()
         self.comm_mode = comm_mode
         self.forest = forest
@@ -283,7 +285,6 @@ class DistributedSimulation(BlockDriver):
         # One rank plan and executor per virtual rank, as in the SPMD
         # rank program, on in-process vMPI endpoints.
         world = VirtualMPI(len(self.views))
-        pdf_filter = model if filtered_communication else None
         executors = []
         remote_dst = set()
         for view in self.views:
@@ -294,8 +295,8 @@ class DistributedSimulation(BlockDriver):
             executors.append(executor)
             remote_dst |= dst
         self.exchange = _InProcessRanks(executors)
-        # Started after make_exchange has validated comm_mode, so a
-        # rejected configuration leaves no worker threads behind.
+        # Started after every executor is built, so a rejected
+        # configuration leaves no worker threads behind.
         self.engine = make_engine(exec_mode, workers, self.timeloop.tree)
         self.timeloop.engine = self.engine
         self.schedule = BlockSweepSchedule(

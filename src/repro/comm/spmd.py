@@ -48,7 +48,7 @@ from ..lbm.boundary import Condition
 from ..lbm.collision import SRT, TRT
 from ..lbm.lattice import D3Q19, LatticeModel
 from ..perf.timing import TimingTree
-from .buffersystem import make_exchange
+from .buffersystem import check_comm_mode, make_exchange
 from .distributed import build_block_runtime
 from .vmpi import Comm, ReliableComm, VirtualMPI
 
@@ -153,6 +153,7 @@ def spmd_rank_program(
     """
     if checkpoint_every > 0 and not checkpoint_path:
         raise ConfigurationError("checkpoint_every needs a checkpoint_path")
+    check_comm_mode(comm_mode)
     view = view_for_rank(forest, comm.rank)
     runtimes: Dict[object, BlockRuntime] = {
         blk.id: build_block_runtime(

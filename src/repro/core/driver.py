@@ -171,15 +171,21 @@ class BlockDriver:
     def block_density(self, key) -> np.ndarray:
         """Interior density of block ``key`` (NaN on non-fluid cells)."""
         rt = self.runtimes[key]
-        rho = _density(self.model, rt.field.interior_view)
-        return np.where(rt.flags.fluid_mask(), rho, np.nan)
+        return self._fluid_density(rt.flags, rt.field)
 
     def block_velocity(self, key) -> np.ndarray:
         """Interior velocity of block ``key``, shape ``cells + (dim,)``
         (the bare first moment; NaN on non-fluid cells)."""
         rt = self.runtimes[key]
-        u = _velocity(self.model, rt.field.interior_view)
-        return np.where(rt.flags.fluid_mask()[..., None], u, np.nan)
+        return self._fluid_velocity(rt.flags, rt.field)
+
+    def _fluid_density(self, flags, field) -> np.ndarray:
+        rho = _density(self.model, field.interior_view)
+        return np.where(flags.fluid_mask(), rho, np.nan)
+
+    def _fluid_velocity(self, flags, field) -> np.ndarray:
+        u = _velocity(self.model, field.interior_view)
+        return np.where(flags.fluid_mask()[..., None], u, np.nan)
 
     def _kernel_rate(self, cells_per_step: int) -> float:
         """Million ``cells_per_step`` updates per kernel second — the

@@ -185,7 +185,7 @@ class Simulation(BlockDriver):
     # -- observables ----------------------------------------------------------
     def density(self) -> np.ndarray:
         """Interior density; non-fluid cells are NaN."""
-        return self.block_density(0)
+        return self._fluid_density(self.flags, self.pdfs)
 
     def velocity(self) -> np.ndarray:
         """Interior velocity, shape ``cells + (dim,)``; non-fluid are NaN.
@@ -197,7 +197,7 @@ class Simulation(BlockDriver):
         parameter 3/16 this makes force-driven Poiseuille flow exact to
         machine precision — see ``benchmarks/bench_trt_magic.py``.
         """
-        u = self.block_velocity(0)
+        u = self._fluid_velocity(self.flags, self.pdfs)
         if self.body_force is not None:
             rho = _density(self.model, self.pdfs.interior_view)
             with np.errstate(divide="ignore", invalid="ignore"):

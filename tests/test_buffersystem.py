@@ -14,6 +14,7 @@ from repro.comm import (
     BULK_TAG,
     COMM_MODES,
     BufferSystem,
+    Comm,
     DistributedSimulation,
     FaultInjector,
     FaultSpec,
@@ -22,6 +23,7 @@ from repro.comm import (
     coalesce_plan,
     run_spmd_simulation,
 )
+from repro.comm import distributed, spmd
 from repro.errors import ConfigurationError
 from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree
 from repro.lbm import NoSlip, PressureABB, TRT, UBB
@@ -156,6 +158,25 @@ class TestCoalescedPlan:
                 TRT.from_tau(0.65),
                 filtered_communication=True,
                 comm_mode="coalesced",
+            )
+
+    def test_bad_mode_rejected_before_blocks_are_built(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("block built before comm_mode was checked")
+
+        monkeypatch.setattr(distributed, "build_block_runtime", no_build)
+        monkeypatch.setattr(spmd, "build_block_runtime", no_build)
+        with pytest.raises(ConfigurationError, match="comm_mode"):
+            _dense_sim("bulk")
+        with pytest.raises(ConfigurationError, match="per-face"):
+            DistributedSimulation(
+                _dense_forest(), TRT.from_tau(0.65),
+                filtered_communication=True, comm_mode="coalesced",
+            )
+        with pytest.raises(ConfigurationError, match="comm_mode"):
+            spmd.spmd_rank_program(
+                Comm(0, VirtualMPI(1)), _dense_forest(ranks=1),
+                TRT.from_tau(0.65), 1, [NoSlip()], comm_mode="bulk",
             )
 
 

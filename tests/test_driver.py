@@ -126,6 +126,13 @@ class TestSingleBlockParity:
             with pytest.raises(ConfigurationError, match="finalize"):
                 call()
 
+    def test_unfinalized_simulation_observables_read_its_fields(self):
+        sim = Simulation(cells=(4, 4, 4), collision=TRT.from_tau(0.8))
+        sim.flags.fill(fl.FLUID)
+        sim.pdfs.set_equilibrium(rho=1.0, u=(0.02, 0.0, 0.0))
+        assert np.allclose(sim.density(), 1.0)
+        assert np.allclose(sim.velocity()[..., 0], 0.02)
+
     def test_update_boundary_on_single_block(self):
         sim = _single(1)
         lid = sim.runtimes[0].handler.conditions[1]

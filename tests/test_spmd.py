@@ -169,18 +169,24 @@ class TestSpmdRestore:
 
     def test_missing_block(self, tmp_path):
         arrays = self._checkpoint(tmp_path)
-        dropped = sorted(arrays)[-1]
+        dropped = max(k for k in arrays if k.startswith("pdf:"))
         path = str(tmp_path / "missing.npz")
         write_state(path, {k: v for k, v in arrays.items() if k != dropped}, step=4)
-        self._assert_restore_fails(path, "lacks block")
+        self._assert_restore_fails(path, f"lacks block {dropped!r}")
 
-    def test_wrong_block_shape(self, tmp_path):
+    def _assert_shape_rejected(self, tmp_path, kind):
         arrays = self._checkpoint(tmp_path)
-        key = sorted(arrays)[0]
+        key = min(k for k in arrays if k.startswith(f"{kind}:"))
         arrays[key] = arrays[key][:, :-1]
         path = str(tmp_path / "shape.npz")
         write_state(path, arrays, step=4)
-        self._assert_restore_fails(path, "shape")
+        self._assert_restore_fails(path, f"block {key!r} has checkpoint shape")
+
+    def test_wrong_block_shape(self, tmp_path):
+        self._assert_shape_rejected(tmp_path, "pdf")
+
+    def test_wrong_flags_shape(self, tmp_path):
+        self._assert_shape_rejected(tmp_path, "flags")
 
 
 class TestCrossDriverRestart:
