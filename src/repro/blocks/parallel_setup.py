@@ -19,7 +19,8 @@ construction in :mod:`repro.blocks.setup`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from dataclasses import replace
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -27,11 +28,8 @@ from ..comm.vmpi import Comm, VirtualMPI
 from ..errors import PartitioningError
 from ..geometry.aabb import AABB
 from ..geometry.implicit import ImplicitGeometry
-from ..geometry.voxelize import BlockCoverage
-from .block import SetupBlock
-from .blockid import BlockId
 from .fileio import load_forest
-from .setup import SetupBlockForest, _classify_and_count
+from .setup import SetupBlockForest, _root_blocks
 
 __all__ = [
     "broadcast_geometry",
@@ -81,52 +79,23 @@ def classify_blocks_spmd(
     """
     root_grid = tuple(int(g) for g in root_grid)
     cells_per_block = tuple(int(c) for c in cells_per_block)
-    nx, ny, nz = root_grid
-    n_root = nx * ny * nz
+    n_root = int(np.prod(root_grid))
     owner = _scatter_assignment(n_root, comm.size, seed)
-    lo = domain.lo
-    step = domain.extent / np.asarray(root_grid, dtype=np.float64)
+    mine = _root_blocks(
+        domain, root_grid, cells_per_block, geometry, workload_samples,
+        np.flatnonzero(owner == comm.rank).tolist(),
+    )
 
-    mine: List[Tuple[int, str, int]] = []
-    for root_index in range(n_root):
-        if owner[root_index] != comm.rank:
-            continue
-        i, rem = divmod(root_index, ny * nz)
-        j, k = divmod(rem, nz)
-        box = AABB(
-            tuple(lo + step * (i, j, k)),
-            tuple(lo + step * (i + 1, j + 1, k + 1)),
-        )
-        coverage, fluid = _classify_and_count(
-            geometry, box, cells_per_block, workload_samples
-        )
-        if coverage is not BlockCoverage.OUTSIDE:
-            mine.append((root_index, coverage.value, fluid))
-
-    # "Finally, the result is gathered on all processes."
+    # "Finally, the result is gathered on all processes."  Every rank
+    # keeps its own copies, as it would after a real MPI gather.
     gathered = comm.allgather(mine)
-    records = sorted(r for part in gathered for r in part)
-
     forest = SetupBlockForest(
         domain=domain, root_grid=root_grid, cells_per_block=cells_per_block
     )
-    for root_index, coverage_value, fluid in records:
-        i, rem = divmod(root_index, ny * nz)
-        j, k = divmod(rem, nz)
-        box = AABB(
-            tuple(lo + step * (i, j, k)),
-            tuple(lo + step * (i + 1, j + 1, k + 1)),
-        )
-        forest.blocks.append(
-            SetupBlock(
-                id=BlockId(root_index),
-                box=box,
-                grid_index=(i, j, k),
-                coverage=BlockCoverage(coverage_value),
-                fluid_cells=fluid,
-                cells=cells_per_block,
-            )
-        )
+    forest.blocks = sorted(
+        (replace(b) for part in gathered for b in part),
+        key=lambda b: b.id.root_index,
+    )
     if not forest.blocks:
         raise PartitioningError("no block intersects the flow domain")
     return forest

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,52 +82,21 @@ class SetupBlockForest:
             (dense regular domains, §4.2).
         workload_samples:
             Cell-center samples per axis used to estimate the fluid-cell
-            count of partially covered blocks (classification itself uses
-            the paper's circumsphere/insphere tests and is exact).
+            count of partially covered blocks.  The paper's circumsphere
+            test resolves most blocks exactly from their centre's signed
+            distance; the rest are classified from these samples alone,
+            so a block whose few fluid cells all fall between the samples
+            is discarded as OUTSIDE.
         """
         root_grid = tuple(int(g) for g in root_grid)
         cells_per_block = tuple(int(c) for c in cells_per_block)
         if any(g < 1 for g in root_grid) or any(c < 1 for c in cells_per_block):
             raise PartitioningError("root grid and block cells must be positive")
         forest = cls(domain=domain, root_grid=root_grid, cells_per_block=cells_per_block)
-        lo = domain.lo
-        step = domain.extent / np.asarray(root_grid, dtype=np.float64)
-        total_cells = int(np.prod(cells_per_block))
-        nx, ny, nz = root_grid
-        for i in range(nx):
-            for j in range(ny):
-                for k in range(nz):
-                    b_lo = lo + step * (i, j, k)
-                    b_hi = lo + step * (i + 1, j + 1, k + 1)
-                    box = AABB(tuple(b_lo), tuple(b_hi))
-                    root_index = (i * ny + j) * nz + k
-                    if geometry is None:
-                        forest.blocks.append(
-                            SetupBlock(
-                                id=BlockId(root_index),
-                                box=box,
-                                grid_index=(i, j, k),
-                                coverage=BlockCoverage.FULL,
-                                fluid_cells=total_cells,
-                                cells=cells_per_block,
-                            )
-                        )
-                        continue
-                    coverage, fluid = _classify_and_count(
-                        geometry, box, cells_per_block, workload_samples
-                    )
-                    if coverage is BlockCoverage.OUTSIDE:
-                        continue
-                    forest.blocks.append(
-                        SetupBlock(
-                            id=BlockId(root_index),
-                            box=box,
-                            grid_index=(i, j, k),
-                            coverage=coverage,
-                            fluid_cells=fluid,
-                            cells=cells_per_block,
-                        )
-                    )
+        forest.blocks = _root_blocks(
+            domain, root_grid, cells_per_block, geometry, workload_samples,
+            range(int(np.prod(root_grid))),
+        )
         if not forest.blocks:
             raise PartitioningError("no block intersects the flow domain")
         return forest
@@ -291,21 +260,68 @@ class SetupBlockForest:
         return float(loads.max() / mean) if mean > 0 else float("inf")
 
 
+def _root_blocks(
+    domain: AABB,
+    root_grid: Tuple[int, int, int],
+    cells: Tuple[int, int, int],
+    geometry: Optional[ImplicitGeometry],
+    samples: int,
+    root_indices: Iterable[int],
+) -> List[SetupBlock]:
+    """The root blocks ``root_indices`` (``(i * ny + j) * nz + k``, in
+    the given order) that intersect the flow domain.
+
+    ``geometry=None`` keeps every block, fully fluid.  Otherwise the
+    signed distance at all block centres is one batched ``phi`` call and
+    each block is classified by :func:`_classify_and_count`.
+    """
+    _, ny, nz = root_grid
+    lo = domain.lo
+    step = domain.extent / np.asarray(root_grid, dtype=np.float64)
+    placed = []
+    for root_index in root_indices:
+        i, rem = divmod(root_index, ny * nz)
+        j, k = divmod(rem, nz)
+        box = AABB(tuple(lo + step * (i, j, k)), tuple(lo + step * (i + 1, j + 1, k + 1)))
+        placed.append((root_index, (i, j, k), box))
+    if geometry is None:
+        classified = [(BlockCoverage.FULL, int(np.prod(cells)))] * len(placed)
+    else:
+        centres = [box.center for _, _, box in placed]
+        phi_c = geometry.phi(np.asarray(centres)) if centres else []
+        classified = [
+            _classify_and_count(geometry, box, cells, samples, float(phi))
+            for (_, _, box), phi in zip(placed, phi_c)
+        ]
+    return [
+        SetupBlock(
+            id=BlockId(root_index),
+            box=box,
+            grid_index=grid_index,
+            coverage=coverage,
+            fluid_cells=fluid,
+            cells=cells,
+        )
+        for (root_index, grid_index, box), (coverage, fluid) in zip(placed, classified)
+        if coverage is not BlockCoverage.OUTSIDE
+    ]
+
+
 def _classify_and_count(
     geometry: ImplicitGeometry,
     box: AABB,
     cells: Tuple[int, int, int],
     samples: int,
+    phi_c: float,
 ) -> Tuple[BlockCoverage, int]:
     """Paper's block classification (§2.3) plus workload estimation.
 
-    The circumsphere/insphere tests resolve most blocks with a single
-    signed-distance evaluation at the barycenter; only straddling blocks
-    sample cell centers.  The fluid-cell count of straddling blocks is
-    estimated on a ``samples^3`` sub-grid and scaled.
+    The circumsphere test resolves most blocks with the signed distance
+    ``phi_c`` at the barycenter; only straddling blocks sample cell
+    centers.  The fluid-cell count of straddling blocks is estimated on
+    a ``samples^3`` sub-grid and scaled.
     """
     total = int(np.prod(cells))
-    phi_c = geometry.phi_single(box.center)
     R = box.circumsphere_radius()
     if abs(phi_c) > R:
         if phi_c < 0.0:

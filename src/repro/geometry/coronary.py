@@ -257,7 +257,25 @@ class CapsuleTreeGeometry(ImplicitGeometry):
     The SDF of a union is the pointwise minimum of the member SDFs; for
     disjoint-or-overlapping capsules this classifies inside/outside
     exactly, which is all the voxelizer needs.
+
+    Like the octree of :class:`~repro.geometry.implicit.MeshGeometry`,
+    a batch of points is evaluated against only the capsules that can
+    matter to it, chosen from the batch's bounding box:
+
+    * ``phi``/``boundary_color`` keep every capsule whose distance lower
+      bound (box-to-segment-box gap minus radius) does not exceed an
+      upper bound on every point's minimum (phi at the box centre plus
+      the box's circumsphere radius);
+    * ``contains`` keeps every capsule whose radius-inflated segment box
+      meets the batch box, the only ones that can give ``phi < 0``.
+
+    Both bounds carry a slack far above rounding error, so a dropped
+    capsule is strictly farther than the minimum at every point and the
+    results are bit-identical to testing all capsules.
     """
+
+    #: Slack of the candidate bounds, relative to the coordinate magnitude.
+    _SLACK = 1e-9
 
     def __init__(self, tree: CoronaryTree):
         self.tree = tree
@@ -268,27 +286,79 @@ class CapsuleTreeGeometry(ImplicitGeometry):
         self._len2 = np.einsum("ij,ij->i", self._axes, self._axes)
         self._is_root = np.asarray([s.is_root for s in tree.segments])
         self._is_leaf = np.asarray([s.is_leaf for s in tree.segments])
+        # Box around each segment's axis (not inflated by its radius).
+        self._seg_lo = np.minimum(self._starts, self._ends)
+        self._seg_hi = np.maximum(self._starts, self._ends)
+        self._scale = max(
+            float(np.abs(self._seg_lo).max()),
+            float(np.abs(self._seg_hi).max()),
+            float(self._radii.max()),
+        )
 
     def aabb(self) -> AABB:
         return self.tree.aabb()
 
+    def _capsule_phi(self, points: np.ndarray, idx=None):
+        """``(n, m)`` signed distances to capsules ``idx`` (all when
+        ``None``) and the clamped projection parameters along them."""
+        if idx is None:
+            starts, axes, len2, radii = self._starts, self._axes, self._len2, self._radii
+        else:
+            starts, axes = self._starts[idx], self._axes[idx]
+            len2, radii = self._len2[idx], self._radii[idx]
+        d = points[:, None, :] - starts[None, :, :]
+        t = np.einsum("nmj,mj->nm", d, axes) / len2[None, :]
+        t = np.clip(t, 0.0, 1.0)
+        closest = starts[None] + t[..., None] * axes[None]
+        dist = np.linalg.norm(points[:, None, :] - closest, axis=-1)
+        return dist - radii[None, :], t
+
+    def _closest(self, points: np.ndarray, idx=None):
+        """Closest capsule among ``idx`` (ascending; all when ``None``):
+        ``(phi, global capsule index, t)``.  ``argmin`` keeps the first
+        of equal values, so a candidate subset that holds every capsule
+        attaining the minimum gives the same index as all capsules."""
+        phi_all, t = self._capsule_phi(points, idx)
+        k = np.argmin(phi_all, axis=1)
+        rows = np.arange(len(points))
+        return phi_all[rows, k], (k if idx is None else idx[k]), t[rows, k]
+
+    def _batch_box(self, points: np.ndarray):
+        """Bounding box of a batch and the slack of its candidate bounds."""
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        scale = max(self._scale, float(np.abs(lo).max()), float(np.abs(hi).max()))
+        return lo, hi, self._SLACK * scale
+
     def _segment_geometry(self, points: np.ndarray):
         """Per-point closest capsule: returns (phi, seg_idx, t_parameter)."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        # (n, m) projection parameter along each segment, clamped to [0, 1].
-        d = points[:, None, :] - self._starts[None, :, :]
-        t = np.einsum("nmj,mj->nm", d, self._axes) / self._len2[None, :]
-        t = np.clip(t, 0.0, 1.0)
-        closest = self._starts[None] + t[..., None] * self._axes[None]
-        dist = np.linalg.norm(points[:, None, :] - closest, axis=-1)
-        phi_all = dist - self._radii[None, :]
-        k = np.argmin(phi_all, axis=1)
-        rows = np.arange(len(points))
-        return phi_all[rows, k], k, t[rows, k]
+        if len(points) < 2:
+            return self._closest(points)
+        lo, hi, slack = self._batch_box(points)
+        centre = 0.5 * (lo + hi)
+        upper = self._closest(centre[None, :])[0][0] + 0.5 * np.linalg.norm(hi - lo)
+        gap = np.maximum(np.maximum(self._seg_lo - hi, lo - self._seg_hi), 0.0)
+        lower = np.linalg.norm(gap, axis=1) - self._radii
+        return self._closest(points, np.flatnonzero(lower <= upper + slack))
 
     def phi(self, points: np.ndarray) -> np.ndarray:
         phi, _, _ = self._segment_geometry(points)
         return phi
+
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if len(points) < 2:
+            return super().contains(points)
+        lo, hi, slack = self._batch_box(points)
+        reach = (self._radii + slack)[:, None]
+        meets = np.all(
+            (self._seg_lo - reach <= hi) & (lo <= self._seg_hi + reach), axis=1
+        )
+        cand = np.flatnonzero(meets)
+        if cand.size == 0:
+            return np.zeros(len(points), dtype=bool)
+        phi_all, _ = self._capsule_phi(points, cand)
+        return phi_all.min(axis=1) < 0.0
 
     def boundary_color(self, points: np.ndarray) -> np.ndarray:
         """INFLOW at the root inlet cap, OUTFLOW at leaf outlet caps,

@@ -69,21 +69,17 @@ def classify_block(
 ) -> BlockCoverage:
     """Decide whether a block intersects the flow domain.
 
-    Implements the paper's acceleration exactly: with the block
-    barycenter ``b~``, circumsphere radius ``R`` and insphere radius
-    ``r``, ``|phi(b~)| > R`` resolves the block without looking at any
-    cell (uniformly inside or outside), and ``|phi(b~)| < r`` with
-    ``phi < 0`` proves intersection.  Only the remaining blocks test
-    their individual cell centers.
+    Implements the paper's acceleration: with the block barycenter
+    ``b~`` and circumsphere radius ``R``, ``|phi(b~)| > R`` resolves the
+    block without looking at any cell (uniformly inside or outside).
+    The paper's insphere test only proves intersection, not full or
+    partial coverage, so every remaining block tests its individual
+    cell centers.
     """
     phi_c = geom.phi_single(box.center)
     R = box.circumsphere_radius()
-    r = box.insphere_radius()
     if abs(phi_c) > R:
         return BlockCoverage.FULL if phi_c < 0.0 else BlockCoverage.OUTSIDE
-    if phi_c < 0.0 and abs(phi_c) < r:
-        # Certainly intersects; may still be partial -> check cells.
-        pass
     centers = cell_centers(box, cells).reshape(-1, 3)
     inside = geom.contains(centers)
     n = int(inside.sum())

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.geometry import CapsuleTreeGeometry
+
 
 def periodic_ghost_fill(f: np.ndarray) -> None:
     """Fill the one-cell ghost layers of ``f`` periodically, in place.
@@ -49,3 +51,30 @@ def exchange_on_ranks(forest, fields, executor):
         return ex.stats
 
     return VirtualMPI(forest.n_processes, timeout=10.0).run(program)
+
+
+def all_capsule_segment_geometry(geom, points):
+    """``(phi, k, t)`` of a ``CapsuleTreeGeometry`` with every point
+    tested against every capsule: the reference its candidate culling
+    must reproduce bit for bit."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    d = points[:, None, :] - geom._starts[None, :, :]
+    t = np.einsum("nmj,mj->nm", d, geom._axes) / geom._len2[None, :]
+    t = np.clip(t, 0.0, 1.0)
+    closest = geom._starts[None] + t[..., None] * geom._axes[None]
+    dist = np.linalg.norm(points[:, None, :] - closest, axis=-1)
+    phi_all = dist - geom._radii[None, :]
+    k = np.argmin(phi_all, axis=1)
+    rows = np.arange(len(points))
+    return phi_all[rows, k], k, t[rows, k]
+
+
+class AllCapsuleGeometry(CapsuleTreeGeometry):
+    """A ``CapsuleTreeGeometry`` that evaluates every capsule for every
+    point (:func:`all_capsule_segment_geometry`)."""
+
+    def _segment_geometry(self, points):
+        return all_capsule_segment_geometry(self, points)
+
+    def contains(self, points):
+        return self.phi(points) < 0.0

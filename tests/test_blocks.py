@@ -18,8 +18,16 @@ from repro.blocks import (
     search_strong_scaling_partition,
     search_weak_scaling_partition,
 )
+from repro.blocks.setup import _classify_and_count
 from repro.errors import FileFormatError, PartitioningError
-from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree, MeshGeometry, icosphere
+from repro.geometry import (
+    AABB,
+    BlockCoverage,
+    CapsuleTreeGeometry,
+    CoronaryTree,
+    MeshGeometry,
+    icosphere,
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +125,25 @@ class TestSetupForest:
         assert partial, "coronary tree must produce partially covered blocks"
         for b in partial:
             assert 0 < b.fluid_cells <= b.total_cells
+
+    @pytest.mark.parametrize("which", ["capsules", "mesh"])
+    def test_batched_centres_match_per_block_classification(self, coronary_geom, which):
+        # One batched phi call over all block centres must classify every
+        # block exactly as a phi_single call per block did.
+        geom = coronary_geom
+        if which == "mesh":
+            geom = MeshGeometry(icosphere((0.5, 0.5, 0.5), 0.4, 2))
+        box = geom.aabb().expanded(0.05 * geom.aabb().diagonal)
+        grid, cells = (6, 5, 7), (8, 8, 8)
+        f = SetupBlockForest.create(box, grid, cells, geometry=geom)
+        step = box.extent / np.asarray(grid)
+        expected = []
+        for idx in np.ndindex(*grid):
+            b = AABB(tuple(box.lo + step * idx), tuple(box.lo + step * (np.asarray(idx) + 1)))
+            coverage, fluid = _classify_and_count(geom, b, cells, 8, geom.phi_single(b.center))
+            if coverage is not BlockCoverage.OUTSIDE:
+                expected.append((idx, b, coverage, fluid))
+        assert [(b.grid_index, b.box, b.coverage, b.fluid_cells) for b in f.blocks] == expected
 
     def test_assign_validates(self):
         f = SetupBlockForest.create(AABB((0, 0, 0), (2, 1, 1)), (2, 1, 1), (4, 4, 4))

@@ -21,7 +21,11 @@ from repro.geometry import (
     stencil_structure,
     voxelize_block,
 )
+from repro.blocks import SetupBlockForest
+from repro.comm.distributed import default_vascular_colors
 from repro.lbm.lattice import D3Q19, D3Q27
+
+from helpers import AllCapsuleGeometry, all_capsule_segment_geometry
 
 
 class TestAABB:
@@ -255,6 +259,131 @@ class TestCoronaryTree:
         mesh = tree.to_mesh()
         assert mesh.n_triangles == tree.n_segments * 4 * 12
         assert set(np.unique(mesh.vertex_colors)) <= {0, 1, 2}
+
+
+def _near_surface_points(tree, rng, n):
+    """Points within a few percent of a radius of the capsule surfaces,
+    caps included."""
+    seg = rng.integers(tree.n_segments, size=n)
+    starts = np.asarray([s.start for s in tree.segments])[seg]
+    ends = np.asarray([s.end for s in tree.segments])[seg]
+    radii = np.asarray([s.radius for s in tree.segments])[seg]
+    t = np.clip(rng.uniform(-0.2, 1.2, n), 0.0, 1.0)
+    u = rng.normal(size=(n, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    r = radii * (1.0 + 0.05 * rng.normal(size=n))
+    return starts + t[:, None] * (ends - starts) + r[:, None] * u
+
+
+def _block_batches(box, per_axis, cells):
+    """Ghost-extended cell centres of a ``per_axis^3`` tiling of ``box``:
+    the batches voxelization hands the geometry."""
+    step = box.extent / per_axis
+    for idx in np.ndindex(per_axis, per_axis, per_axis):
+        lo = box.lo + step * np.asarray(idx)
+        yield cell_centers(AABB(tuple(lo), tuple(lo + step)), cells, ghost=1).reshape(-1, 3)
+
+
+TREES = [(0, 1), (1, 2), (2, 3), (7, 3), (3, 4)]
+
+
+class TestCapsuleCulling:
+    """The culled capsule evaluation is bit-identical to testing every
+    capsule against every point."""
+
+    @pytest.fixture(params=TREES, ids=[f"seed{s}-gen{g}" for s, g in TREES])
+    def tree(self, request):
+        seed, generations = request.param
+        return CoronaryTree.generate(generations=generations, seed=seed)
+
+    @staticmethod
+    def _point_sets(tree):
+        rng = np.random.default_rng(tree.n_segments)
+        box = tree.aabb()
+        centre, diag = box.center, box.diagonal
+        far_dirs = rng.normal(size=(50, 3))
+        far_dirs /= np.linalg.norm(far_dirs, axis=1)[:, None]
+        sets = {
+            "near-surface": _near_surface_points(tree, rng, 400),
+            "far": centre + diag * rng.uniform(2.0, 20.0, (50, 1)) * far_dirs,
+            "whole-tree": rng.uniform(box.lo - 0.1 * diag, box.hi + 0.1 * diag, (800, 3)),
+            "far-cluster": centre + 5.0 * diag + 0.01 * diag * rng.random((30, 3)),
+        }
+        sets.update(
+            (f"single-{i}", p[None, :])
+            for i, p in enumerate(_near_surface_points(tree, rng, 4))
+        )
+        sets.update(
+            (f"block-{i}", pts)
+            for i, pts in enumerate(_block_batches(box.expanded(0.05 * diag), 3, (6, 6, 6)))
+        )
+        return sets
+
+    def test_segment_geometry_bitwise(self, tree):
+        geom = CapsuleTreeGeometry(tree)
+        for name, pts in self._point_sets(tree).items():
+            got = geom._segment_geometry(pts)
+            ref = all_capsule_segment_geometry(geom, pts)
+            for g, r, what in zip(got, ref, ("phi", "k", "t")):
+                assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), (name, what)
+
+    def test_contains_matches_full_phi(self, tree):
+        geom = CapsuleTreeGeometry(tree)
+        for name, pts in self._point_sets(tree).items():
+            ref = all_capsule_segment_geometry(geom, pts)[0] < 0.0
+            assert np.array_equal(geom.contains(pts), ref), name
+
+    def test_boundary_color_matches_full(self, tree):
+        geom = CapsuleTreeGeometry(tree)
+        full = AllCapsuleGeometry(tree)
+        for name, pts in self._point_sets(tree).items():
+            assert np.array_equal(geom.boundary_color(pts), full.boundary_color(pts)), name
+
+    def test_block_batches_are_culled(self, tree, monkeypatch):
+        geom = CapsuleTreeGeometry(tree)
+        evaluated = []
+        inner = geom._capsule_phi
+
+        def spy(points, idx=None):
+            evaluated.append(tree.n_segments if idx is None else len(idx))
+            return inner(points, idx)
+
+        monkeypatch.setattr(geom, "_capsule_phi", spy)
+        for pts in _block_batches(tree.aabb(), 3, (6, 6, 6)):
+            geom.contains(pts)
+            geom.phi(pts)
+        assert min(evaluated) < tree.n_segments
+
+    def test_empty_candidate_batch(self, tree, monkeypatch):
+        geom = CapsuleTreeGeometry(tree)
+        box = tree.aabb()
+        pts = box.hi + box.diagonal * (1.0 + np.random.default_rng(0).random((20, 3)))
+
+        def fail(points, idx=None):
+            raise AssertionError("no capsule can reach this batch")
+
+        monkeypatch.setattr(geom, "_capsule_phi", fail)
+        inside = geom.contains(pts)
+        assert inside.dtype == bool and inside.shape == (20,) and not inside.any()
+
+    def test_voxelized_forest_identical(self):
+        tree = CoronaryTree.generate(generations=2, root_radius=1.0, seed=4)
+        geom, full = CapsuleTreeGeometry(tree), AllCapsuleGeometry(tree)
+        cells = (8, 8, 8)
+        box = tree.aabb()
+        block_extent = np.asarray(cells) * (1.0 / 3.0)
+        grid = np.maximum(1, np.ceil(box.extent / block_extent).astype(int))
+        domain = AABB(tuple(box.lo), tuple(box.lo + grid * block_extent))
+        forest = SetupBlockForest.create(domain, tuple(grid), cells, geometry=geom)
+        ref = SetupBlockForest.create(domain, tuple(grid), cells, geometry=full)
+        assert [(b.id, b.coverage, b.fluid_cells) for b in forest.blocks] == [
+            (b.id, b.coverage, b.fluid_cells) for b in ref.blocks
+        ]
+        colors = default_vascular_colors()
+        assert forest.n_blocks > 10
+        for b in forest.blocks:
+            got = voxelize_block(geom, b.box, b.cells, colors=colors)
+            assert np.array_equal(got, voxelize_block(full, b.box, b.cells, colors=colors))
 
 
 def _perp(v):

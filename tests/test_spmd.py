@@ -10,6 +10,7 @@ from repro.blocks import (
     SetupBlockForest,
     broadcast_load_forest,
     classify_blocks_parallel,
+    classify_blocks_spmd,
     save_forest,
     view_for_rank,
 )
@@ -283,6 +284,21 @@ class TestParallelSetup:
             b.fluid_cells for b in seq.blocks
         ]
         assert [b.coverage for b in par.blocks] == [b.coverage for b in seq.blocks]
+        assert [(b.grid_index, b.box) for b in par.blocks] == [
+            (b.grid_index, b.box) for b in seq.blocks
+        ]
+
+    def test_ranks_own_their_blocks(self, geom):
+        # The gathered forest is a copy per rank: a balancer assigning
+        # owners on one rank must not touch another rank's blocks.
+        box = geom.aabb()
+
+        def program(comm):
+            return classify_blocks_spmd(comm, box, (3, 3, 3), (8, 8, 8), geom)
+
+        a, b = VirtualMPI(2, timeout=120).run(program)
+        assert [blk.id for blk in a.blocks] == [blk.id for blk in b.blocks]
+        assert all(x is not y for x, y in zip(a.blocks, b.blocks))
 
     def test_rank_count_invariance(self, geom):
         # The result must not depend on how many ranks classified it.
