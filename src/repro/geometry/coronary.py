@@ -332,7 +332,7 @@ class CapsuleTreeGeometry(ImplicitGeometry):
     def _segment_geometry(self, points: np.ndarray):
         """Per-point closest capsule: returns (phi, seg_idx, t_parameter)."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if len(points) < 2:
+        if not len(points):
             return self._closest(points)
         lo, hi, slack = self._batch_box(points)
         centre = 0.5 * (lo + hi)
@@ -347,8 +347,8 @@ class CapsuleTreeGeometry(ImplicitGeometry):
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if len(points) < 2:
-            return super().contains(points)
+        if not len(points):
+            return np.zeros(0, dtype=bool)
         lo, hi, slack = self._batch_box(points)
         reach = (self._radii + slack)[:, None]
         meets = np.all(

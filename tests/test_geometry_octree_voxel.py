@@ -308,6 +308,7 @@ class TestCapsuleCulling:
             "far": centre + diag * rng.uniform(2.0, 20.0, (50, 1)) * far_dirs,
             "whole-tree": rng.uniform(box.lo - 0.1 * diag, box.hi + 0.1 * diag, (800, 3)),
             "far-cluster": centre + 5.0 * diag + 0.01 * diag * rng.random((30, 3)),
+            "empty": np.zeros((0, 3)),
         }
         sets.update(
             (f"single-{i}", p[None, :])
