@@ -14,7 +14,11 @@ the *same* fields inside the *same* virtual-MPI program, their best-of
 samples interleaved, so scheduler and cache noise hit both paths
 equally.  A per-message envelope (one tuple, two dict updates, one
 locked ledger write, one sequence compare) is O(1) against the O(face)
-array copy of the exchange itself.
+array copy of the exchange itself.  The exchange is the per-face
+:class:`~repro.comm.buffersystem.BufferSystem`, one message per block
+face.  Its send buffers are reused by the next exchange, so a barrier
+separates exchanges, as in the SPMD rank program; only the exchanges
+themselves are timed.
 """
 
 import time
@@ -24,8 +28,8 @@ import pytest
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest, view_for_rank
 from repro.comm import (
+    BufferSystem,
     ReliableComm,
-    SpmdGhostExchange,
     VirtualMPI,
     build_rank_plan,
 )
@@ -51,16 +55,17 @@ def _program(comm):
         f.set_equilibrium(rho=1.0)
         fields[blk.id] = f
     plan = build_rank_plan(view, comm.rank)
-    plain = SpmdGhostExchange(plan, fields, comm)
+    plain = BufferSystem(plan, fields, comm, comm_mode="per-face")
     channel = ReliableComm(comm)
-    resilient = SpmdGhostExchange(plan, fields, channel)
+    resilient = BufferSystem(plan, fields, channel, comm_mode="per-face")
 
     def sample(ghost):
-        comm.barrier()
-        t0 = time.perf_counter()
+        dt = 0.0
         for _ in range(STEPS):
+            comm.barrier()
+            t0 = time.perf_counter()
             ghost.exchange()
-        dt = time.perf_counter() - t0
+            dt += time.perf_counter() - t0
         comm.barrier()
         return dt
 
@@ -113,7 +118,7 @@ def test_exchange_throughput(benchmark, mode):
             fields[blk.id] = f
         plan = build_rank_plan(view, comm.rank)
         chan = ReliableComm(comm) if mode == "resilient" else comm
-        ghost = SpmdGhostExchange(plan, fields, chan)
+        ghost = BufferSystem(plan, fields, chan, comm_mode="per-face")
         for _ in range(STEPS):
             ghost.exchange()
             comm.barrier()

@@ -6,10 +6,10 @@ Per ``comm_mode`` this runs the same lid-driven-cavity problem through
 reports
 
 * **messages/step** — per-face posts one message per (block, face)
-  pair; the buffer system posts exactly one per rank pair (read back
-  from the ``comm.messages_coalesced`` counter),
+  pair, coalesced and overlap exactly one per rank pair (read back from
+  the ``comm.remote_messages`` counter in every mode),
 * **bytes/step** — identical across modes (coalescing repacks, it does
-  not re-send), read from the coalesced/remote byte counters,
+  not re-send), read from the ``comm.remote_bytes`` counter,
 * **comm-stage seconds** — the sum of the top-level ``communication*``
   scopes of the reduced timing tree (max over ranks: the critical
   path), best-of ``REPEATS`` interleaved samples,
@@ -43,12 +43,11 @@ import numpy as np
 import pytest
 
 from repro.balance import balance_forest
-from repro.blocks import SetupBlockForest, view_for_rank
+from repro.blocks import SetupBlockForest
 from repro.comm import (
     COMM_MODES,
     DistributedSimulation,
     VirtualMPI,
-    build_rank_plan,
     run_spmd_simulation,
 )
 from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree
@@ -73,15 +72,6 @@ def _forest():
     )
     balance_forest(forest, RANKS, strategy="morton")
     return forest
-
-
-def _per_face_messages_per_step(forest) -> int:
-    """What the per-face path posts each step: one send per (block, face)
-    with a remote neighbor, summed over all ranks."""
-    return sum(
-        len(build_rank_plan(view_for_rank(forest, r), r).sends)
-        for r in range(RANKS)
-    )
 
 
 def _run(mode: str):
@@ -112,19 +102,15 @@ def _comm_seconds(reduced) -> tuple:
     return avg, mx
 
 
-def _collect(mode: str, per_face_msgs: int) -> dict:
+def _collect(mode: str) -> dict:
     best = None
     for _ in range(REPEATS):
         _, reduced, wall = _run(mode)
         comm_avg, comm_max = _comm_seconds(reduced)
         if best is None or comm_max < best["comm_seconds_max"]:
             c = reduced.counters
-            if mode == "per-face":
-                messages = per_face_msgs * STEPS
-                nbytes = c.get("comm.remote_bytes", 0.0)
-            else:
-                messages = c.get("comm.messages_coalesced", 0.0)
-                nbytes = c.get("comm.coalesced_bytes", 0.0)
+            messages = c.get("comm.remote_messages", 0.0)
+            nbytes = c.get("comm.remote_bytes", 0.0)
             updates = c.get("cells_updated", 0.0)
             best = {
                 "comm_mode": mode,
@@ -224,8 +210,7 @@ def run_sparse_case() -> dict:
 
 def run_benchmark(write_json: bool = True) -> dict:
     forest = _forest()
-    per_face_msgs = _per_face_messages_per_step(forest)
-    modes = {m: _collect(m, per_face_msgs) for m in COMM_MODES}
+    modes = {m: _collect(m) for m in COMM_MODES}
 
     # One extra instrumented coalesced run feeds the network models.
     _, reduced, _ = _run("coalesced")

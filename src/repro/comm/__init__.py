@@ -10,6 +10,7 @@ from .buffersystem import (
     CoalescedPlan,
     PeerMessage,
     coalesce_plan,
+    drain_arrival_order,
     make_exchange,
 )
 from .distributed import (
@@ -23,9 +24,7 @@ from .spmd import run_spmd_simulation, spmd_rank_program
 from .ghostlayer import (
     CommStats,
     RankGhostPlan,
-    SpmdGhostExchange,
     build_rank_plan,
-    drain_arrival_order,
     ghost_slices,
     message_tag,
     needed_directions,
@@ -44,7 +43,7 @@ __all__ = [
     "run_spmd_simulation", "spmd_rank_program",
     "CommStats", "ghost_slices",
     "needed_directions", "send_slices",
-    "RankGhostPlan", "SpmdGhostExchange", "build_rank_plan",
+    "RankGhostPlan", "build_rank_plan",
     "drain_arrival_order", "message_tag", "offset_code",
     "Comm", "ReliableComm", "Request", "VirtualMPI",
 ]

@@ -1,30 +1,38 @@
-"""Bulk-coalesced ghost-layer communication: waLBerla's buffer system.
+"""Ghost-layer exchange by message passing: waLBerla's buffer system.
 
 The paper never sends one message per block face: "all data exchanged
 between two processes is first packed into a single buffer ... exactly
 one message travels per pair of ranks per step" (§2.3).
-:class:`BufferSystem` is that buffer system for the reproduction, the
-coalescing executor of a rank's
-:class:`~repro.comm.ghostlayer.RankGhostPlan`.  All (block, face)
-payloads destined for one peer rank are packed, at precomputed element
-offsets, into a **persistent preallocated** send buffer, and exactly
-one message per peer travels per step (tag :data:`BULK_TAG`).  Receives
-are drained in arrival order and unpacked straight from the incoming
-payload into the ghost regions — there is no receive buffer, and the
-steady-state exchange performs zero heap allocations of field-sized
-temporaries, mirroring the allocation-free ethos of
-:class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`.  Both
-simulation drivers run it: the SPMD rank program and, on in-process
-ranks, :class:`~repro.comm.distributed.DistributedSimulation`.
+:class:`BufferSystem` is the one executor of a rank's
+:class:`~repro.comm.ghostlayer.RankGhostPlan`.  Every (block, side)
+payload is packed, at a precomputed element offset, into a
+**persistent preallocated** send buffer, and :func:`coalesce_plan`
+groups the payloads into messages by ``comm_mode``:
+
+* ``"per-face"`` — one message per (block, side), on its per-face
+  message tag: the baseline the paper's scheme improves on;
+* ``"coalesced"`` and ``"overlap"`` — exactly one message per peer rank
+  per step, on :data:`BULK_TAG`.
+
+Receives are drained in arrival order and unpacked straight from the
+incoming payload into the ghost regions — there is no receive buffer,
+and the steady-state exchange performs zero heap allocations of
+field-sized temporaries in every mode, mirroring the allocation-free
+ethos of :class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`.
+Both simulation drivers run it: the SPMD rank program and, on
+in-process ranks, :class:`~repro.comm.distributed.DistributedSimulation`.
+Every mode moves the same bytes and gives the same bits; only the
+message count differs.
 
 Layout determinism
 ------------------
 Sender and receiver never exchange the layout — both derive it
-independently from their (identical) rank plans: segments within a peer
-buffer are ordered by the per-face message tag
-(:func:`~repro.comm.ghostlayer.message_tag`), which both sides compute
-to the same value for the same (destination block, side).  This is the
-same trick waLBerla uses to keep its buffer system header-free.
+independently from their (identical) rank plans: messages are ordered
+by ``(peer, tag)`` and the segments within a message by the per-face
+message tag (:func:`~repro.comm.ghostlayer.message_tag`), which both
+sides compute to the same value for the same (destination block,
+side).  This is the same trick waLBerla uses to keep its buffer system
+header-free.
 
 Sparse-aware compiled copy
 --------------------------
@@ -39,20 +47,21 @@ ghost flags can differ from them (a ``flag_setter`` leaves interface
 ghost flags at OUTSIDE, and voxelization may flag a ghost cell OUTSIDE
 where the sender has a wall).  Pack and the same-rank copies read the
 source block's own flags; unpack uses the sender's, which the first
-exchange carries once per peer in one extra message on
-:data:`MASK_TAG`.  The first two exchanges, one per grid of the
-two-grid scheme, copy every cell, so the ghost copies of OUTSIDE cells
-hold whatever values the fields were given before stepping.  Messages
-keep their full size and layout; only the memory traffic inside a rank
-shrinks.  Without a compiler every exchange runs the NumPy box copies,
-with the same bits.
+exchange carries in one extra message per peer on :data:`MASK_TAG`:
+the masks of every segment sent to that peer, in tag order, which is
+the same under both groupings.  The first two exchanges, one per
+grid of the two-grid scheme, copy every cell, so the ghost copies of
+OUTSIDE cells hold whatever values the fields were given before
+stepping.  Messages keep their full size and layout; only the memory
+traffic inside a rank shrinks.  Without a compiler every exchange runs
+the NumPy box copies, with the same bits.
 
 Timing scopes and counters: ``pack`` / ``local copy`` / ``wire`` /
-``unpack`` sub-scopes under the caller's communication sweep, plus
-``comm.messages_coalesced``, ``comm.coalesced_bytes``,
-``comm.remote_bytes`` and ``comm.local_bytes`` counters.  The one-time
-mask messages are set-up traffic: they are timed under ``pack`` and
-``unpack`` but not counted.
+``unpack`` sub-scopes under the caller's communication sweep, plus the
+:class:`~repro.comm.ghostlayer.CommStats` ledger's
+``comm.remote_messages``, ``comm.remote_bytes`` and
+``comm.local_bytes`` counters.  The one-time mask messages are set-up
+traffic: they are timed under ``pack`` and ``unpack`` but not counted.
 """
 
 from __future__ import annotations
@@ -66,20 +75,11 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from .. import flagdefs as fl
-from ..errors import CommunicationError, ConfigurationError
+from ..errors import CommunicationError, ConfigurationError, RecvTimeoutError
 from ..lbm.kernels import compiled
 from ..lbm.lattice import LatticeModel
 from ..perf.timing import TimingTree
-from .ghostlayer import (
-    CommStats,
-    RankGhostPlan,
-    SpmdGhostExchange,
-    _check_payload,
-    _check_plan_blocks,
-    _local_copy_bytes,
-    build_rank_plan,
-    drain_arrival_order,
-)
+from .ghostlayer import CommStats, RankGhostPlan, build_rank_plan
 
 __all__ = [
     "BULK_TAG",
@@ -90,6 +90,7 @@ __all__ = [
     "BufferSystem",
     "COMM_MODES",
     "check_comm_mode",
+    "drain_arrival_order",
     "make_exchange",
 ]
 
@@ -110,13 +111,69 @@ FULL_EXCHANGES = 2
 COMM_MODES = ("per-face", "coalesced", "overlap")
 
 
+def drain_arrival_order(comm, channels, probe_timeout: Optional[float] = None):
+    """Receive one message per ``(source, tag)`` channel, yielding
+    ``(channel_index, payload)`` in the order messages actually *arrive*
+    rather than the order channels are listed.
+
+    A fixed-order drain blocks on the first listed channel even when
+    every other expected message is already waiting — head-of-line
+    blocking that delay faults turn into serialized timeout rounds.
+    This helper probes all outstanding channels at once
+    (:meth:`~repro.comm.vmpi.Comm.probe_any`) and consumes whichever is
+    ready first.  When nothing arrives within ``probe_timeout`` it falls
+    back to a blocking receive on the first outstanding channel, which
+    on a :class:`~repro.comm.vmpi.ReliableComm` triggers the
+    timeout/ledger-retransmit recovery path.
+
+    Ghost-region unpacks commute (each (block, side) region has exactly
+    one writer and regions are disjoint), so consuming in arrival order
+    is bit-identical to plan order — asserted by the chaos reorder tests.
+    """
+    # List displays, not ``list()``: only they reuse CPython's free
+    # list, which keeps the steady-state exchange allocation-free.
+    pending = [*range(len(channels))]
+    outstanding = [*channels]
+    while pending:
+        k = 0
+        if len(pending) > 1:
+            try:
+                k = comm.probe_any(outstanding, timeout=probe_timeout)
+            except RecvTimeoutError:
+                # Nothing arrived: fall back to plan order; a resilient
+                # channel then recovers via its retransmission ledger.
+                k = 0
+        i = pending.pop(k)
+        source, tag = outstanding.pop(k)
+        yield i, comm.recv(source, tag)
+
+
+def _check_payload(data, shape: Tuple[int, ...], sender: str) -> None:
+    """Raise :class:`~repro.errors.CommunicationError` unless ``data`` is
+    a C-contiguous float64 array of ``shape`` — checked before any value
+    is written (NumPy would otherwise cast a float32 payload silently)."""
+    if not (
+        isinstance(data, np.ndarray)
+        and data.dtype == np.float64
+        and data.shape == shape
+        and data.flags.c_contiguous
+        and data.flags.aligned
+    ):
+        raise CommunicationError(
+            f"{sender}: expected a C-contiguous float64 array of shape "
+            f"{shape}, got {getattr(data, 'dtype', type(data).__name__)} "
+            f"{getattr(data, 'shape', '')}"
+        )
+
+
 @dataclass(frozen=True)
 class BufferSegment:
-    """One (block, side) payload's position inside a peer buffer.
+    """One (block, side) payload's position inside a message buffer.
 
-    ``start``/``stop`` are *element* offsets into the flat per-peer
-    buffer; ``slices`` indexes the block's padded PDF field and
-    ``shape`` is the region's shape (pack reshapes the flat span to it).
+    ``start``/``stop`` are *element* offsets into the flat message
+    buffer; ``tag`` is the payload's per-face message tag, ``slices``
+    indexes the block's padded PDF field and ``shape`` is the region's
+    shape (pack reshapes the flat span to it).
     """
 
     tag: int
@@ -129,24 +186,27 @@ class BufferSegment:
 
 @dataclass(frozen=True)
 class PeerMessage:
-    """All segments exchanged with one peer rank, as one message."""
+    """The segments exchanged with one peer rank as one message on
+    ``tag``: a segment's per-face tag under ``"per-face"`` grouping,
+    :data:`BULK_TAG` otherwise."""
 
     peer: int
+    tag: int
     segments: Tuple[BufferSegment, ...]
     elements: int
 
     @property
     def nbytes(self) -> int:
-        """Payload size of the coalesced message (float64 elements)."""
+        """Payload size of the message (float64 elements)."""
         return self.elements * 8
 
 
 @dataclass(frozen=True)
 class CoalescedPlan:
-    """A rank's bulk communication plan: one message per peer rank.
-
-    Derived from a per-face :class:`~repro.comm.ghostlayer.RankGhostPlan`
+    """A rank's message plan: its per-face
+    :class:`~repro.comm.ghostlayer.RankGhostPlan` grouped into messages
     by :func:`coalesce_plan`; fixed for the lifetime of the run.
+    ``sends`` and ``recvs`` are sorted by ``(peer, tag)``.
     """
 
     sends: Tuple[PeerMessage, ...]
@@ -155,49 +215,83 @@ class CoalescedPlan:
 
     @property
     def messages_per_step(self) -> int:
-        """Outgoing messages per exchange — exactly one per peer."""
+        """Outgoing messages per exchange: one per peer, or one per
+        (block, side) under ``"per-face"`` grouping."""
         return len(self.sends)
 
 
-def _group(entries, fields) -> Tuple[PeerMessage, ...]:
-    """Group per-face plan entries into per-peer messages.
+def _group(entries, fields, per_face: bool) -> Tuple[PeerMessage, ...]:
+    """Group per-face plan entries into messages.
 
-    ``entries`` are ``(peer, tag, block_id, slices)``; segments within a
-    peer's buffer are laid out in ascending tag order, which both sides
-    of a channel compute identically (see module docstring).
+    ``entries`` are ``(peer, tag, block_id, slices)``.  Under
+    ``per_face`` each ``(peer, tag)`` is its own message, otherwise each
+    peer gets one :data:`BULK_TAG` message; segments within a message
+    are laid out in ascending tag order, which both sides of a channel
+    compute identically (see module docstring).
     """
-    by_peer: Dict[int, List[Tuple[int, object, tuple]]] = {}
+    groups: Dict[Tuple[int, int], List[Tuple[int, object, tuple]]] = {}
     for peer, tag, block_id, sl in entries:
-        by_peer.setdefault(peer, []).append((tag, block_id, sl))
+        key = (peer, tag if per_face else BULK_TAG)
+        groups.setdefault(key, []).append((tag, block_id, sl))
     messages = []
-    for peer in sorted(by_peer):
+    for peer, msg_tag in sorted(groups):
         segs = []
         offset = 0
-        for tag, block_id, sl in sorted(by_peer[peer], key=lambda e: e[0]):
+        for tag, block_id, sl in sorted(groups[peer, msg_tag], key=lambda e: e[0]):
             shape = fields[block_id].src[sl].shape
             n = math.prod(shape)
             segs.append(
                 BufferSegment(tag, block_id, sl, shape, offset, offset + n)
             )
             offset += n
-        messages.append(PeerMessage(peer, tuple(segs), offset))
+        messages.append(PeerMessage(peer, msg_tag, tuple(segs), offset))
     return tuple(messages)
 
 
-def coalesce_plan(plan: RankGhostPlan, fields) -> CoalescedPlan:
-    """Convert a per-face rank plan into a per-peer bulk plan.
+def coalesce_plan(
+    plan: RankGhostPlan, fields, comm_mode: str = "coalesced"
+) -> CoalescedPlan:
+    """Group a per-face rank plan into the messages of ``comm_mode``:
+    one per (block, side) for ``"per-face"``, one per peer rank for
+    ``"coalesced"`` and ``"overlap"``.
 
     ``fields`` maps block id to an object with a ``src`` grid, used only
     to size segments (shapes are fixed for the run).  Send and receive
     layouts agree across ranks because both sort by the shared per-face
-    message tag.
+    message tag.  Raises :class:`~repro.errors.CommunicationError` if
+    ``plan`` names a block missing from ``fields``, and
+    :class:`~repro.errors.ConfigurationError` as :func:`check_comm_mode`
+    does.
     """
-    _check_plan_blocks(plan, fields)
+    check_comm_mode(comm_mode)
+    ids = [entry[2] for entry in plan.sends + plan.recvs]
+    for dst, _, src, _ in plan.local_copies:
+        ids += (dst, src)
+    for block_id in ids:
+        if block_id not in fields:
+            raise CommunicationError(
+                f"ghost plan references unknown block {block_id}"
+            )
+    per_face = comm_mode == "per-face"
     return CoalescedPlan(
-        sends=_group(plan.sends, fields),
-        recvs=_group(plan.recvs, fields),
+        sends=_group(plan.sends, fields, per_face),
+        recvs=_group(plan.recvs, fields, per_face),
         local_copies=plan.local_copies,
     )
+
+
+def _mask_layout(messages) -> Tuple[Dict[int, int], List[int]]:
+    """Where each message's cells sit in its peer's one mask message:
+    ``(cells per peer, first cell per message)``.  A peer's mask holds
+    its messages' segments in ``(peer, tag)`` order, one byte per cell
+    (a segment's element offset over the PDF count)."""
+    cells: Dict[int, int] = {}
+    starts = []
+    for msg in messages:
+        starts.append(cells.get(msg.peer, 0))
+        nq = msg.segments[0].shape[0]
+        cells[msg.peer] = starts[-1] + msg.elements // nq
+    return cells, starts
 
 
 @lru_cache(maxsize=None)
@@ -297,23 +391,27 @@ class _CompiledGhostCopy:
             self._info[b] = (i, shape, outside)
 
         boxes = []
-        #: Per peer message, the sender's copy mask of every segment,
-        #: flattened and concatenated (uint8) — the one-time mask message.
-        self.mask_messages = []
+        cells, starts = _mask_layout(plan.sends)
+        masks = {peer: np.ones(n, dtype=np.uint8) for peer, n in cells.items()}
         for j, msg in enumerate(plan.sends):
-            mask = np.ones(self.mask_cells(msg), dtype=np.uint8)
+            mask = masks[msg.peer]
             for seg in msg.segments:
                 slot, shape, outside = self._info[seg.block_id]
                 sbase, sstr, region = _region(shape, seg.slices)
                 copy = None
                 if outside is not None:
                     copy = ~outside[seg.slices[1:]]
-                    mask[seg.start // region[0]:seg.stop // region[0]] = copy.reshape(-1)
+                    lo, hi = (starts[j] + e // region[0] for e in (seg.start, seg.stop))
+                    mask[lo:hi] = copy.reshape(-1)
                 boxes.append(compiled.GhostBox(
                     slot, sbase, sstr, nb + j, seg.start, _c_strides(seg.shape),
                     region, copy,
                 ))
-            self.mask_messages.append(mask)
+        #: Per peer, ascending: the sender's copy mask of every segment
+        #: sent to it, flattened and concatenated (uint8) — the one-time
+        #: mask message.
+        self.mask_peers = list(masks)
+        self.mask_messages = list(masks.values())
         self.pack = self._bind(compiled.ghost_copy_table(boxes))
         boxes = []
         for dst_id, ghost_sl, src_id, src_sl in plan.local_copies:
@@ -327,6 +425,7 @@ class _CompiledGhostCopy:
             ))
         self.local = self._bind(compiled.ghost_copy_table(boxes))
         self._recvs = plan.recvs
+        self._recv_mask_starts = _mask_layout(plan.recvs)[1]
         #: Per received message, its bound unpack tables (set on the
         #: first exchange).
         self.unpack: Optional[list] = None
@@ -338,23 +437,18 @@ class _CompiledGhostCopy:
         segs, runs = tables
         return segs, runs, len(segs), segs.ctypes.data, runs.ctypes.data
 
-    @staticmethod
-    def mask_cells(msg: PeerMessage) -> int:
-        """Cells (one mask byte each) in a peer message's mask: a
-        segment's cells start at its element offset over the PDF count."""
-        return msg.elements // msg.segments[0].shape[0] if msg.segments else 0
-
-    def set_unpack_masks(self, masks) -> None:
+    def set_unpack_masks(self, masks: Dict[int, np.ndarray]) -> None:
         """Build the unpack tables from each peer's mask message
-        (``masks[i]`` for ``plan.recvs[i]``, already checked)."""
+        (``masks[peer]``, already checked)."""
         tables = []
-        for msg, mask in zip(self._recvs, masks):
+        for msg, start in zip(self._recvs, self._recv_mask_starts):
+            mask = masks[msg.peer]
             boxes = []
             for seg in msg.segments:
                 slot, shape, _ = self._info[seg.block_id]
                 dbase, dstr, region = _region(shape, seg.slices)
-                nq = region[0]
-                copy = mask[seg.start // nq:seg.stop // nq].reshape(region[1:])
+                lo, hi = (start + e // region[0] for e in (seg.start, seg.stop))
+                copy = mask[lo:hi].reshape(region[1:])
                 boxes.append(compiled.GhostBox(
                     self.payload_slot, seg.start, _c_strides(seg.shape),
                     slot, dbase, dstr, region, copy.view(np.bool_),
@@ -419,35 +513,39 @@ def _address(cache: Dict[int, Tuple[np.ndarray, int]], arr: np.ndarray,
 
 
 class BufferSystem:
-    """Bulk ghost exchange over persistent per-peer buffers.
+    """Ghost exchange over persistent message buffers.
 
     Parameters
     ----------
     plan:
         The rank's per-face :class:`~repro.comm.ghostlayer.RankGhostPlan`,
-        coalesced into one message per peer by :func:`coalesce_plan`.
+        grouped into messages by :func:`coalesce_plan`.
     fields:
         Mapping block id -> object with a ``src`` PDF grid.
     comm:
         A :class:`~repro.comm.vmpi.Comm` or
         :class:`~repro.comm.vmpi.ReliableComm`; with the latter every
-        bulk message is sequence-numbered and recoverable, so the
-        exchange stays bit-identical under any non-crash fault schedule.
+        message is sequence-numbered and recoverable, so the exchange
+        stays bit-identical under any non-crash fault schedule.
     tree:
         Optional timing tree; pack/local copy/wire/unpack times are
         recorded under the caller's current scope and the
-        ``comm.messages_coalesced`` / ``comm.coalesced_bytes`` /
-        ``comm.remote_bytes`` / ``comm.local_bytes`` counters
-        accumulate.
+        :attr:`stats` ledger feeds the ``comm.remote_messages`` /
+        ``comm.remote_bytes`` / ``comm.local_bytes`` counters.
     flags:
         Optional mapping block id -> :class:`~repro.core.flags.FlagField`
         of the same blocks.  With the compiled copy, cells a block flags
         OUTSIDE are not re-copied after the first two exchanges (see the
         module docstring); without ``flags`` every cell is copied.
+    comm_mode:
+        The message grouping (see :func:`coalesce_plan`): one message
+        per (block, side) for ``"per-face"``, one per peer rank for
+        ``"coalesced"`` and ``"overlap"``.
 
     Use :meth:`exchange` for the fused path or the :meth:`start` /
     :meth:`finish` pair to overlap interior computation with the
-    in-flight messages.  :attr:`stats` is the
+    in-flight messages; :meth:`resync` makes the next exchanges copy
+    every cell again.  :attr:`stats` is the
     :class:`~repro.comm.ghostlayer.CommStats` ledger.
 
     Buffer reuse: send buffers are reused every step, and a receiver
@@ -471,13 +569,16 @@ class BufferSystem:
         comm,
         tree: Optional[TimingTree] = None,
         flags: Optional[Dict[object, object]] = None,
+        comm_mode: str = "coalesced",
     ):
-        self.plan: CoalescedPlan = coalesce_plan(plan, fields)
+        self.plan: CoalescedPlan = coalesce_plan(plan, fields, comm_mode)
         self.fields = fields
         self.comm = comm
         self.tree = tree
         self.stats = CommStats()
-        self._local_bytes = _local_copy_bytes(plan, fields)
+        self._local_bytes = sum(
+            fields[src].src[sl].nbytes for _, _, src, sl in plan.local_copies
+        )
         # Persistent send buffers, allocated once and reused every step,
         # with each segment's view into its buffer.
         self._sends = []
@@ -488,8 +589,11 @@ class BufferSystem:
                 for seg in msg.segments
             )
             self._sends.append((msg, buf, views))
-        self._recv_channels = [(msg.peer, BULK_TAG) for msg in self.plan.recvs]
-        self._requests: list = []
+        self._recv_channels = [(msg.peer, msg.tag) for msg in self.plan.recvs]
+        # One slot per message, so posting a step's sends allocates no
+        # list storage (per-face posts one per block side).
+        self._requests: list = [None] * len(self._sends)
+        self._mask_requests: list = []
         #: The compiled ghost copy, or ``None`` (NumPy box copies).
         self._copy: Optional[_CompiledGhostCopy] = None
         if _compiled_copy_applies(self.plan, fields):
@@ -500,19 +604,14 @@ class BufferSystem:
         self._masks_sent = False
         self._compiled_now = False
 
-    # -- accounting ---------------------------------------------------------
     def _record(self, name: str, seconds: float) -> None:
         if self.tree is not None:
             self.tree.record(name, seconds)
 
-    def _count(self, name: str, value: float) -> None:
-        if self.tree is not None:
-            self.tree.add_counter(name, value)
-
     # -- the two phases -----------------------------------------------------
     def start(self) -> None:
-        """Pack all outgoing payloads, post one isend per peer, and run
-        the direct copies between blocks owned by this rank.
+        """Pack all outgoing payloads, post one isend per message, and
+        run the direct copies between blocks owned by this rank.
 
         Send buffers are owned by this object and reused next step (see
         the class docstring's buffer-reuse rule).
@@ -531,20 +630,16 @@ class BufferSystem:
             for _msg, _buf, views in self._sends:
                 for view, block_id, sl in views:
                     np.copyto(view, fields[block_id].src[sl])
-        for msg, buf, _views in self._sends:
+        for j, (msg, buf, _views) in enumerate(self._sends):
             sent += msg.nbytes
-            self._requests.append(
-                self.comm.isend(buf, dest=msg.peer, tag=BULK_TAG)
-            )
+            self._requests[j] = self.comm.isend(buf, dest=msg.peer, tag=msg.tag)
         if copy is not None and not self._masks_sent:
             self._masks_sent = True
-            for msg, mask in zip(self.plan.sends, copy.mask_messages):
-                self._requests.append(
-                    self.comm.isend(mask, dest=msg.peer, tag=MASK_TAG)
-                )
+            self._mask_requests = [
+                self.comm.isend(mask, dest=peer, tag=MASK_TAG)
+                for peer, mask in zip(copy.mask_peers, copy.mask_messages)
+            ]
         self._record("pack", time.perf_counter() - t0)
-        self._count("comm.messages_coalesced", len(self.plan.sends))
-        self._count("comm.coalesced_bytes", sent)
         t0 = time.perf_counter()
         local = self.plan.local_copies
         if self._compiled_now:
@@ -558,7 +653,7 @@ class BufferSystem:
         )
 
     def finish(self) -> None:
-        """Drain incoming bulk messages (arrival order) and unpack.
+        """Drain incoming messages (arrival order) and unpack.
 
         Wire-wait and unpack times are recorded separately, so the
         timing tree shows how much exposed wait the overlap schedule
@@ -577,7 +672,7 @@ class BufferSystem:
             t0 = time.perf_counter()
             msg = self.plan.recvs[i]
             _check_payload(
-                data, (msg.elements,), f"bulk message from rank {msg.peer}"
+                data, (msg.elements,), f"ghost message from rank {msg.peer}"
             )
             if compiled_now:
                 copy.run_unpack(i, data)
@@ -592,7 +687,9 @@ class BufferSystem:
             unpack += self._receive_masks(probe_timeout)
         for req in self._requests:
             req.wait()
-        self._requests.clear()
+        for req in self._mask_requests:
+            req.wait()
+        self._mask_requests.clear()
         self._record("wire", wire)
         self._record("unpack", unpack)
 
@@ -600,30 +697,33 @@ class BufferSystem:
         """Receive every peer's one-time mask message and build the
         unpack tables; returns the seconds spent."""
         t0 = time.perf_counter()
-        channels = [(msg.peer, MASK_TAG) for msg in self.plan.recvs]
-        masks = [None] * len(channels)
-        for i, data in drain_arrival_order(self.comm, channels, probe_timeout):
-            msg = self.plan.recvs[i]
-            cells = _CompiledGhostCopy.mask_cells(msg)
+        cells = _mask_layout(self.plan.recvs)[0]
+        peers = list(cells)
+        masks = {}
+        for i, data in drain_arrival_order(
+            self.comm, [(peer, MASK_TAG) for peer in peers], probe_timeout
+        ):
+            peer = peers[i]
             if not (
                 isinstance(data, np.ndarray)
                 and data.dtype == np.uint8
-                and data.shape == (cells,)
+                and data.shape == (cells[peer],)
                 and data.flags.c_contiguous
                 and int(data.max(initial=0)) <= 1
             ):
                 raise CommunicationError(
-                    f"mask message from rank {msg.peer}: expected a "
-                    f"C-contiguous uint8 array of {cells} zeros and ones, got "
+                    f"mask message from rank {peer}: expected a "
+                    f"C-contiguous uint8 array of {cells[peer]} zeros and "
+                    f"ones, got "
                     f"{getattr(data, 'dtype', type(data).__name__)} "
                     f"{getattr(data, 'shape', '')}"
                 )
-            masks[i] = data
+            masks[peer] = data
         self._copy.set_unpack_masks(masks)
         return time.perf_counter() - t0
 
     def exchange(self) -> None:
-        """One full bulk exchange: ``start`` + ``finish``."""
+        """One full ghost exchange: ``start`` + ``finish``."""
         self.start()
         self.finish()
 
@@ -636,21 +736,14 @@ class BufferSystem:
         self._full_left = FULL_EXCHANGES
 
 
-def check_comm_mode(
-    comm_mode: str, pdf_filter: Optional[LatticeModel] = None
-) -> None:
+def check_comm_mode(comm_mode: str) -> None:
     """Raise :class:`~repro.errors.ConfigurationError` for an unknown
-    ``comm_mode`` or a ``pdf_filter`` under a mode other than
-    ``"per-face"``.  :func:`make_exchange` checks this; the drivers
-    also call it on entry, so a bad setting fails before any block is
+    ``comm_mode``.  :func:`make_exchange` checks this; the drivers also
+    call it on entry, so a bad setting fails before any block is
     built."""
     if comm_mode not in COMM_MODES:
         raise ConfigurationError(
             f"comm_mode must be one of {COMM_MODES}, got {comm_mode!r}"
-        )
-    if pdf_filter is not None and comm_mode != "per-face":
-        raise ConfigurationError(
-            "filtered_communication requires comm_mode='per-face'"
         )
 
 
@@ -661,30 +754,29 @@ def make_exchange(
     comm,
     tree: Optional[TimingTree] = None,
     pdf_filter: Optional[LatticeModel] = None,
-) -> Tuple[object, FrozenSet[object]]:
+) -> Tuple[BufferSystem, FrozenSet[object]]:
     """One rank's ghost exchange: the plan of its block ``view`` (a
-    :class:`~repro.blocks.forest.ProcessView`) and the executor that runs
-    it under ``comm_mode`` over ``comm``.
+    :class:`~repro.blocks.forest.ProcessView`) and the
+    :class:`BufferSystem` (given the blocks' flags) that runs it over
+    ``comm``, its messages grouped by ``comm_mode``.
 
     ``runtimes`` maps block id to a
     :class:`~repro.core.schedule.BlockRuntime` and must hold every block
-    of ``view`` (it may hold more).  The executor is
-    :class:`~repro.comm.ghostlayer.SpmdGhostExchange` for ``"per-face"``
-    and :class:`BufferSystem` (given the blocks' flags) for
-    ``"coalesced"`` and ``"overlap"``.  ``pdf_filter`` restricts the plan
+    of ``view`` (it may hold more).  ``pdf_filter`` restricts the plan
     to the PDF directions each neighbor pulls (see
-    :func:`~repro.comm.ghostlayer.build_rank_plan`) and needs
-    ``"per-face"``.  Returns ``(executor, remote_dst)``, the latter the
-    ids of the blocks whose ghost layers are fed by another rank.
+    :func:`~repro.comm.ghostlayer.build_rank_plan`), in any mode.
+    Returns ``(executor, remote_dst)``, the latter the ids of the
+    blocks whose ghost layers are fed by another rank.
 
     Raises :class:`~repro.errors.ConfigurationError` as
     :func:`check_comm_mode` does.
     """
-    check_comm_mode(comm_mode, pdf_filter)
+    check_comm_mode(comm_mode)
     plan = build_rank_plan(view, view.rank, pdf_filter=pdf_filter)
     fields = {blk.id: runtimes[blk.id].field for blk in view.blocks}
-    remote_dst = frozenset(entry[2] for entry in plan.recvs)
-    if comm_mode == "per-face":
-        return SpmdGhostExchange(plan, fields, comm, tree=tree), remote_dst
     flags = {blk.id: runtimes[blk.id].flags for blk in view.blocks}
-    return BufferSystem(plan, fields, comm, tree=tree, flags=flags), remote_dst
+    remote_dst = frozenset(entry[2] for entry in plan.recvs)
+    executor = BufferSystem(
+        plan, fields, comm, tree=tree, flags=flags, comm_mode=comm_mode
+    )
+    return executor, remote_dst

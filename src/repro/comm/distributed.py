@@ -10,8 +10,8 @@ All virtual processes execute within one address space, driven from one
 thread (deterministic, bit-reproducible).  Each virtual rank's ghost
 exchange is the same plan and executor the SPMD rank program uses
 (:mod:`repro.comm.ghostlayer`, :mod:`repro.comm.buffersystem`), talking
-over in-process :mod:`~repro.comm.vmpi` endpoints; the executors' ledgers
-distinguish local from remote copies so the performance models can
+over in-process :mod:`~repro.comm.vmpi` endpoints; the executor's ledger
+distinguishes local from remote copies so the performance models can
 attribute MPI cost.
 """
 
@@ -181,21 +181,21 @@ class DistributedSimulation(BlockDriver):
         :func:`~repro.lbm.kernels.registry.default_dense_kernel`.
     filtered_communication:
         Exchange only the PDF directions neighbors can pull (ablation;
-        the paper's scheme sends full ghost layers).  Only available
-        with ``comm_mode="per-face"``.
+        the paper's scheme sends full ghost layers), under any
+        ``comm_mode``.
     comm_mode:
-        Ghost-exchange executor, run on every virtual rank exactly as
-        in :func:`~repro.comm.spmd.spmd_rank_program`:
+        How the ghost exchange groups its messages.  Every mode runs a
+        :class:`~repro.comm.buffersystem.BufferSystem` on every virtual
+        rank, exactly as :func:`~repro.comm.spmd.spmd_rank_program`
+        does, over persistent buffers with zero full-field allocations
+        in steady state:
 
         ``"per-face"``
-            :class:`~repro.comm.ghostlayer.SpmdGhostExchange`: one
-            message per (block, side) — the baseline.
+            One message per (block, side) — the baseline.
         ``"coalesced"``
-            :class:`~repro.comm.buffersystem.BufferSystem`: all traffic
-            between a pair of virtual ranks is packed into one
-            persistent buffer — exactly one message per rank pair per
-            step, zero full-field allocations in steady state (§2.3 of
-            the paper).
+            All traffic between a pair of virtual ranks is packed into
+            one buffer — exactly one message per rank pair per step
+            (§2.3 of the paper).
         ``"overlap"``
             Coalesced, plus communication/computation overlap: each
             dense block's sweep is split into an inner region
@@ -246,7 +246,7 @@ class DistributedSimulation(BlockDriver):
         if forest.n_processes == 0:
             raise ConfigurationError("forest must be balanced first")
         pdf_filter = model if filtered_communication else None
-        check_comm_mode(comm_mode, pdf_filter)
+        check_comm_mode(comm_mode)
         self.timeloop = TimeLoop()
         self.comm_mode = comm_mode
         self.forest = forest

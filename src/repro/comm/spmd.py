@@ -4,10 +4,11 @@ While :class:`~repro.comm.distributed.DistributedSimulation` drives
 all virtual ranks from one thread, this module runs the message-passing
 program on one thread per rank: every rank builds only its own blocks
 (from :func:`~repro.blocks.forest.view_for_rank`), exchanges ghost
-regions with neighboring ranks through its ghost-exchange executor on a
+regions with neighboring ranks through its
+:class:`~repro.comm.buffersystem.BufferSystem` on a
 :class:`~repro.comm.vmpi.VirtualMPI` communicator, and steps its blocks
 with :class:`~repro.core.schedule.BlockSweepSchedule`.  Both drivers
-use the same plan, executors and schedule; the tests assert their
+use the same plan, executor and schedule; the tests assert their
 results are bit-identical.
 
 Resilience
@@ -124,18 +125,18 @@ def spmd_rank_program(
     every (exec_mode, workers) choice.  ``None`` selects ``"threads"``
     when ``workers > 1``.
 
-    ``comm_mode`` selects the exchange strategy (all bit-identical):
-    ``"per-face"`` sends one message per (block, face);
-    ``"coalesced"`` routes everything through a
-    :class:`~repro.comm.buffersystem.BufferSystem` — exactly one
-    message per peer rank per step, packed into persistent buffers
-    (zero full-field allocations in steady state); ``"overlap"``
-    additionally hides the exchange behind each block's inner-region
-    sweep, with ``inner kernel`` / ``communication finish`` /
-    ``frontier kernel`` scopes and a ``comm.overlap_efficiency`` gauge.
+    ``comm_mode`` selects how the
+    :class:`~repro.comm.buffersystem.BufferSystem` groups its messages
+    (all bit-identical, all over persistent buffers with zero
+    full-field allocations in steady state): ``"per-face"`` sends one
+    message per (block, face); ``"coalesced"`` exactly one message per
+    peer rank per step; ``"overlap"`` additionally hides the exchange
+    behind each block's inner-region sweep, with ``inner kernel`` /
+    ``communication finish`` / ``frontier kernel`` scopes and a
+    ``comm.overlap_efficiency`` gauge.
 
-    ``tree`` enables per-rank timing: communication (with pack+send /
-    local copy / recv+unpack sub-scopes), boundary, kernel (with
+    ``tree`` enables per-rank timing: communication (with pack /
+    local copy / wire / unpack sub-scopes), boundary, kernel (with
     per-tier ``tier:<name>`` timers), swap, the
     per-step sync barrier, and checkpoint writes each get a scope, and
     cell/byte counters (plus the resilient layer's ``comm.timeouts`` /

@@ -14,13 +14,12 @@ the same:
     overlap:  communication -> boundary -> inner kernel
               -> communication finish -> frontier kernel -> swap
 
-Every ghost-exchange executor offers ``exchange()`` and ``resync()``
-(copy every cell again, called by a checkpoint load); those used under
-overlap (:class:`~repro.comm.ghostlayer.SpmdGhostExchange`,
-:class:`~repro.comm.buffersystem.BufferSystem`) also offer ``start()``
-(pack, post sends, local copies) and ``finish()`` (drain and unpack);
-the in-process driver wraps one executor per virtual rank behind the
-same calls.
+Every ghost exchange offers ``exchange()`` and ``resync()`` (copy
+every cell again, called by a checkpoint load); the multi-block
+drivers' :class:`~repro.comm.buffersystem.BufferSystem`, which overlap
+uses, also offers ``start()`` (pack, post sends, local copies) and
+``finish()`` (drain and unpack); the in-process driver wraps one per
+virtual rank behind the same calls.
 
 Work items are built once.  Closures re-read ``field.src`` /
 ``field.dst`` at call time so the two-grid swap stays transparent, and

@@ -36,10 +36,17 @@ def interior(f: np.ndarray) -> np.ndarray:
     return f[(slice(None),) + (slice(1, -1),) * (f.ndim - 1)]
 
 
+def per_face(plan, fields, comm):
+    """A ``BufferSystem`` that sends one message per (block, side)."""
+    from repro.comm import BufferSystem
+
+    return BufferSystem(plan, fields, comm, comm_mode="per-face")
+
+
 def exchange_on_ranks(forest, fields, executor):
     """Run one ghost exchange of ``fields`` (block id -> PdfField) with
-    ``executor`` (``SpmdGhostExchange`` or ``BufferSystem``), one virtual
-    MPI rank per forest process; returns the ranks' ``CommStats``."""
+    ``executor`` (``per_face`` or ``BufferSystem``), one virtual MPI rank
+    per forest process; returns the ranks' ``CommStats``."""
     from repro.blocks import view_for_rank
     from repro.comm import VirtualMPI, build_rank_plan
 

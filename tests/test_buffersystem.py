@@ -125,6 +125,30 @@ class TestCoalescedPlan:
             assert pos == msg.elements
             assert msg.nbytes == msg.elements * 8
 
+    def test_per_face_grouping_one_message_per_block_side(self):
+        forest = _dense_forest()
+        view = view_for_rank(forest, 0)
+        sim = _dense_sim("per-face")
+        fields = {
+            bid: sim.fields[bid]
+            for bid in sim.fields
+            if sim.block_rank[bid] == 0
+        }
+        rank_plan = build_rank_plan(view, 0)
+        plan = coalesce_plan(rank_plan, fields, "per-face")
+        assert plan.messages_per_step == len(rank_plan.sends)
+        keys = [(m.peer, m.tag) for m in plan.sends]
+        assert keys == sorted((e[0], e[1]) for e in rank_plan.sends)
+        for msg in plan.sends + plan.recvs:
+            (seg,) = msg.segments
+            assert seg.tag == msg.tag and seg.start == 0
+            assert seg.stop == msg.elements
+        coalesced = coalesce_plan(rank_plan, fields)
+        assert {m.tag for m in coalesced.sends} == {BULK_TAG}
+        assert sum(m.elements for m in coalesced.sends) == sum(
+            m.elements for m in plan.sends
+        )
+
     def test_send_recv_layouts_mirror_across_ranks(self):
         forest = _dense_forest()
         sim = _dense_sim("per-face")
@@ -151,15 +175,6 @@ class TestCoalescedPlan:
         with pytest.raises(ConfigurationError):
             _dense_sim("bulk")
 
-    def test_filtered_requires_per_face(self):
-        with pytest.raises(ConfigurationError):
-            DistributedSimulation(
-                _dense_forest(),
-                TRT.from_tau(0.65),
-                filtered_communication=True,
-                comm_mode="coalesced",
-            )
-
     def test_bad_mode_rejected_before_blocks_are_built(self, monkeypatch):
         def no_build(*args, **kwargs):
             raise AssertionError("block built before comm_mode was checked")
@@ -168,11 +183,6 @@ class TestCoalescedPlan:
         monkeypatch.setattr(spmd, "build_block_runtime", no_build)
         with pytest.raises(ConfigurationError, match="comm_mode"):
             _dense_sim("bulk")
-        with pytest.raises(ConfigurationError, match="per-face"):
-            DistributedSimulation(
-                _dense_forest(), TRT.from_tau(0.65),
-                filtered_communication=True, comm_mode="coalesced",
-            )
         with pytest.raises(ConfigurationError, match="comm_mode"):
             spmd.spmd_rank_program(
                 Comm(0, VirtualMPI(1)), _dense_forest(ranks=1),
@@ -233,14 +243,18 @@ class TestBitIdentityAcrossModes:
         pairs = sum(len(view.neighbor_ranks()) for view in sim.views)
         steps = 7
         sim.run(steps)
-        counted = sim.timeloop.tree.counters["comm.messages_coalesced"]
+        counted = sim.timeloop.tree.counters["comm.remote_messages"]
         assert counted == pairs * steps
         # 2x2x2 grid on 4 ranks: every ordered rank pair with shared
         # faces/edges sends exactly one message per step, never one per
-        # (block, face) — per-face would send many more.
+        # (block, face) — per-face sends one per remote plan entry.
         per_face = _dense_sim("per-face")
         per_face.run(1)
-        assert per_face.comm_stats.remote_messages > pairs
+        sends = sum(
+            len(build_rank_plan(view, view.rank).sends) for view in per_face.views
+        )
+        assert per_face.timeloop.tree.counters["comm.remote_messages"] == sends
+        assert per_face.comm_stats.remote_messages == sends > pairs
 
     def test_overlap_scopes_and_gauge(self):
         sim = _dense_sim("overlap")
@@ -261,26 +275,28 @@ class TestBitIdentityAcrossModes:
 
 class TestSteadyStateAllocations:
     def test_comm_path_allocation_free_after_warmup(self):
-        """After warm-up, one coalesced exchange must not allocate any
-        field-sized temporary (the persistent-buffer contract)."""
-        sim = _dense_sim("coalesced")
-        sim.run(3)  # warm-up: scratch caches and buffers filled
-        exchange = sim.exchange
-        # Warm up the call path measured below too: outside the time loop
-        # it records under the tree's root, and the first call creates
-        # those timing nodes.
-        exchange.exchange()
-        # A full ghost layer of the 5^3 block is 19 * 5 * 5 floats; set
-        # the bar well below one face payload.
-        limit = 19 * 5 * 5 * 8 // 2
-        tracemalloc.start()
-        try:
-            for _ in range(3):
-                exchange.exchange()
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < limit, f"comm path allocated {peak} bytes"
+        """After warm-up, one exchange must not allocate any field-sized
+        temporary (the persistent-buffer contract), per-face or
+        coalesced."""
+        for mode in ("per-face", "coalesced"):
+            sim = _dense_sim(mode)
+            sim.run(3)  # warm-up: scratch caches and buffers filled
+            exchange = sim.exchange
+            # Warm up the call path measured below too: outside the time
+            # loop it records under the tree's root, and the first call
+            # creates those timing nodes.
+            exchange.exchange()
+            # A full ghost layer of the 5^3 block is 19 * 5 * 5 floats;
+            # set the bar well below one face payload.
+            limit = 19 * 5 * 5 * 8 // 2
+            tracemalloc.start()
+            try:
+                for _ in range(3):
+                    exchange.exchange()
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, f"{mode} comm path allocated {peak} bytes"
 
     def test_vectorized_kernel_allocation_free_after_warmup(self):
         sim = _dense_sim("overlap")
@@ -358,7 +374,7 @@ class TestSpmdBufferSystem:
             expected += len(view.neighbor_ranks())
         reduced = reduce_trees(trees)
         assert (
-            reduced.counters["comm.messages_coalesced"]
+            reduced.counters["comm.remote_messages"]
             == expected * self.STEPS
         )
 
@@ -378,7 +394,7 @@ class TestSpmdBufferSystem:
             ).run(self.STEPS)
             counters = sim.timeloop.tree.counters
         assert 0.0 <= counters["comm.overlap_efficiency"] <= 1.0
-        assert counters["comm.coalesced_bytes"] > 0
+        assert counters["comm.remote_bytes"] > 0
 
     def test_overlap_records_kernel_timers(self):
         """The overlap rank program times its inner and frontier kernel

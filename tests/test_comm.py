@@ -13,7 +13,6 @@ from repro.comm import (
     Comm,
     COMM_MODES,
     DistributedSimulation,
-    SpmdGhostExchange,
     VirtualMPI,
     build_rank_plan,
     ghost_slices,
@@ -25,11 +24,11 @@ from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree
 from repro.lbm import D3Q19, NoSlip, PressureABB, TRT, UBB
 from repro.scenarios import lid_driven_cavity
 
-from helpers import exchange_on_ranks
+from helpers import exchange_on_ranks, per_face
 
-#: The two ghost-exchange executors: one message per (block, side), and
-#: one coalesced message per peer rank.
-EXECUTORS = (SpmdGhostExchange, BufferSystem)
+#: The ghost exchange under both message groupings: one message per
+#: (block, side), and one coalesced message per peer rank.
+EXECUTORS = (per_face, BufferSystem)
 
 
 def _two_blocks(cells, ranks):
@@ -203,8 +202,8 @@ class TestGhostSlices:
 
 
 class TestPayloadChecks:
-    """Either executor rejects a payload that is not a C-contiguous
-    float64 array of the receiving region's shape, before writing it."""
+    """Either grouping rejects a payload that is not a C-contiguous
+    float64 array of the message's size, before writing it."""
 
     @staticmethod
     def _payloads(shape):
@@ -225,11 +224,12 @@ class TestPayloadChecks:
         ((_peer, tag, _block, ghost_sl),) = plan.recvs
         field = PdfField(D3Q19, (4, 4, 4))
         ex = executor(plan, {a: field}, Comm(0, world))
-        shape = field.src[ghost_sl].shape
-        if executor is BufferSystem:
-            tag, shape = BULK_TAG, (int(np.prod(shape)),)
+        (msg,) = ex.plan.recvs
+        assert msg.tag == (BULK_TAG if executor is BufferSystem else tag)
         ex.start()
-        Comm(1, world).send(self._payloads(shape)[kind], dest=0, tag=tag)
+        Comm(1, world).send(
+            self._payloads((msg.elements,))[kind], dest=0, tag=msg.tag
+        )
         with pytest.raises(
             CommunicationError, match="from rank 1: expected a C-contiguous float64"
         ):

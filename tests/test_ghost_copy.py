@@ -405,7 +405,7 @@ class TestPayloadChecks:
             (msg,) = ex0.plan.recvs
             payload = _bad_payloads(msg.elements)[bad]
             ex1.comm.send(payload, dest=0, tag=BULK_TAG)
-            with pytest.raises(CommunicationError, match="bulk message from rank 1"):
+            with pytest.raises(CommunicationError, match="ghost message from rank 1"):
                 ex0.finish()
         finally:
             sim.close()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest
-from repro.comm import DistributedSimulation
+from repro.comm import COMM_MODES, DistributedSimulation
 from repro.comm.ghostlayer import needed_directions
 from repro.lbm import D3Q19, D3Q27, NoSlip, SRT, TRT
 from repro.lbm.kernels import make_kernel
@@ -81,6 +81,15 @@ class TestNeededDirections:
 
 
 class TestFilteredSimulation:
+    @staticmethod
+    def _assert_same_interiors(sims):
+        plain, filtered = sims
+        for key, field in plain.fields.items():
+            assert np.array_equal(
+                interior(field.src), interior(filtered.fields[key].src)
+            ), key
+        assert filtered.comm_stats.total_bytes < plain.comm_stats.total_bytes / 3
+
     def test_bit_identical_with_sparse_geometry(self):
         from repro.geometry import CapsuleTreeGeometry, CoronaryTree
 
@@ -90,15 +99,47 @@ class TestFilteredSimulation:
             geom.aabb(), (2, 2, 2), (8, 8, 8), geometry=geom
         )
         balance_forest(forest, 2, strategy="round_robin")
+        for mode in COMM_MODES:
+            sims = []
+            for filt in (False, True):
+                sim = DistributedSimulation(
+                    forest, TRT.from_tau(0.8), geometry=geom,
+                    boundaries=[NoSlip()], filtered_communication=filt,
+                    comm_mode=mode,
+                )
+                sim.run(8)
+                sims.append(sim)
+            a = sims[0].gather_density()
+            b = sims[1].gather_density()
+            assert np.nanmax(np.abs(a - b)) == 0.0, mode
+            self._assert_same_interiors(sims)
+
+    def test_bit_identical_channel_with_obstacle_overlap(self):
+        """Dense blocks around an obstacle that straddles block
+        boundaries, with inflow and outflow, under the overlap split on
+        two worker threads."""
+        from repro.geometry import AABB
+        from repro.lbm import PressureABB, UBB
+        from repro.scenarios import channel_with_obstacle
+
+        grid, cells = (4, 2, 2), (6, 6, 6)
+        forest = SetupBlockForest.create(AABB((0, 0, 0), (4.0, 2.0, 2.0)), grid, cells)
+        balance_forest(forest, 4, strategy="morton")
         sims = []
-        for filt in (False, True):
-            sim = DistributedSimulation(
-                forest, TRT.from_tau(0.8), geometry=geom,
-                boundaries=[NoSlip()], filtered_communication=filt,
-            )
-            sim.run(8)
-            sims.append(sim)
-        a = sims[0].gather_density()
-        b = sims[1].gather_density()
-        assert np.nanmax(np.abs(a - b)) == 0.0
-        assert sims[1].comm_stats.total_bytes < sims[0].comm_stats.total_bytes / 3
+        try:
+            for filt in (False, True):
+                sims.append(DistributedSimulation(
+                    forest, TRT.from_tau(0.6),
+                    boundaries=[
+                        NoSlip(), UBB(velocity=(0.03, 0.0, 0.0)), PressureABB(rho_w=1.0),
+                    ],
+                    flag_setter=channel_with_obstacle(grid, cells, (9, 4, 4), (13, 8, 8)),
+                    filtered_communication=filt,
+                    comm_mode="overlap",
+                    workers=2,
+                ))
+                sims[-1].run(10)
+            self._assert_same_interiors(sims)
+        finally:
+            for sim in sims:
+                sim.close()

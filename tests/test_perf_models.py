@@ -178,25 +178,66 @@ class TestExchangeTimeFromCounters:
     def test_coalesced_counters(self):
         # 4 ranks x 10 steps, 6 messages and 1 MB per rank per step.
         counters = {
-            "comm.messages_coalesced": 6.0 * 4 * 10,
-            "comm.coalesced_bytes": 1e6 * 4 * 10,
+            "comm.remote_messages": 6.0 * 4 * 10,
+            "comm.remote_bytes": 1e6 * 4 * 10,
         }
         t = exchange_time_from_counters(self.NET, counters, steps=10, ranks=4)
         assert t == pytest.approx(6e-6 + 1e-3)
 
-    def test_per_face_fallback(self):
-        # No coalesced counters: the per-face byte ledger is used.
-        counters = {"comm.remote_bytes": 2e6 * 2 * 5}
-        t = exchange_time_from_counters(self.NET, counters, steps=5, ranks=2)
-        assert t == pytest.approx(2e-3)
+    @staticmethod
+    def _spmd_counters(mode, steps):
+        """Reduced counters of a closed 2x2x2 box on 4 ranks, two blocks
+        each, and the forest."""
+        from repro.balance import balance_forest
+        from repro.blocks import SetupBlockForest
+        from repro.comm import VirtualMPI, run_spmd_simulation
+        from repro.geometry import AABB
+        from repro.lbm import NoSlip, TRT
+        from repro.perf.timing import TimingTree, reduce_trees
+
+        forest = SetupBlockForest.create(
+            AABB((0, 0, 0), (2.0, 2.0, 2.0)), (2, 2, 2), (4, 4, 4)
+        )
+        balance_forest(forest, 4, strategy="morton")
+        trees = [TimingTree() for _ in range(4)]
+        run_spmd_simulation(
+            VirtualMPI(4), forest, TRT.from_tau(0.7), steps,
+            conditions=[NoSlip()], timing_trees=trees, comm_mode=mode,
+        )
+        return reduce_trees(trees).counters, forest
+
+    def test_per_face_run_counts_every_message(self):
+        """A real per-face run feeds the latency term: with a latency of
+        1 s and unbounded bandwidth the predicted time is the messages
+        per node, which must equal the plan's per-face sends per rank."""
+        from repro.blocks import view_for_rank
+        from repro.comm import build_rank_plan
+
+        steps = 3
+        counters, forest = self._spmd_counters("per-face", steps)
+        sends = [
+            len(build_rank_plan(view_for_rank(forest, r), r).sends)
+            for r in range(4)
+        ]
+        assert len(set(sends)) == 1 and sends[0] > 0
+        net = TorusNetwork(
+            link_bandwidth=float("inf"), latency_s=1.0, routing_dilation=0.0
+        )
+        t = exchange_time_from_counters(net, counters, steps=steps, ranks=4)
+        assert t == sends[0]
+        coalesced, _ = self._spmd_counters("coalesced", steps)
+        assert exchange_time_from_counters(
+            net, coalesced, steps=steps, ranks=4
+        ) < t
+        assert coalesced["comm.remote_bytes"] == counters["comm.remote_bytes"]
 
     def test_accepts_reduced_tree(self):
         from repro.perf.timing import TimingTree, reduce_trees
 
         tree = TimingTree()
         with tree.scoped("communication"):
-            tree.add_counter("comm.messages_coalesced", 30.0)
-            tree.add_counter("comm.coalesced_bytes", 3e6)
+            tree.add_counter("comm.remote_messages", 30.0)
+            tree.add_counter("comm.remote_bytes", 3e6)
         reduced = reduce_trees([tree])
         t = exchange_time_from_counters(self.NET, reduced, steps=3, ranks=1)
         assert t == pytest.approx(10e-6 + 1e-3)
@@ -226,7 +267,7 @@ class TestExchangeTimeFromCounters:
             comm_mode="coalesced",
         )
         counters = reduce_trees(trees).counters
-        assert counters.get("comm.messages_coalesced", 0) > 0
+        assert counters.get("comm.remote_messages", 0) > 0
         for machine in (JUQUEEN, SUPERMUC):
             t = exchange_time_from_counters(
                 network_for(machine), counters, steps=4, ranks=2, job_nodes=2

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from repro.blocks import BlockId, SetupBlockForest
 from repro.balance import curve_split, morton_key
-from repro.comm import BufferSystem, SpmdGhostExchange
+from repro.comm import BufferSystem
 from repro.core import PdfField
 from repro.geometry import AABB
 from repro.lbm import D3Q19, SRT, TRT
 from repro.lbm.equilibrium import equilibrium_cell
 from repro.lbm.kernels import make_kernel
 
-from helpers import exchange_on_ranks, interior, periodic_ghost_fill
+from helpers import exchange_on_ranks, interior, per_face, periodic_ghost_fill
 
 
 def _chain_forest(n_blocks, cells, owners):
@@ -35,7 +35,7 @@ class TestGhostExchangeProperties:
         forest = _chain_forest(
             n_blocks, (4, 4, 4), [(i + 1) // 2 for i in range(n_blocks)]
         )
-        for executor in (SpmdGhostExchange, BufferSystem):
+        for executor in (per_face, BufferSystem):
             fields = {}
             for blk in forest.blocks:
                 f = PdfField(D3Q19, (4, 4, 4))
@@ -52,7 +52,7 @@ class TestGhostExchangeProperties:
         rng = np.random.default_rng(seed)
         forest = _chain_forest(2, (3, 3, 3), [0, 1])
         a_id, b_id = (blk.id for blk in forest.blocks)
-        for executor in (SpmdGhostExchange, BufferSystem):
+        for executor in (per_face, BufferSystem):
             a = PdfField(D3Q19, (3, 3, 3))
             b = PdfField(D3Q19, (3, 3, 3))
             a.src[...] = rng.random(a.src.shape)

@@ -328,7 +328,7 @@ class TestSimulationTrees:
         sim = DistributedSimulation(forest, TRT.from_tau(0.8))
         sim.run(3)
         tree = sim.timeloop.tree
-        for sub in ("pack+send", "local copy", "recv+unpack"):
+        for sub in ("pack", "local copy", "wire", "unpack"):
             assert tree.node("communication", sub) is not None, sub
         assert tree.counter("comm.remote_bytes") > 0
         assert tree.counter("cells_updated") > 0
@@ -352,7 +352,7 @@ class TestProfileCli:
         out = capsys.readouterr().out
         # Reduced hierarchical tree with comm sub-scopes and fraction.
         assert "communication" in out
-        assert "pack+send" in out
+        assert "unpack" in out
         assert "comm fraction" in out
         assert "min s" in out and "avg s" in out and "max s" in out
         payload = json.loads(json_path.read_text())
@@ -393,7 +393,7 @@ class TestSpmdProfileDriver:
         result = profile_spmd_cavity(ranks=2, steps=4)
         assert result.ranks == 2
         assert result.reduced.n_ranks == 2
-        assert result.reduced.node("communication", "recv+unpack") is not None
+        assert result.reduced.node("communication", "unpack") is not None
         assert result.reduced.node("kernel") is not None
         assert "comm fraction" in result.derived
         assert 0.0 <= result.derived["comm fraction"] <= 1.0
