@@ -24,6 +24,20 @@ in-process ranks, :class:`~repro.comm.distributed.DistributedSimulation`.
 Every mode moves the same bytes and gives the same bits; only the
 message count differs.
 
+Direction filter
+----------------
+By default (:func:`make_exchange`) a payload carries only the PDF
+planes the receiving block's stream step pulls from that ghost region
+(:func:`~repro.comm.ghostlayer.needed_directions`): 5 of 19 on a face,
+1 on an edge, none on a corner, whose segments are dropped — the
+stencil-derived pack infos of waLBerla's generated code.  The full
+ghost layers of the paper (``filtered_communication=False`` of
+:class:`~repro.comm.distributed.DistributedSimulation`) are the
+baseline; both give bit-identical interiors.  A filtered segment lists
+its planes; the NumPy copies move them one plane at a time through
+basic slices, so they stay allocation-free, and the compiled copy
+walks the plane list.
+
 Layout determinism
 ------------------
 Sender and receiver never exchange the layout — both derive it
@@ -49,12 +63,14 @@ where the sender has a wall).  Pack and the same-rank copies read the
 source block's own flags; unpack uses the sender's, which the first
 exchange carries in one extra message per peer on :data:`MASK_TAG`:
 the masks of every segment sent to that peer, in tag order, which is
-the same under both groupings.  The first two exchanges, one per
-grid of the two-grid scheme, copy every cell, so the ghost copies of
-OUTSIDE cells hold whatever values the fields were given before
-stepping.  Messages keep their full size and layout; only the memory
-traffic inside a rank shrinks.  Without a compiler every exchange runs
-the NumPy box copies, with the same bits.
+the same under both groupings.  A segment's cells sit in the mask at
+its own offset, since segments carry different numbers of planes.  The
+first two exchanges, one per grid of the two-grid scheme, copy every
+cell (through tables without masks), so the ghost copies of OUTSIDE
+cells hold whatever values the fields were given before stepping.  Leaving cells out does not change a
+message's size or layout; only the memory traffic inside a rank
+shrinks.  Without a compiler every exchange runs the NumPy copies, with
+the same bits.
 
 Timing scopes and counters: ``pack`` / ``local copy`` / ``wire`` /
 ``unpack`` sub-scopes under the caller's communication sweep, plus the
@@ -77,7 +93,6 @@ import numpy as np
 from .. import flagdefs as fl
 from ..errors import CommunicationError, ConfigurationError, RecvTimeoutError
 from ..lbm.kernels import compiled
-from ..lbm.lattice import LatticeModel
 from ..perf.timing import TimingTree
 from .ghostlayer import CommStats, RankGhostPlan, build_rank_plan
 
@@ -238,7 +253,8 @@ def _group(entries, fields, per_face: bool) -> Tuple[PeerMessage, ...]:
         segs = []
         offset = 0
         for tag, block_id, sl in sorted(groups[peer, msg_tag], key=lambda e: e[0]):
-            shape = fields[block_id].src[sl].shape
+            planes, _, cells = _region(fields[block_id].src.shape, sl)
+            shape = (len(planes),) + cells
             n = math.prod(shape)
             segs.append(
                 BufferSegment(tag, block_id, sl, shape, offset, offset + n)
@@ -280,18 +296,23 @@ def coalesce_plan(
     )
 
 
-def _mask_layout(messages) -> Tuple[Dict[int, int], List[int]]:
-    """Where each message's cells sit in its peer's one mask message:
-    ``(cells per peer, first cell per message)``.  A peer's mask holds
-    its messages' segments in ``(peer, tag)`` order, one byte per cell
-    (a segment's element offset over the PDF count)."""
+def _mask_layout(messages) -> Tuple[Dict[int, int], List[Tuple[int, ...]]]:
+    """Where each segment's cells sit in its peer's one mask message:
+    ``(cells per peer, per message the first cell of each segment)``.
+    A peer's mask holds its messages' segments in ``(peer, tag)`` order,
+    one byte per cell.  Segments are placed by their own cell counts,
+    because a filtered message mixes faces (5 planes) and edges (1)."""
     cells: Dict[int, int] = {}
-    starts = []
+    firsts = []
     for msg in messages:
-        starts.append(cells.get(msg.peer, 0))
-        nq = msg.segments[0].shape[0]
-        cells[msg.peer] = starts[-1] + msg.elements // nq
-    return cells, starts
+        at = cells.get(msg.peer, 0)
+        starts = []
+        for seg in msg.segments:
+            starts.append(at)
+            at += math.prod(seg.shape[1:])
+        firsts.append(tuple(starts))
+        cells[msg.peer] = at
+    return cells, firsts
 
 
 @lru_cache(maxsize=None)
@@ -307,42 +328,75 @@ _REGIONS: Dict[tuple, tuple] = {}
 
 
 def _region(arr_shape: Tuple[int, ...], slices: tuple):
-    """``(base, strides, shape)`` of ``slices`` (PDF axis whole, unit
-    steps) in a C-contiguous array of ``arr_shape``, in elements.
-    Ghost plans use a few dozen distinct regions, so results are kept."""
-    sx, sy, sz = slices[1:]
-    key = (arr_shape, sx.start, sx.stop, sy.start, sy.stop, sz.start, sz.stop)
+    """``(planes, strides, shape)`` of ``slices`` (unit steps) in a
+    C-contiguous array of ``arr_shape``, in elements: the offset of the
+    region's first cell in each PDF plane ``slices[0]`` selects, and the
+    strides and shape of its ``(x, y, z)`` box.  Ghost plans use a few
+    dozen distinct regions, so results are kept (read-only)."""
+    index, sx, sy, sz = slices
+    key = (
+        arr_shape, sx.start, sx.stop, sy.start, sy.stop, sz.start, sz.stop,
+        (index.start, index.stop, index.step) if isinstance(index, slice)
+        else index.tobytes(),
+    )
     hit = _REGIONS.get(key)
-    if hit is not None:
-        return hit
-    strides = _c_strides(arr_shape)
-    base = 0
-    shape = [arr_shape[0]]
-    for a, sl in enumerate((sx, sy, sz), start=1):
-        start, stop, _ = sl.indices(arr_shape[a])
-        base += start * strides[a]
-        shape.append(stop - start)
-    hit = _REGIONS[key] = (base, strides, tuple(shape))
+    if hit is None:
+        strides = _c_strides(arr_shape)
+        base = 0
+        shape = []
+        for a, sl in enumerate((sx, sy, sz), start=1):
+            start, stop, _ = sl.indices(arr_shape[a])
+            base += start * strides[a]
+            shape.append(stop - start)
+        planes = base + np.arange(arr_shape[0], dtype=np.int64)[index] * strides[0]
+        planes.flags.writeable = False
+        hit = _REGIONS[key] = (planes, strides[1:], tuple(shape))
     return hit
 
 
-def _compiled_copy_applies(plan: CoalescedPlan, fields) -> bool:
-    """Whether the compiled ghost copy can run ``plan``: whole PDF axes
-    (no direction filter) over 4-D float64 C-contiguous fields.  Both
-    ends of a channel decide alike, because it depends only on the
-    build and on run-wide settings."""
+def _flat_region(seg: BufferSegment):
+    """``(planes, strides, shape)`` of segment ``seg`` in its message
+    buffer, where it lies C-ordered from ``seg.start``."""
+    strides = _c_strides(seg.shape)
+    planes = np.arange(seg.start, seg.stop, strides[0], dtype=np.int64)
+    return planes, strides[1:], seg.shape[1:]
+
+
+def _box(src_slot: int, src, dst_slot: int, dst, copy) -> compiled.GhostBox:
+    """The :class:`~repro.lbm.kernels.compiled.GhostBox` copying region
+    ``src`` to region ``dst`` (each as :func:`_region` gives it)."""
+    return compiled.GhostBox(src_slot, *src[:2], dst_slot, *dst[:2], src[2], copy)
+
+
+def _planes(slices: tuple) -> List[tuple]:
+    """Basic indices of a region for the NumPy copies: ``slices`` itself
+    when its PDF index is a slice, else one per PDF plane of its integer
+    index (a direction filter).  An integer-array index copies, and the
+    steady-state exchange must not allocate."""
+    if isinstance(slices[0], slice):
+        return [slices]
+    return [(q,) + tuple(slices[1:]) for q in slices[0].tolist()]
+
+
+def _spans(seg: BufferSegment) -> List[Tuple[tuple, int, int, Tuple[int, ...]]]:
+    """``(index, lo, hi, shape)`` per NumPy copy of segment ``seg`` (see
+    :func:`_planes`): the block's ``src[index]`` is the message span
+    ``lo:hi`` reshaped to ``shape``."""
+    shape = seg.shape if isinstance(seg.slices[0], slice) else seg.shape[1:]
+    n = math.prod(shape)
+    return [
+        (sl, seg.start + i * n, seg.start + (i + 1) * n, shape)
+        for i, sl in enumerate(_planes(seg.slices))
+    ]
+
+
+def _compiled_copy_applies(fields) -> bool:
+    """Whether the compiled ghost copy can run: the loop built, and
+    every field is a 4-D float64 C-contiguous grid.  Both ends of a
+    channel decide alike, because it depends only on the build and on
+    run-wide settings."""
     if compiled.ghost_copy_loop() is None:
         return False
-    def whole(index) -> bool:
-        return isinstance(index, slice) and index == slice(None)
-
-    for msg in plan.sends + plan.recvs:
-        for seg in msg.segments:
-            if not whole(seg.slices[0]):
-                return False
-    for _, ghost_sl, _, src_sl in plan.local_copies:
-        if not (whole(ghost_sl[0]) and whole(src_sl[0])):
-            return False
     for field in fields.values():
         src = field.src
         if src.ndim != 4 or src.dtype != np.float64 or not src.flags.c_contiguous:
@@ -355,9 +409,11 @@ class _CompiledGhostCopy:
 
     Pointer-table slots: the rank's blocks (their current ``src``
     grids), then one send buffer per peer, then the payload being
-    unpacked.  The pack and same-rank tables come from the source
-    blocks' flags at construction; the unpack tables come from the
-    peers' masks (:meth:`set_unpack_masks`) on the first exchange.
+    unpacked.  Each phase has two tables: ``*_full`` copy every cell
+    (the first exchanges), the others leave out OUTSIDE cells.  The
+    pack and same-rank tables come from the source blocks' flags at
+    construction; the masked unpack tables come from the peers' masks
+    (:meth:`set_unpack_masks`) on the first exchange.
     """
 
     def __init__(self, plan: CoalescedPlan, fields, flags, send_buffers):
@@ -391,69 +447,87 @@ class _CompiledGhostCopy:
             self._info[b] = (i, shape, outside)
 
         boxes = []
-        cells, starts = _mask_layout(plan.sends)
+        cells, firsts = _mask_layout(plan.sends)
         masks = {peer: np.ones(n, dtype=np.uint8) for peer, n in cells.items()}
         for j, msg in enumerate(plan.sends):
             mask = masks[msg.peer]
-            for seg in msg.segments:
+            for seg, lo in zip(msg.segments, firsts[j]):
                 slot, shape, outside = self._info[seg.block_id]
-                sbase, sstr, region = _region(shape, seg.slices)
                 copy = None
                 if outside is not None:
                     copy = ~outside[seg.slices[1:]]
-                    lo, hi = (starts[j] + e // region[0] for e in (seg.start, seg.stop))
-                    mask[lo:hi] = copy.reshape(-1)
-                boxes.append(compiled.GhostBox(
-                    slot, sbase, sstr, nb + j, seg.start, _c_strides(seg.shape),
-                    region, copy,
+                    mask[lo:lo + copy.size] = copy.reshape(-1)
+                boxes.append(_box(
+                    slot, _region(shape, seg.slices), nb + j, _flat_region(seg), copy
                 ))
         #: Per peer, ascending: the sender's copy mask of every segment
         #: sent to it, flattened and concatenated (uint8) — the one-time
         #: mask message.
         self.mask_peers = list(masks)
         self.mask_messages = list(masks.values())
-        self.pack = self._bind(compiled.ghost_copy_table(boxes))
+        self.pack, self.pack_full = self._tables(boxes)
         boxes = []
         for dst_id, ghost_sl, src_id, src_sl in plan.local_copies:
             src_slot, src_shape, outside = self._info[src_id]
             dst_slot, dst_shape, _ = self._info[dst_id]
-            sbase, sstr, region = _region(src_shape, src_sl)
-            dbase, dstr, _ = _region(dst_shape, ghost_sl)
             copy = None if outside is None else ~outside[src_sl[1:]]
-            boxes.append(compiled.GhostBox(
-                src_slot, sbase, sstr, dst_slot, dbase, dstr, region, copy
+            boxes.append(_box(
+                src_slot, _region(src_shape, src_sl),
+                dst_slot, _region(dst_shape, ghost_sl), copy,
             ))
-        self.local = self._bind(compiled.ghost_copy_table(boxes))
+        self.local, self.local_full = self._tables(boxes)
         self._recvs = plan.recvs
-        self._recv_mask_starts = _mask_layout(plan.recvs)[1]
-        #: Per received message, its bound unpack tables (set on the
-        #: first exchange).
+        self._recv_firsts = _mask_layout(plan.recvs)[1]
+        #: Per received message, its bound unpack tables: ``unpack_full``
+        #: copies every cell; ``unpack`` is set on the first exchange.
+        self.unpack_full = [
+            self._unpack_table(msg, [None] * len(msg.segments)) for msg in plan.recvs
+        ]
         self.unpack: Optional[list] = None
+
+    def _unpack_table(self, msg: PeerMessage, copies) -> tuple:
+        """Bound unpack table of received message ``msg``, leaving out
+        the cells of each segment's ``copies`` mask (``None``: none)."""
+        boxes = []
+        for seg, copy in zip(msg.segments, copies):
+            slot, shape, _ = self._info[seg.block_id]
+            boxes.append(_box(
+                self.payload_slot, _flat_region(seg), slot, _region(shape, seg.slices),
+                copy,
+            ))
+        return self._bind(compiled.ghost_copy_table(boxes))
+
+    def _tables(self, boxes):
+        """Bound ``(masked, full)`` tables of ``boxes``; one table when
+        no box leaves a cell out."""
+        masked = self._bind(compiled.ghost_copy_table(boxes))
+        if all(box.copy is None for box in boxes):
+            return masked, masked
+        full = [box._replace(copy=None) for box in boxes]
+        return masked, self._bind(compiled.ghost_copy_table(full))
 
     @staticmethod
     def _bind(tables):
-        """``(segs, runs, nseg, segs_addr, runs_addr)`` of a table pair;
-        the arrays stay referenced so the addresses stay valid."""
-        segs, runs = tables
-        return segs, runs, len(segs), segs.ctypes.data, runs.ctypes.data
+        """``(segs, runs, planes, nseg, segs_addr, runs_addr,
+        planes_addr)`` of a segment/run/plane table triple; the arrays
+        stay referenced so the addresses stay valid."""
+        segs, runs, planes = tables
+        return (
+            segs, runs, planes, len(segs), segs.ctypes.data, runs.ctypes.data,
+            planes.ctypes.data,
+        )
 
     def set_unpack_masks(self, masks: Dict[int, np.ndarray]) -> None:
-        """Build the unpack tables from each peer's mask message
+        """Build the masked unpack tables from each peer's mask message
         (``masks[peer]``, already checked)."""
         tables = []
-        for msg, start in zip(self._recvs, self._recv_mask_starts):
-            mask = masks[msg.peer]
-            boxes = []
-            for seg in msg.segments:
-                slot, shape, _ = self._info[seg.block_id]
-                dbase, dstr, region = _region(shape, seg.slices)
-                lo, hi = (start + e // region[0] for e in (seg.start, seg.stop))
-                copy = mask[lo:hi].reshape(region[1:])
-                boxes.append(compiled.GhostBox(
-                    self.payload_slot, seg.start, _c_strides(seg.shape),
-                    slot, dbase, dstr, region, copy.view(np.bool_),
-                ))
-            tables.append(self._bind(compiled.ghost_copy_table(boxes)))
+        for msg, firsts in zip(self._recvs, self._recv_firsts):
+            mask = masks[msg.peer].view(np.bool_)
+            copies = []
+            for seg, lo in zip(msg.segments, firsts):
+                cells = seg.shape[1:]
+                copies.append(mask[lo:lo + math.prod(cells)].reshape(cells))
+            tables.append(self._unpack_table(msg, copies))
         self.unpack = tables
 
     def refresh(self) -> None:
@@ -484,17 +558,17 @@ class _CompiledGhostCopy:
 
     def run(self, table) -> None:
         """One C call over a bound table (slots already pointed)."""
-        _segs, _runs, nseg, segs_addr, runs_addr = table
+        _segs, _runs, _planes, nseg, segs_addr, runs_addr, planes_addr = table
         if nseg:
-            self._fn(self._ptrs_addr, segs_addr, nseg, runs_addr)
+            self._fn(self._ptrs_addr, segs_addr, nseg, runs_addr, planes_addr)
 
-    def run_unpack(self, i: int, payload: np.ndarray) -> None:
+    def run_unpack(self, i: int, payload: np.ndarray, full: bool) -> None:
         """Unpack received message ``i`` from ``payload`` (checked by
-        the caller)."""
+        the caller), every cell when ``full``."""
         self.ptrs[self.payload_slot] = _address(
             self._payloads, payload, 4 * len(self._recvs)
         )
-        self.run(self.unpack[i])
+        self.run(self.unpack_full[i] if full else self.unpack[i])
 
 
 def _address(cache: Dict[int, Tuple[np.ndarray, int]], arr: np.ndarray,
@@ -576,33 +650,57 @@ class BufferSystem:
         self.comm = comm
         self.tree = tree
         self.stats = CommStats()
-        self._local_bytes = sum(
-            fields[src].src[sl].nbytes for _, _, src, sl in plan.local_copies
-        )
-        # Persistent send buffers, allocated once and reused every step,
-        # with each segment's view into its buffer.
-        self._sends = []
-        for msg in self.plan.sends:
-            buf = np.empty(msg.elements, dtype=np.float64)
-            views = tuple(
-                (buf[seg.start:seg.stop].reshape(seg.shape), seg.block_id, seg.slices)
-                for seg in msg.segments
-            )
-            self._sends.append((msg, buf, views))
+        self._local_bytes = 0
+        for _, _, src, sl in plan.local_copies:
+            planes, _, cells = _region(fields[src].src.shape, sl)
+            self._local_bytes += 8 * len(planes) * math.prod(cells)
+        # Persistent send buffers, allocated once and reused every step.
+        self._sends = [
+            (msg, np.empty(msg.elements, dtype=np.float64)) for msg in self.plan.sends
+        ]
         self._recv_channels = [(msg.peer, msg.tag) for msg in self.plan.recvs]
         # One slot per message, so posting a step's sends allocates no
         # list storage (per-face posts one per block side).
         self._requests: list = [None] * len(self._sends)
         self._mask_requests: list = []
-        #: The compiled ghost copy, or ``None`` (NumPy box copies).
+        #: The compiled ghost copy, or ``None`` (NumPy copies).
         self._copy: Optional[_CompiledGhostCopy] = None
-        if _compiled_copy_applies(self.plan, fields):
+        if _compiled_copy_applies(fields):
             self._copy = _CompiledGhostCopy(
-                self.plan, fields, flags, [buf for _, buf, _ in self._sends]
+                self.plan, fields, flags, [buf for _, buf in self._sends]
             )
+        else:
+            self._numpy_copies()
         self._full_left = FULL_EXCHANGES
+        self._full_now = False
         self._masks_sent = False
-        self._compiled_now = False
+
+    def _numpy_copies(self) -> None:
+        """The NumPy copies (see :func:`_spans`): per message, the view
+        into its send buffer, block and index of each pack copy, and
+        ``(block_id, index, lo, hi, shape)`` of each unpack copy; and
+        the same-rank copies."""
+        self._pack_views = [
+            tuple(
+                (buf[lo:hi].reshape(shape), seg.block_id, sl)
+                for seg in msg.segments
+                for sl, lo, hi, shape in _spans(seg)
+            )
+            for msg, buf in self._sends
+        ]
+        self._unpacks = [
+            tuple(
+                (seg.block_id,) + span
+                for seg in msg.segments
+                for span in _spans(seg)
+            )
+            for msg in self.plan.recvs
+        ]
+        self._locals = tuple(
+            (dst_id, g, src_id, s)
+            for dst_id, ghost_sl, src_id, src_sl in self.plan.local_copies
+            for g, s in zip(_planes(ghost_sl), _planes(src_sl))
+        )
 
     def _record(self, name: str, seconds: float) -> None:
         if self.tree is not None:
@@ -617,20 +715,20 @@ class BufferSystem:
         the class docstring's buffer-reuse rule).
         """
         copy = self._copy
-        self._compiled_now = copy is not None and self._full_left == 0
-        if self._full_left:
+        full = self._full_now = self._full_left > 0
+        if full:
             self._full_left -= 1
         t0 = time.perf_counter()
         sent = 0
         fields = self.fields
-        if self._compiled_now:
+        if copy is not None:
             copy.refresh()
-            copy.run(copy.pack)
+            copy.run(copy.pack_full if full else copy.pack)
         else:
-            for _msg, _buf, views in self._sends:
+            for views in self._pack_views:
                 for view, block_id, sl in views:
                     np.copyto(view, fields[block_id].src[sl])
-        for j, (msg, buf, _views) in enumerate(self._sends):
+        for j, (msg, buf) in enumerate(self._sends):
             sent += msg.nbytes
             self._requests[j] = self.comm.isend(buf, dest=msg.peer, tag=msg.tag)
         if copy is not None and not self._masks_sent:
@@ -642,10 +740,10 @@ class BufferSystem:
         self._record("pack", time.perf_counter() - t0)
         t0 = time.perf_counter()
         local = self.plan.local_copies
-        if self._compiled_now:
-            copy.run(copy.local)
+        if copy is not None:
+            copy.run(copy.local_full if full else copy.local)
         else:
-            for block_id, ghost_sl, src_id, src_sl in local:
+            for block_id, ghost_sl, src_id, src_sl in self._locals:
                 fields[block_id].src[ghost_sl] = fields[src_id].src[src_sl]
         self._record("local copy", time.perf_counter() - t0)
         self.stats.add(
@@ -662,7 +760,7 @@ class BufferSystem:
         wire = 0.0
         unpack = 0.0
         probe_timeout = getattr(self.comm, "retry_timeout", None)
-        compiled_now = self._compiled_now
+        full = self._full_now
         copy = self._copy
         t0 = time.perf_counter()
         for i, data in drain_arrival_order(
@@ -674,13 +772,11 @@ class BufferSystem:
             _check_payload(
                 data, (msg.elements,), f"ghost message from rank {msg.peer}"
             )
-            if compiled_now:
-                copy.run_unpack(i, data)
+            if copy is not None:
+                copy.run_unpack(i, data, full)
             else:
-                for seg in msg.segments:
-                    self.fields[seg.block_id].src[seg.slices] = data[
-                        seg.start:seg.stop
-                    ].reshape(seg.shape)
+                for block_id, sl, lo, hi, shape in self._unpacks[i]:
+                    self.fields[block_id].src[sl] = data[lo:hi].reshape(shape)
             unpack += time.perf_counter() - t0
             t0 = time.perf_counter()
         if copy is not None and copy.unpack is None:
@@ -753,7 +849,7 @@ def make_exchange(
     runtimes: Dict[object, object],
     comm,
     tree: Optional[TimingTree] = None,
-    pdf_filter: Optional[LatticeModel] = None,
+    filtered: bool = True,
 ) -> Tuple[BufferSystem, FrozenSet[object]]:
     """One rank's ghost exchange: the plan of its block ``view`` (a
     :class:`~repro.blocks.forest.ProcessView`) and the
@@ -762,17 +858,22 @@ def make_exchange(
 
     ``runtimes`` maps block id to a
     :class:`~repro.core.schedule.BlockRuntime` and must hold every block
-    of ``view`` (it may hold more).  ``pdf_filter`` restricts the plan
-    to the PDF directions each neighbor pulls (see
-    :func:`~repro.comm.ghostlayer.build_rank_plan`), in any mode.
-    Returns ``(executor, remote_dst)``, the latter the ids of the
-    blocks whose ghost layers are fed by another rank.
+    of ``view`` (it may hold more).  With ``filtered`` (the default) the
+    plan carries only the PDF directions each neighbor pulls, for the
+    lattice of the blocks' fields (see
+    :func:`~repro.comm.ghostlayer.build_rank_plan`); ``False`` sends
+    full ghost layers, the paper's baseline.  Returns ``(executor,
+    remote_dst)``, the latter the ids of the blocks whose ghost layers
+    are fed by another rank.
 
     Raises :class:`~repro.errors.ConfigurationError` as
     :func:`check_comm_mode` does.
     """
     check_comm_mode(comm_mode)
-    plan = build_rank_plan(view, view.rank, pdf_filter=pdf_filter)
+    model = None
+    if filtered and view.blocks:
+        model = runtimes[view.blocks[0].id].field.model
+    plan = build_rank_plan(view, view.rank, pdf_filter=model)
     fields = {blk.id: runtimes[blk.id].field for blk in view.blocks}
     flags = {blk.id: runtimes[blk.id].flags for blk in view.blocks}
     remote_dst = frozenset(entry[2] for entry in plan.recvs)

@@ -22,7 +22,7 @@ feeding the communication-time models in :mod:`repro.perf`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,18 +51,18 @@ def needed_directions(
     direction ``a`` only if ``e_a`` points from the ghost cell into the
     interior, i.e. ``e_a[c] == -offset[c]`` on every axis where the
     offset is nonzero.  For D3Q19 a face needs 5 of 19 PDFs, an edge 1,
-    and a corner none (no (±1,±1,±1) velocities) — the basis of the
-    direction-filtered communication ablation.  The paper's production
-    scheme sends all 19 values ("the amount of data communicated between
-    neighboring blocks is the same as for densely populated blocks").
+    and a corner none (no (±1,±1,±1) velocities).  The executor sends
+    only these by default (see :func:`build_rank_plan`); the paper's
+    scheme sends all 19 values ("the amount of data communicated
+    between neighboring blocks is the same as for densely populated
+    blocks"), which stays available as the full-layer baseline.
     """
-    out = []
-    for a in range(model.q):
-        e = model.velocities[a]
-        if all(int(e[c]) == -int(offset[c]) for c in range(model.dim) if offset[c]):
-            if any(offset):
-                out.append(a)
-    return out
+    off = np.asarray(offset[: model.dim], dtype=np.int64)
+    axes = off != 0
+    if not axes.any():
+        return []
+    pulls = (model.velocities[:, axes] == -off[axes]).all(axis=1)
+    return np.flatnonzero(pulls).tolist()
 
 
 def send_slices(offset: Tuple[int, int, int]) -> Tuple[slice, ...]:
@@ -152,6 +152,12 @@ class RankGhostPlan:
     local_copies: Tuple[Tuple[object, tuple, object, tuple], ...]
 
 
+#: :func:`build_rank_plan`'s PDF index per (lattice velocities, offset):
+#: the filtered directions, or ``None`` when there are none.  At most 26
+#: offsets per lattice, each computed once per process.
+_DIRECTIONS: Dict[tuple, Optional[np.ndarray]] = {}
+
+
 def build_rank_plan(
     view, rank: int, pdf_filter: Optional[LatticeModel] = None
 ) -> RankGhostPlan:
@@ -167,16 +173,26 @@ def build_rank_plan(
     directions the receiving block pulls from it
     (:func:`needed_directions`: 5/19 per face, 1/19 per edge for
     D3Q19); regions that need none, such as D3Q19 corners, are dropped.
-    The paper's scheme sends full ghost layers; the filter is an
-    ablation.  A filtered region's first index is an integer array, so
-    ``src[sl]`` is a copy: the executor writes it with ``src[sl] = data``.
+    The simulation drivers filter by default (see
+    :func:`~repro.comm.buffersystem.make_exchange`); ``None`` gives the
+    paper's full ghost layers, the baseline.  A filtered region's first
+    index is an integer array of directions, so ``src[sl]`` is a copy.
     """
+    if pdf_filter is not None:
+        e = pdf_filter.velocities
+        velocities = (e.shape, e.tobytes())
 
     def dirs(off):
         if pdf_filter is None:
             return slice(None)
-        needed = needed_directions(pdf_filter, off)
-        return np.asarray(needed, dtype=np.int64) if needed else None
+        key = (velocities, off)
+        if key not in _DIRECTIONS:
+            needed = needed_directions(pdf_filter, off)
+            index = np.asarray(needed, dtype=np.int64) if needed else None
+            if index is not None:
+                index.flags.writeable = False  # shared by every plan
+            _DIRECTIONS[key] = index
+        return _DIRECTIONS[key]
 
     sends: List[Tuple[int, int, object, tuple]] = []
     recvs: List[Tuple[int, int, object, tuple]] = []

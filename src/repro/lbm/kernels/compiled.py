@@ -27,7 +27,8 @@ per process, and call it from Python.
   - the **ghost copy**, which
     :class:`~repro.comm.buffersystem.BufferSystem` calls once per rank
     to pack, once per rank for the same-rank copies and once per
-    received message to unpack: it walks per-segment run tables
+    received message to unpack: it walks per-segment plane lists (only
+    the PDF directions the receiver pulls) and run tables
     (:func:`ghost_copy_table`) that leave out the cells the sending
     block flags OUTSIDE.  It moves 64-bit words, so every value
     arrives bit for bit.
@@ -359,25 +360,25 @@ def _boundary_functions() -> List[str]:
 
 
 #: Fields of one ghost-copy segment record (int64), in table order.
-#: ``*_slot`` index the pointer table of a :func:`ghost_copy_loop` call,
-#: ``*_base`` is the element offset of the region's first element from
-#: that pointer, ``*_q`` / ``*_1`` / ``*_2`` / ``*_run`` are element
-#: strides of the PDF axis, the two cross axes and the run axis.  A
-#: segment with ``run_lo < 0`` copies the whole ``n1 x n2`` box of
-#: ``n``-cell lines; otherwise it copies runs ``run_lo .. run_hi - 1``
-#: of the run table.
+#: ``*_slot`` index the pointer table of a :func:`ghost_copy_loop` call;
+#: ``*_1`` / ``*_2`` / ``*_run`` are element strides of the two cross
+#: axes and the run axis.  The segment copies, in each of its PDF planes
+#: ``plane_lo .. plane_hi - 1`` of the plane table (a plane is the pair
+#: of element offsets of its first cell from the two pointers), the
+#: whole ``n1 x n2`` box of ``n``-cell lines when ``run_lo < 0``, and
+#: otherwise runs ``run_lo .. run_hi - 1`` of the run table.
 GHOST_SEGMENT_FIELDS = (
-    "src_slot", "src_base", "dst_slot", "dst_base",
-    "src_q", "dst_q", "src_1", "dst_1", "src_2", "dst_2",
-    "src_run", "dst_run", "nq", "n1", "n2", "n", "run_lo", "run_hi",
+    "src_slot", "dst_slot", "src_1", "dst_1", "src_2", "dst_2",
+    "src_run", "dst_run", "n1", "n2", "n", "plane_lo", "plane_hi",
+    "run_lo", "run_hi",
 )
 
 
 def _ghost_copy_function() -> List[str]:
-    """C source of the ghost copy: per segment, PDF planes outermost,
-    then the box's lines or the segment's runs ``(src_off, dst_off, n)``
-    along the run axis.  Values move as 64-bit words, so the copy is
-    bitwise whatever they hold."""
+    """C source of the ghost copy: per segment, its PDF planes
+    outermost, then the box's lines or the segment's runs ``(src_off,
+    dst_off, n)`` along the run axis.  Values move as 64-bit words, so
+    the copy is bitwise whatever they hold."""
     nf = len(GHOST_SEGMENT_FIELDS)
     field = {name: f"g[{i}]" for i, name in enumerate(GHOST_SEGMENT_FIELDS)}
     return [
@@ -395,21 +396,22 @@ def _ghost_copy_function() -> List[str]:
         "}",
         "",
         f"void {ENTRIES['ghost_copy']}(const uintptr_t *ptrs, const int64_t *segs,",
-        "    ptrdiff_t nseg, const int64_t *runs)",
+        "    ptrdiff_t nseg, const int64_t *runs, const int64_t *planes)",
         "{",
         "    for (ptrdiff_t k = 0; k < nseg; ++k) {",
         f"        const int64_t *g = segs + {nf} * k;",
-        f"        const uint64_t *src = (const uint64_t *)ptrs[{field['src_slot']}] + {field['src_base']};",
-        f"        uint64_t *dst = (uint64_t *)ptrs[{field['dst_slot']}] + {field['dst_base']};",
+        f"        const uint64_t *src = (const uint64_t *)ptrs[{field['src_slot']}];",
+        f"        uint64_t *dst = (uint64_t *)ptrs[{field['dst_slot']}];",
         f"        const ptrdiff_t s1 = {field['src_1']}, d1 = {field['dst_1']};",
         f"        const ptrdiff_t s2 = {field['src_2']}, d2 = {field['dst_2']};",
         f"        const ptrdiff_t sr = {field['src_run']}, dr = {field['dst_run']};",
         f"        const ptrdiff_t n1 = {field['n1']}, n2 = {field['n2']}, n = {field['n']};",
         f"        const int64_t *r0 = runs + 3 * {field['run_lo']};",
         f"        const int64_t *r1 = runs + 3 * {field['run_hi']};",
-        f"        for (ptrdiff_t q = 0; q < {field['nq']}; ++q) {{",
-        f"            const uint64_t *sp = src + q * {field['src_q']};",
-        f"            uint64_t *dp = dst + q * {field['dst_q']};",
+        f"        const int64_t *p1 = planes + 2 * {field['plane_hi']};",
+        f"        for (const int64_t *p = planes + 2 * {field['plane_lo']}; p < p1; p += 2) {{",
+        "            const uint64_t *sp = src + p[0];",
+        "            uint64_t *dp = dst + p[1];",
         f"            if ({field['run_lo']} < 0) {{",
         "                for (ptrdiff_t i1 = 0; i1 < n1; ++i1)",
         "                    for (ptrdiff_t i2 = 0; i2 < n2; ++i2)",
@@ -443,10 +445,10 @@ def generate_source() -> str:
       concatenated link tables: condition ``k``'s direction-``a`` links
       are ``off[k, a] .. off[k, a + 1] - 1``, its coefficients
       ``coef[k, :]``;
-    * ``ghost_copy(ptrs, segs, nseg, runs)`` copies the ``nseg``
-      regions of a segment table (:data:`GHOST_SEGMENT_FIELDS`, built by
-      :func:`ghost_copy_table`) between the arrays of the pointer table
-      ``ptrs``.
+    * ``ghost_copy(ptrs, segs, nseg, runs, planes)`` copies the
+      ``nseg`` regions of a segment table (:data:`GHOST_SEGMENT_FIELDS`,
+      built with its run and plane tables by :func:`ghost_copy_table`)
+      between the arrays of the pointer table ``ptrs``.
 
     Both sweeps call the same generated row loop, so the dense and the
     sparse path perform the same IEEE operations per cell.
@@ -488,7 +490,8 @@ _ARGTYPES = {
     "sparse": [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 4 + [ctypes.c_double] * 2,
     "boundary": [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t]
     + [ctypes.c_void_p] * 5,
-    "ghost_copy": [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p],
+    "ghost_copy": [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t]
+    + [ctypes.c_void_p] * 2,
 }
 
 
@@ -695,70 +698,77 @@ def boundary_loop() -> Any:
 
 def ghost_copy_loop() -> Any:
     """The loaded ``ghost_copy`` entry point, or ``None`` when the build
-    failed (builds on first call).  Its caller owns the segment and run
-    tables of :func:`ghost_copy_table` and the pointer table, and checks
-    every array a pointer comes from."""
+    failed (builds on first call).  Its caller owns the segment, run and
+    plane tables of :func:`ghost_copy_table` and the pointer table, and
+    checks every array a pointer comes from."""
     return _get_build().ghost_copy
 
 
 class GhostBox(NamedTuple):
     """One region copy for :func:`ghost_copy_table`.
 
-    The region has ``shape`` ``(nq, n_x, n_y, n_z)``; ``*_base`` is the
-    element offset of its first element from the array in pointer-table
-    slot ``*_slot``, and ``*_strides`` are its element strides along
-    ``(q, x, y, z)`` in that array.  ``copy`` is a boolean ``(n_x, n_y,
-    n_z)`` mask of the cells to copy (every PDF of a cell moves or none
-    does), or ``None`` for all of them.
+    The region is an ``(n_x, n_y, n_z)`` box of cells (``shape``) in
+    each of a list of PDF planes.  ``*_planes`` are, per plane, the
+    element offsets of the box's first cell from the arrays in
+    pointer-table slots ``*_slot`` (equal lengths), and ``*_strides``
+    are the box's element strides along ``(x, y, z)`` in those arrays.
+    A whole PDF axis lists all ``q`` planes; a direction-filtered region
+    lists only the planes it moves.  ``copy`` is a boolean ``(n_x, n_y,
+    n_z)`` mask of the cells to copy (every listed plane of a cell moves
+    or none does), or ``None`` for all of them.
     """
 
     src_slot: int
-    src_base: int
-    src_strides: Tuple[int, int, int, int]
+    src_planes: np.ndarray
+    src_strides: Tuple[int, int, int]
     dst_slot: int
-    dst_base: int
-    dst_strides: Tuple[int, int, int, int]
-    shape: Tuple[int, int, int, int]
+    dst_planes: np.ndarray
+    dst_strides: Tuple[int, int, int]
+    shape: Tuple[int, int, int]
     copy: Optional[np.ndarray] = None
 
 
-def ghost_copy_table(boxes) -> Tuple[np.ndarray, np.ndarray]:
-    """Segment and run tables (int64, C order) of the ghost copy for
-    ``boxes`` (:class:`GhostBox`), for ``ghost_copy_loop()(ptrs, segs,
-    len(segs), runs)``.
+def ghost_copy_table(boxes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment, run and plane tables (int64, C order) of the ghost copy
+    for ``boxes`` (:class:`GhostBox`), for ``ghost_copy_loop()(ptrs,
+    segs, len(segs), runs, planes)``.
 
     Runs lie along each region's longest axis (the innermost one on a
-    tie).  A box whose ``copy`` mask is ``None`` or all true becomes one
-    whole-box segment without runs; one with no cell to copy is left
-    out; any other gets the maximal runs of its mask, so a copy never
-    touches a cell the mask excludes.
+    tie), relative to a plane's first cell, so one run table serves all
+    planes of a box.  A box whose ``copy`` mask is ``None`` or all true
+    becomes one whole-box segment without runs; one with no cell or no
+    plane to copy is left out; any other gets the maximal runs of its
+    mask, so a copy never touches a cell the mask excludes.
     """
     segs: List[List[int]] = []
     runs: List[np.ndarray] = []
-    n_runs = 0
-    for src_slot, src_base, ss, dst_slot, dst_base, ds, shape, copy in boxes:
-        nq, nx, ny, nz = shape
-        # Strides and extents are indexed (q, x, y, z); the run axis is
-        # the longest, the innermost one on a tie.
+    src_planes: List[np.ndarray] = []
+    dst_planes: List[np.ndarray] = []
+    n_runs = n_planes = 0
+    for src_slot, sp, ss, dst_slot, dp, ds, shape, copy in boxes:
+        if len(sp) != len(dp):
+            raise ValueError(f"{len(sp)} source planes != {len(dp)} destination planes")
+        if not len(sp):
+            continue
+        # Strides and extents are indexed (x, y, z); the run axis is the
+        # longest, the innermost one on a tie.
+        nx, ny, nz = shape
         axis, o1, o2 = (
-            (3, 1, 2) if nz >= nx and nz >= ny
-            else (2, 1, 3) if ny >= nx
-            else (1, 2, 3)
+            (2, 0, 1) if nz >= nx and nz >= ny
+            else (1, 0, 2) if ny >= nx
+            else (0, 1, 2)
         )
         row = [
-            src_slot, src_base, dst_slot, dst_base, ss[0], ds[0],
-            ss[o1], ds[o1], ss[o2], ds[o2], ss[axis], ds[axis],
-            nq, shape[o1], shape[o2], shape[axis], -1, -1,
+            src_slot, dst_slot, ss[o1], ds[o1], ss[o2], ds[o2], ss[axis], ds[axis],
+            shape[o1], shape[o2], shape[axis], n_planes, n_planes + len(sp), -1, -1,
         ]
         if copy is not None:
-            if copy.shape != shape[1:]:
-                raise ValueError(f"copy mask {copy.shape} != region {shape[1:]}")
+            if copy.shape != tuple(shape):
+                raise ValueError(f"copy mask {copy.shape} != region {tuple(shape)}")
             if not copy.all():
                 if not copy.any():
                     continue
-                i1, i2, start, length = fluid_runs(
-                    copy.transpose(o1 - 1, o2 - 1, axis - 1)
-                ).T
+                i1, i2, start, length = fluid_runs(copy.transpose(o1, o2, axis)).T
                 table = np.empty((len(start), 3), dtype=np.int64)
                 table[:, 0] = i1 * ss[o1] + i2 * ss[o2] + start * ss[axis]
                 table[:, 1] = i1 * ds[o1] + i2 * ds[o2] + start * ds[axis]
@@ -767,8 +777,15 @@ def ghost_copy_table(boxes) -> Tuple[np.ndarray, np.ndarray]:
                 n_runs += len(table)
                 runs.append(table)
         segs.append(row)
+        src_planes.append(sp)
+        dst_planes.append(dp)
+        n_planes += len(sp)
     seg_table = np.array(segs, dtype=np.int64).reshape(-1, len(GHOST_SEGMENT_FIELDS))
     run_table = (
         np.concatenate(runs) if runs else np.zeros((0, 3), dtype=np.int64)
     )
-    return seg_table, run_table
+    plane_table = np.zeros((n_planes, 2), dtype=np.int64)
+    if n_planes:
+        plane_table[:, 0] = np.concatenate(src_planes)
+        plane_table[:, 1] = np.concatenate(dst_planes)
+    return seg_table, run_table, plane_table

@@ -247,12 +247,11 @@ class TestBitIdentityAcrossModes:
         assert counted == pairs * steps
         # 2x2x2 grid on 4 ranks: every ordered rank pair with shared
         # faces/edges sends exactly one message per step, never one per
-        # (block, face) — per-face sends one per remote plan entry.
+        # (block, face) — per-face sends one per remote entry of the
+        # executor's own (direction-filtered) plan.
         per_face = _dense_sim("per-face")
         per_face.run(1)
-        sends = sum(
-            len(build_rank_plan(view, view.rank).sends) for view in per_face.views
-        )
+        sends = sum(len(ex.plan.sends) for ex in per_face.exchange.executors)
         assert per_face.timeloop.tree.counters["comm.remote_messages"] == sends
         assert per_face.comm_stats.remote_messages == sends > pairs
 

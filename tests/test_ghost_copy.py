@@ -1,13 +1,15 @@
 """The sparse-aware compiled ghost copy of the coalesced exchange.
 
-* its segment/run tables against a per-cell loop (gappy masks, one-cell
-  runs, face, edge and corner regions), read both by a Python walk of
-  the tables and by the compiled loop;
+* its segment/run/plane tables against a per-cell loop (gappy masks,
+  one-cell runs, face, edge and corner regions, all PDF planes or a
+  subset), read both by a Python walk of the tables and by the compiled
+  loop;
 * bit identity of whole ``src``/``dst`` grids against the NumPy
   fallback (a forced failed build) on a coronary-like forest, in
   ``coalesced`` and ``overlap`` with 1 and 2 workers: default set-up,
   random values in every cell of both grids, and checkpoint restarts;
-  and the SPMD driver under delay/reorder/drop faults;
+  the direction-filtered default plan, whose messages mix face and edge
+  segments; and the SPMD driver under delay/reorder/drop faults;
 * the checks on incoming bulk payloads and mask messages;
 * the invariant the copy rests on: no kernel and no boundary condition
   writes a cell its block flags OUTSIDE.
@@ -23,16 +25,13 @@ from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest
 from repro.comm import (
     BULK_TAG,
-    BufferSystem,
-    Comm,
     DistributedSimulation,
     FaultInjector,
     FaultSpec,
     VirtualMPI,
-    build_rank_plan,
     run_spmd_simulation,
 )
-from repro.comm.buffersystem import MASK_TAG
+from repro.comm.buffersystem import MASK_TAG, _mask_layout
 from repro.errors import CommunicationError
 from repro.geometry import AABB, CapsuleTreeGeometry, CoronaryTree
 from repro.io.checkpoint import save_checkpoint
@@ -56,29 +55,31 @@ FORCED_FAILURE = compiled._Build(reason="forced failure")
 # Run tables
 # ---------------------------------------------------------------------------
 def _box(src, src_sl, src_slot, dst, dst_sl, dst_slot, copy):
-    """A :class:`GhostBox` copying ``src[src_sl]`` to ``dst[dst_sl]``,
-    with offsets and strides read off the NumPy views."""
+    """A :class:`GhostBox` copying every PDF plane of ``src[src_sl]`` to
+    ``dst[dst_sl]``, with offsets and strides read off the NumPy
+    views."""
     a, b = src[src_sl], dst[dst_sl]
     assert a.shape == b.shape
+
+    def planes(view, arr):
+        return np.array([(view[q].ctypes.data - arr.ctypes.data) // 8
+                         for q in range(view.shape[0])])
+
     return GhostBox(
-        src_slot, (a.ctypes.data - src.ctypes.data) // 8,
-        tuple(s // 8 for s in a.strides),
-        dst_slot, (b.ctypes.data - dst.ctypes.data) // 8,
-        tuple(s // 8 for s in b.strides),
-        a.shape, copy,
+        src_slot, planes(a, src), tuple(s // 8 for s in a.strides[1:]),
+        dst_slot, planes(b, dst), tuple(s // 8 for s in b.strides[1:]),
+        a.shape[1:], copy,
     )
 
 
-def _walk(segs, runs, arrays):
+def _walk(segs, runs, planes, arrays):
     """Copy as the tables say, one element at a time (the C loop's
     reading of them, in Python)."""
     flat = [arr.reshape(-1) for arr in arrays]
     for row in segs:
         g = dict(zip(GHOST_SEGMENT_FIELDS, (int(v) for v in row)))
         src, dst = flat[g["src_slot"]], flat[g["dst_slot"]]
-        for q in range(g["nq"]):
-            sb = g["src_base"] + q * g["src_q"]
-            db = g["dst_base"] + q * g["dst_q"]
+        for sb, db in planes[g["plane_lo"]:g["plane_hi"]].tolist():
             if g["run_lo"] < 0:
                 lines = [
                     (i1 * g["src_1"] + i2 * g["src_2"],
@@ -92,14 +93,22 @@ def _walk(segs, runs, arrays):
                     dst[db + do + i * g["dst_run"]] = src[sb + so + i * g["src_run"]]
 
 
-def _per_cell(src, src_sl, dst, dst_sl, copy):
-    """``dst`` after copying every PDF of each ``copy`` cell."""
+def _per_cell(src, src_sl, dst, dst_sl, copy, planes=slice(None)):
+    """``dst`` after copying the PDF ``planes`` of each ``copy`` cell."""
     out = dst.copy()
     region_in, region_out = src[src_sl], out[dst_sl]
     for cell in np.ndindex(*copy.shape):
         if copy[cell]:
-            region_out[(slice(None),) + cell] = region_in[(slice(None),) + cell]
+            region_out[(planes,) + cell] = region_in[(planes,) + cell]
     return out
+
+
+def _run_compiled(tables, src, out):
+    """Run the compiled loop over ``tables`` from ``src`` into ``out``."""
+    segs, runs, planes = tables
+    ptrs = np.array([src.ctypes.data, out.ctypes.data], dtype=np.uintp)
+    compiled.ghost_copy_loop()(ptrs.ctypes.data, segs.ctypes.data, len(segs),
+                               runs.ctypes.data, planes.ctypes.data)
 
 
 # Send region of a (19, 7, 6, 5) padded block -> ghost region of another.
@@ -148,9 +157,9 @@ class TestRunTables:
     def test_block_to_block_matches_per_cell_loop(self, region, kind):
         src, src_sl, dst, dst_sl, copy = _case(region, kind)
         expected = _per_cell(src, src_sl, dst, dst_sl, copy)
-        segs, runs = ghost_copy_table([_box(src, src_sl, 0, dst, dst_sl, 1, copy)])
+        tables = ghost_copy_table([_box(src, src_sl, 0, dst, dst_sl, 1, copy)])
         out = dst.copy()
-        _walk(segs, runs, [src, out])
+        _walk(*tables, [src, out])
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("kind", MASKS)
@@ -173,19 +182,24 @@ class TestRunTables:
 
     def test_runs_follow_the_mask(self):
         src, src_sl, dst, dst_sl, copy = _case("x-face", "checker")
-        segs, runs = ghost_copy_table([_box(src, src_sl, 0, dst, dst_sl, 1, copy)])
+        segs, runs, _ = ghost_copy_table([_box(src, src_sl, 0, dst, dst_sl, 1, copy)])
         assert len(segs) == 1 and (runs[:, 2] == 1).all()
         assert len(runs) == copy.sum()
 
     def test_full_and_empty_masks(self):
         src, src_sl, dst, dst_sl, _ = _case("x-face", "all")
         full = _box(src, src_sl, 0, dst, dst_sl, 1, None)
-        segs, runs = ghost_copy_table([full])
+        segs, runs, planes = ghost_copy_table([full])
         g = dict(zip(GHOST_SEGMENT_FIELDS, segs[0]))
         assert g["run_lo"] == -1 and len(runs) == 0  # one whole-box segment
-        empty = full._replace(copy=np.zeros(full.shape[1:], dtype=bool))
-        segs, runs = ghost_copy_table([empty])
-        assert segs.shape == (0, len(GHOST_SEGMENT_FIELDS)) and len(runs) == 0
+        assert (g["plane_lo"], g["plane_hi"]) == (0, 19) and len(planes) == 19
+        empty = full._replace(copy=np.zeros(full.shape, dtype=bool))
+        none = np.zeros(0, dtype=np.int64)
+        no_planes = full._replace(src_planes=none, dst_planes=none)
+        for box in (empty, no_planes):
+            segs, runs, planes = ghost_copy_table([box])
+            assert segs.shape == (0, len(GHOST_SEGMENT_FIELDS))
+            assert len(runs) == 0 and len(planes) == 0
 
     @pytest.mark.parametrize(
         "region, axis_stride",
@@ -196,7 +210,7 @@ class TestRunTables:
         y for the (1, 4, 3) x-face, x for the (5, 4, 1) z-face and the
         (5, 1, 1) edge, z for the corner.  Field strides are (30, 5, 1)."""
         src, src_sl, dst, dst_sl, copy = _case(region, "all")
-        segs, _ = ghost_copy_table([_box(src, src_sl, 0, dst, dst_sl, 1, copy)])
+        segs, _, _ = ghost_copy_table([_box(src, src_sl, 0, dst, dst_sl, 1, copy)])
         g = dict(zip(GHOST_SEGMENT_FIELDS, segs[0]))
         assert g["n"] == max(src[src_sl].shape[1:])
         assert g["src_run"] == axis_stride
@@ -207,12 +221,32 @@ class TestRunTables:
     def test_compiled_loop_matches_per_cell_loop(self, region, kind):
         src, src_sl, dst, dst_sl, copy = _case(region, kind, seed=2)
         expected = _per_cell(src, src_sl, dst, dst_sl, copy)
-        segs, runs = ghost_copy_table([_box(src, src_sl, 0, dst, dst_sl, 1, copy)])
         out = dst.copy()
-        ptrs = np.array([src.ctypes.data, out.ctypes.data], dtype=np.uintp)
-        compiled.ghost_copy_loop()(ptrs.ctypes.data, segs.ctypes.data, len(segs),
-                                   runs.ctypes.data)
+        _run_compiled(
+            ghost_copy_table([_box(src, src_sl, 0, dst, dst_sl, 1, copy)]), src, out
+        )
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("kind", MASKS)
+    @pytest.mark.parametrize("region", sorted(REGIONS))
+    def test_plane_subset_matches_per_cell_loop(self, region, kind):
+        """A direction-filtered box lists only some PDF planes: those
+        move, in both readings of the tables, and no other plane is
+        touched."""
+        src, src_sl, dst, dst_sl, copy = _case(region, kind, seed=3)
+        keep = [1, 7, 18]
+        box = _box(src, src_sl, 0, dst, dst_sl, 1, copy)
+        tables = ghost_copy_table([box._replace(
+            src_planes=box.src_planes[keep], dst_planes=box.dst_planes[keep]
+        )])
+        expected = _per_cell(src, src_sl, dst, dst_sl, copy, planes=keep)
+        out = dst.copy()
+        _walk(*tables, [src, out])
+        assert np.array_equal(out, expected)
+        if HAS_CC:
+            out = dst.copy()
+            _run_compiled(tables, src, out)
+            assert np.array_equal(out, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +344,64 @@ class TestCompiledCopyBitIdentity:
                 assert np.array_equal(a, b), f"block {key} {grid} ({case})"
 
 
-def test_direction_filtered_plan_keeps_numpy_copies():
-    """A filtered plan moves only some PDF planes, which the compiled
-    copy does not describe: such an executor copies with NumPy and sends
-    no mask message."""
+@needs_cc
+def test_direction_filtered_plan_runs_compiled_copy(tmp_path, monkeypatch):
+    """The default plan is direction-filtered (5 planes per face, 1 per
+    edge, no corner segment) and runs on the compiled copy; its whole
+    grids match the NumPy fallback's."""
     sim = _coronary_sim()
     try:
-        view = sim.views[0]
-        fields = {blk.id: sim.fields[blk.id] for blk in view.blocks}
-        flags = {blk.id: sim.flags[blk.id] for blk in view.blocks}
-        world = VirtualMPI(len(sim.views))
-        plan = build_rank_plan(view, 0, pdf_filter=D3Q19)
-        ex = BufferSystem(plan, fields, Comm(0, world), flags=flags)
-        assert ex._copy is None
+        planes = set()
+        for ex in sim.exchange.executors:
+            assert ex._copy is not None
+            for msg in ex.plan.sends + ex.plan.recvs:
+                planes |= {seg.shape[0] for seg in msg.segments}
+        assert planes == {1, 5}
     finally:
         sim.close()
+    got = _scenario("default", "per-face", 1, tmp_path)
+    monkeypatch.setattr(compiled, "_build", FORCED_FAILURE)
+    ref = _scenario("default", "per-face", 1, tmp_path)
+    assert set(got) == set(ref)
+    for key in ref:
+        for grid, a, b in zip(("src", "dst"), got[key], ref[key]):
+            assert np.array_equal(a, b), f"block {key} {grid}"
+
+
+@needs_cc
+def test_mask_offsets_follow_each_segments_plane_count(tmp_path, monkeypatch):
+    """A coalesced message of the filtered plan mixes face segments (5
+    planes) and edge segments (1 plane) whose sender flags cells
+    OUTSIDE.  Each segment's cells sit at their own offset in the mask
+    message, so the unpack skips exactly the cells the pack skipped:
+    whole grids equal the NumPy fallback's."""
+    sim = _coronary_sim("coalesced")
+    try:
+        mixed = 0
+        for ex in sim.exchange.executors:
+            masks = dict(zip(ex._copy.mask_peers, ex._copy.mask_messages))
+            _, firsts = _mask_layout(ex.plan.sends)
+            for msg, starts in zip(ex.plan.sends, firsts):
+                counts = {seg.shape[0] for seg in msg.segments}
+                skipped = [
+                    not masks[msg.peer][lo:lo + np.prod(seg.shape[1:])].all()
+                    for seg, lo in zip(msg.segments, starts)
+                ]
+                # Segments with OUTSIDE cells behind an edge segment, in a
+                # message holding both plane counts.
+                edge = next(
+                    (k for k, seg in enumerate(msg.segments) if seg.shape[0] == 1),
+                    len(skipped),
+                )
+                mixed += counts == {1, 5} and any(skipped[edge + 1:])
+        assert mixed > 0
+    finally:
+        sim.close()
+    got = _scenario("random", "coalesced", 1, tmp_path)
+    monkeypatch.setattr(compiled, "_build", FORCED_FAILURE)
+    ref = _scenario("random", "coalesced", 1, tmp_path)
+    for key in ref:
+        assert np.array_equal(got[key][0], ref[key][0]), f"block {key} src"
 
 
 class TestSpmdUnderFaults:
@@ -393,8 +470,8 @@ class TestPayloadChecks:
     @pytest.mark.parametrize("steps", [0, 2])
     def test_malformed_bulk_payload_rejected(self, backend, bad, steps):
         """Rank 0 gets a bad bulk message from rank 1 — in the first
-        exchanges (full NumPy copy) and after them (the compiled copy
-        when it is built); either path rejects it before reading."""
+        exchanges (every cell copied) and after them, with the compiled
+        copy or the NumPy one; either path rejects it before reading."""
         sim = _two_rank_sim()
         try:
             sim.run(steps)

@@ -211,14 +211,23 @@ class TestExchangeTimeFromCounters:
         1 s and unbounded bandwidth the predicted time is the messages
         per node, which must equal the plan's per-face sends per rank."""
         from repro.blocks import view_for_rank
-        from repro.comm import build_rank_plan
+        from repro.comm import Comm, VirtualMPI, build_block_runtime, make_exchange
+        from repro.lbm import NoSlip, TRT
 
         steps = 3
         counters, forest = self._spmd_counters("per-face", steps)
-        sends = [
-            len(build_rank_plan(view_for_rank(forest, r), r).sends)
-            for r in range(4)
-        ]
+        # The executors the rank program builds (make_exchange), read
+        # for their own (direction-filtered) plans.
+        world = VirtualMPI(4)
+        sends = []
+        for r in range(4):
+            view = view_for_rank(forest, r)
+            runtimes = {
+                blk.id: build_block_runtime(blk, TRT.from_tau(0.7), [NoSlip()])
+                for blk in view.blocks
+            }
+            executor, _ = make_exchange("per-face", view, runtimes, Comm(r, world))
+            sends.append(len(executor.plan.sends))
         assert len(set(sends)) == 1 and sends[0] > 0
         net = TorusNetwork(
             link_bandwidth=float("inf"), latency_s=1.0, routing_dilation=0.0
