@@ -281,7 +281,7 @@ def _cmd_cavity(args) -> int:
     from .scenarios import lid_driven_cavity
 
     n = args.size
-    workers = getattr(args, "workers", 1)
+    workers = args.workers
     sim = Simulation(
         cells=(n, n, n), collision=TRT.from_tau(0.65), workers=workers
     )
@@ -339,8 +339,8 @@ def _cmd_coronary(args) -> int:
             UBB(velocity=(0.0, 0.0, 0.02)),
             PressureABB(rho_w=1.0),
         ],
-        comm_mode=getattr(args, "comm_mode", "per-face"),
-        workers=getattr(args, "workers", 1),
+        comm_mode=args.comm_mode,
+        workers=args.workers,
     )
     done = 0
     if args.restart:
@@ -369,6 +369,8 @@ def _cmd_coronary(args) -> int:
 
 
 def main(argv=None) -> int:
+    from .comm import COMM_MODES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="waLBerla SC13 reproduction toolkit",
@@ -491,7 +493,7 @@ def main(argv=None) -> int:
     p_cor.add_argument("--vtk", type=str, default=None)
     p_cor.add_argument(
         "--comm-mode", dest="comm_mode", default="per-face",
-        choices=["per-face", "coalesced", "overlap"],
+        choices=COMM_MODES,
         help="ghost exchange strategy: per-face messages, bulk-coalesced "
         "per-rank-pair buffers, or coalesced with communication/"
         "computation overlap (all bit-identical)",

@@ -19,8 +19,8 @@ incoming payload into the ghost regions — there is no receive buffer,
 and the steady-state exchange performs zero heap allocations of
 field-sized temporaries in every mode, mirroring the allocation-free
 ethos of :class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`.
-Both simulation drivers run it: the SPMD rank program and, on
-in-process ranks, :class:`~repro.comm.distributed.DistributedSimulation`.
+:class:`~repro.comm.distributed.DistributedSimulation` runs one per
+rank, on in-process ranks or, on an SPMD rank, for that rank alone.
 Every mode moves the same bytes and gives the same bits; only the
 message count differs.
 
@@ -122,7 +122,7 @@ MASK_TAG = -2
 #: cells: one per grid of the two-grid scheme.
 FULL_EXCHANGES = 2
 
-#: Valid ``comm_mode`` values accepted by the simulation drivers.
+#: Valid ``comm_mode`` values accepted by the multi-block driver.
 COMM_MODES = ("per-face", "coalesced", "overlap")
 
 

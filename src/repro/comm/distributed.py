@@ -1,4 +1,4 @@
-"""Distributed multi-block LBM simulation.
+"""The multi-block simulation driver, for every rank layout.
 
 Ties together the balanced block forest (per-process views), per-block
 fields and kernels, boundary handling, and the ghost-layer exchange into
@@ -6,13 +6,16 @@ one time loop:
 
     communication -> boundary handling -> LBM kernel -> grid swap
 
-All virtual processes execute within one address space, driven from one
-thread (deterministic, bit-reproducible).  Each virtual rank's ghost
-exchange is the same plan and executor the SPMD rank program uses
-(:mod:`repro.comm.ghostlayer`, :mod:`repro.comm.buffersystem`), talking
-over in-process :mod:`~repro.comm.vmpi` endpoints; the executor's ledger
-distinguishes local from remote copies so the performance models can
-attribute MPI cost.
+:class:`DistributedSimulation` is the only multi-block driver.  Without
+a ``comm`` it builds every virtual rank in one address space and drives
+them from one thread (deterministic, bit-reproducible), each rank's
+exchange over its own in-process :mod:`~repro.comm.vmpi` endpoint.  With
+a ``comm`` it builds only that rank's view and exchange — the SPMD
+program of :mod:`repro.comm.spmd` is this driver stepped on every rank.
+Either way each rank runs the same plan and executor
+(:mod:`repro.comm.ghostlayer`, :mod:`repro.comm.buffersystem`), whose
+ledger distinguishes local from remote copies so the performance models
+can attribute MPI cost.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import flagdefs as fl
-from ..blocks.forest import LocalBlock, ProcessView, distribute
+from ..blocks.forest import LocalBlock, ProcessView, distribute, view_for_rank
 from ..blocks.setup import SetupBlockForest
 from ..core.driver import BlockDriver
 from ..core.field import PdfField
@@ -36,9 +39,10 @@ from ..geometry.voxelize import ColorMap, voxelize_block
 from ..lbm.boundary import BoundaryHandling, Condition, NoSlip
 from ..lbm.collision import SRT, TRT
 from ..lbm.lattice import D3Q19, LatticeModel
+from ..perf.timing import TimingTree
 from .buffersystem import check_comm_mode, make_exchange
 from .ghostlayer import CommStats
-from .vmpi import Comm, VirtualMPI
+from .vmpi import Comm, ReliableComm, VirtualMPI
 
 __all__ = [
     "DistributedSimulation",
@@ -187,10 +191,9 @@ class DistributedSimulation(BlockDriver):
         benchmarks.  Both give bit-identical interiors.
     comm_mode:
         How the ghost exchange groups its messages.  Every mode runs a
-        :class:`~repro.comm.buffersystem.BufferSystem` on every virtual
-        rank, exactly as :func:`~repro.comm.spmd.spmd_rank_program`
-        does, over persistent buffers with zero full-field allocations
-        in steady state:
+        :class:`~repro.comm.buffersystem.BufferSystem` on every rank,
+        over persistent buffers with zero full-field allocations in
+        steady state:
 
         ``"per-face"``
             One message per (block, side) — the baseline.
@@ -219,13 +222,30 @@ class DistributedSimulation(BlockDriver):
         ``"threads"`` when ``workers > 1``.
     workers:
         Worker threads for ``exec_mode="threads"``.
+    comm:
+        This process's endpoint (a :class:`~repro.comm.vmpi.Comm` or
+        :class:`~repro.comm.vmpi.ReliableComm`) when the driver steps one
+        rank of an SPMD program.  ``None`` (default) builds every rank
+        in this process.  With a ``comm`` the driver builds only
+        ``view_for_rank(forest, comm.rank, periodic)`` and that rank's
+        exchange: ``runtimes``, ``fields``, the observables and
+        ``gather_*`` cover only this rank's blocks (``gather_*`` leaves
+        the other ranks' cells NaN), the caller steps every rank in
+        lockstep (see :func:`~repro.comm.spmd.spmd_rank_program`), and
+        checkpoints are collective: every rank calls ``save_checkpoint``
+        / ``load_checkpoint`` (see :mod:`repro.io.checkpoint`).
+    tree:
+        The :class:`~repro.perf.timing.TimingTree` the time loop, the
+        exchange and the sweep engine record into; ``None`` (default)
+        creates a fresh one.  An SPMD rank passes the tree it also hands
+        its ``ReliableComm``, so the recovery counters land next to the
+        sweep timings.
 
     The per-step sweeps come from
     :class:`~repro.core.schedule.BlockSweepSchedule` and the run,
     checkpoint and rate methods from
     :class:`~repro.core.driver.BlockDriver`, shared with the
-    single-block :class:`~repro.core.simulation.Simulation` and (the
-    schedule) the SPMD rank program.
+    single-block :class:`~repro.core.simulation.Simulation`.
     """
 
     def __init__(
@@ -244,17 +264,27 @@ class DistributedSimulation(BlockDriver):
         comm_mode: str = "per-face",
         exec_mode: Optional[str] = None,
         workers: int = 1,
+        *,
+        comm: Optional[Union[Comm, ReliableComm]] = None,
+        tree: Optional[TimingTree] = None,
     ):
         if forest.n_processes == 0:
             raise ConfigurationError("forest must be balanced first")
         check_comm_mode(comm_mode)
-        self.timeloop = TimeLoop()
+        self.timeloop = TimeLoop(tree=tree if tree is not None else TimingTree())
+        self.comm = comm
         self.comm_mode = comm_mode
         self.forest = forest
         self.model = model
         self.collision = collision
         self.periodic = tuple(bool(p) for p in periodic)
-        self.views: List[ProcessView] = distribute(forest, periodic=self.periodic)
+        if comm is None:
+            self.views: List[ProcessView] = distribute(forest, periodic=self.periodic)
+            world = VirtualMPI(len(self.views))
+            endpoints = [Comm(view.rank, world) for view in self.views]
+        else:
+            self.views = [view_for_rank(forest, comm.rank, self.periodic)]
+            endpoints = [comm]
         conditions = list(boundaries) if boundaries is not None else [NoSlip()]
         if colors is None:
             colors = default_vascular_colors() if geometry is not None else ColorMap()
@@ -283,19 +313,17 @@ class DistributedSimulation(BlockDriver):
         self.kernel_names: Dict[object, str] = {key: rt.kernel_name for key, rt in rts}
         self._handlers: Dict[object, BoundaryHandling] = {key: rt.handler for key, rt in rts}
 
-        # One rank plan and executor per virtual rank, as in the SPMD
-        # rank program, on in-process vMPI endpoints.
-        world = VirtualMPI(len(self.views))
+        # One rank plan and executor per rank this process drives.
         executors = []
         remote_dst = set()
-        for view in self.views:
+        for view, endpoint in zip(self.views, endpoints):
             executor, dst = make_exchange(
-                comm_mode, view, self.runtimes, Comm(view.rank, world),
+                comm_mode, view, self.runtimes, endpoint,
                 self.timeloop.tree, filtered=filtered_communication,
             )
             executors.append(executor)
             remote_dst |= dst
-        self.exchange = _InProcessRanks(executors)
+        self.exchange = _InProcessRanks(executors) if comm is None else executors[0]
         # Started after every executor is built, so a rejected
         # configuration leaves no worker threads behind.
         self.engine = make_engine(exec_mode, workers, self.timeloop.tree)

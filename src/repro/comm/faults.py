@@ -7,7 +7,7 @@ and can restart from its block-structure/state files.  Our thread-based
 perfect network; this module makes the network *imperfect on purpose* so
 the resilient protocol layer (:class:`~repro.comm.vmpi.ReliableComm`,
 the retrying ghost exchange in :mod:`repro.comm.buffersystem`, and the
-checkpoint-restart path in :mod:`repro.comm.spmd`) can be validated
+SPMD checkpoint-restart path of :mod:`repro.comm.spmd`) can be validated
 under chaos — the distributed-algorithm testing discipline of
 Schornbaum & Rüde (2016).
 

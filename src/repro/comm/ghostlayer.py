@@ -11,10 +11,11 @@ sends to and receives from each neighbor rank, and the direct copies
 between its own blocks.  :class:`~repro.comm.buffersystem.BufferSystem`
 runs such a plan by message passing, under every ``comm_mode``: it
 groups the regions into one message per (block, side) for
-``"per-face"`` or one per peer rank otherwise.  Both drivers use it —
-the SPMD rank program on one thread per rank, and
-:class:`~repro.comm.distributed.DistributedSimulation` on in-process
-ranks driven from one thread.  The executor keeps a :class:`CommStats`
+``"per-face"`` or one per peer rank otherwise.  The one multi-block
+driver, :class:`~repro.comm.distributed.DistributedSimulation`, runs
+one per rank: on in-process ranks driven from one thread, or — built
+with ``comm=`` by the SPMD rank program — on one rank's view, one
+thread per rank.  The executor keeps a :class:`CommStats`
 ledger of the bytes and messages moved within and between ranks,
 feeding the communication-time models in :mod:`repro.perf`.
 """

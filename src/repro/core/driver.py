@@ -34,13 +34,15 @@ class BlockDriver:
     lattice model), ``timeloop`` and ``schedule``; a driver whose
     ``schedule`` is still ``None`` (a
     :class:`~repro.core.simulation.Simulation` before ``finalize()``)
-    refuses to run.
+    refuses to run.  ``comm`` is set on a driver that steps one rank of
+    an SPMD program; its checkpoints are collective.
     """
 
     runtimes: Dict[object, BlockRuntime]
     model: LatticeModel
     timeloop: Optional[TimeLoop] = None
     schedule: Optional[BlockSweepSchedule] = None
+    comm = None
 
     def _require_ready(self, what: str) -> None:
         if self.schedule is None:
@@ -123,7 +125,9 @@ class BlockDriver:
         ``numpy.random.Generator``).  Writes go through a temp file +
         rename, so an interrupted write never destroys the previous
         checkpoint; the write cost is timed under the loop's
-        ``checkpoint`` scope.  See ``docs/resilience.md``.
+        ``checkpoint`` scope.  On an SPMD rank (``comm`` set) every rank
+        enables it and each write is collective.  See
+        ``docs/resilience.md``.
         """
         self._require_ready("checkpointing")
         from ..io.checkpoint import save_checkpoint
@@ -141,7 +145,8 @@ class BlockDriver:
 
         Continuing with ``run(remaining)`` reproduces an uninterrupted
         run bit-exactly — the recovery path validated by
-        ``tests/chaos/``.
+        ``tests/chaos/``.  On an SPMD rank (``comm`` set) every rank
+        calls it: the file is read on rank 0 and broadcast.
         """
         self._require_ready("restart()")
         from ..io.checkpoint import load_checkpoint

@@ -4,11 +4,12 @@ A block's runtime state is a :class:`BlockRuntime`, its kernel comes
 from :func:`make_block_kernel`, and a process steps its blocks through
 :class:`BlockSweepSchedule`.  Every driver uses these three: the
 single-block :class:`~repro.core.simulation.Simulation` (one block,
-whose exchange is the periodic ghost wrap), the in-process
-:class:`~repro.comm.distributed.DistributedSimulation` and the SPMD
-:func:`~repro.comm.spmd.spmd_rank_program`.  They differ only in which
-blocks they own and which exchange moves the ghost data; the sweeps are
-the same:
+whose exchange is the periodic ghost wrap) and the multi-block
+:class:`~repro.comm.distributed.DistributedSimulation`, which owns
+every block in-process or, on an SPMD rank
+(:func:`~repro.comm.spmd.spmd_rank_program`), one rank's blocks.  They
+differ only in which blocks they own and which exchange moves the ghost
+data; the sweeps are the same:
 
     fused:    communication -> boundary -> kernel -> swap
     overlap:  communication -> boundary -> inner kernel
@@ -16,9 +17,9 @@ the same:
 
 Every ghost exchange offers ``exchange()`` and ``resync()`` (copy
 every cell again, called by a checkpoint load); the multi-block
-drivers' :class:`~repro.comm.buffersystem.BufferSystem`, which overlap
+driver's :class:`~repro.comm.buffersystem.BufferSystem`, which overlap
 uses, also offers ``start()`` (pack, post sends, local copies) and
-``finish()`` (drain and unpack); the in-process driver wraps one per
+``finish()`` (drain and unpack); in-process, the driver wraps one per
 virtual rank behind the same calls.
 
 Work items are built once.  Closures re-read ``field.src`` /

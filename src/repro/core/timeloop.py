@@ -55,7 +55,7 @@ class TimeLoop:
     per loop by default but can be shared (e.g. one tree per virtual
     rank in an SPMD run, later reduced with
     :func:`~repro.perf.timing.reduce_trees`).  ``None`` runs the sweeps
-    untimed (an SPMD rank without a timing tree).
+    untimed.
     """
 
     sweeps: List[Sweep] = field(default_factory=list)

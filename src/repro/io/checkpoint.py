@@ -29,10 +29,12 @@ Two state shapes are supported: every simulation driver
 :class:`~repro.core.simulation.Simulation` is block ``0``), and the
 indirect-addressing :class:`~repro.lbm.cellstructured.CellStructuredSolver`
 via :func:`save_solver_checkpoint` / :func:`load_solver_checkpoint`.
-Every driver writes and restores the same record:
-:func:`block_arrays` and :func:`restore_blocks` are shared by
-:func:`save_checkpoint` / :func:`load_checkpoint` and by the SPMD rank
-program, which adds only the gather to rank 0 and the broadcast from it.
+:func:`save_checkpoint` / :func:`load_checkpoint` are the one path for
+every driver, in-process or SPMD: on a driver that steps one rank
+(``sim.comm`` set) both are collective — every rank's
+:func:`block_arrays` record is gathered to rank 0, which writes one
+file, and a load is read on rank 0 and broadcast, each rank restoring
+its own blocks.  Either layout restarts the other's file.
 """
 
 from __future__ import annotations
@@ -261,13 +263,18 @@ def save_checkpoint(
 
     The write is atomic (temp file + rename); pass ``rng`` to persist a
     NumPy generator's state alongside (restored by
-    :func:`load_checkpoint`).
+    :func:`load_checkpoint`).  On a rank driver (``sim.comm`` set) this
+    is a collective: every rank's blocks are gathered to rank 0, which
+    writes the one file (with rank 0's ``rng``).
     """
+    arrays = block_arrays(sim.runtimes)
+    if sim.comm is not None:
+        shards = sim.comm.gather(arrays, root=0)
+        if sim.comm.rank != 0:
+            return
+        arrays = {key: arr for shard in shards for key, arr in shard.items()}
     write_state(
-        path,
-        block_arrays(sim.runtimes),
-        step=sim.timeloop.steps_run,
-        rng_state=_rng_state_dump(rng),
+        path, arrays, step=sim.timeloop.steps_run, rng_state=_rng_state_dump(rng)
     )
 
 
@@ -279,18 +286,27 @@ def load_checkpoint(
 
     ``sim`` must have been built from the same balanced forest (same
     block ids and shapes); the file may come from any driver.  Reads
-    both the current v2 format and legacy v1 files.  Raises
-    :class:`~repro.errors.CheckpointError` on mismatched structure or
-    corrupted/truncated files.
+    both the current v2 format and legacy v1 files.  On a rank driver
+    (``sim.comm`` set) this is a collective: rank 0 reads the file and
+    broadcasts it, every rank restores its own blocks.  Raises
+    :class:`~repro.errors.CheckpointError` on mismatched structure — a
+    file lacking one of the forest's blocks or holding a block it lacks,
+    or a block at another shape — or corrupted/truncated files.
     """
-    arrays, steps, rng_state = read_state(path)
-    ckpt_blocks = {k.split(":", 1)[1] for k in arrays if k.startswith("pdf:")}
-    sim_blocks = {_block_key(block_id) for block_id in sim.runtimes}
-    if ckpt_blocks != sim_blocks:
-        raise CheckpointError(
-            f"checkpoint blocks {sorted(ckpt_blocks)} != simulation blocks "
-            f"{sorted(sim_blocks)}"
-        )
+    if sim.comm is None:
+        arrays, steps, rng_state = read_state(path)
+        block_ids = sim.runtimes
+    else:
+        payload = read_state(path) if sim.comm.rank == 0 else None
+        arrays, steps, rng_state = sim.comm.bcast(payload, root=0)
+        block_ids = [blk.id for blk in sim.forest.blocks]
+    held = {key for key in arrays if key.startswith("pdf:")}
+    wanted = {f"pdf:{_block_key(block_id)}" for block_id in block_ids}
+    missing, extra = sorted(wanted - held), sorted(held - wanted)
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint lacks block {missing[0]!r}")
+    if extra:
+        raise CheckpointError(f"{path}: checkpoint holds blocks the forest lacks: {extra}")
     restore_blocks(arrays, sim.runtimes, path)
     _rng_state_load(rng, rng_state)
     _restored(sim, steps)

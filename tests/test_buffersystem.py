@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro import flagdefs as fl
 from repro.balance import balance_forest
 from repro.blocks import SetupBlockForest, view_for_rank
 from repro.comm import (
@@ -180,7 +181,6 @@ class TestCoalescedPlan:
             raise AssertionError("block built before comm_mode was checked")
 
         monkeypatch.setattr(distributed, "build_block_runtime", no_build)
-        monkeypatch.setattr(spmd, "build_block_runtime", no_build)
         with pytest.raises(ConfigurationError, match="comm_mode"):
             _dense_sim("bulk")
         with pytest.raises(ConfigurationError, match="comm_mode"):
@@ -442,6 +442,51 @@ class TestDriverParity:
             value = sim.timeloop.tree.counters[counter]
             assert value > 0, counter
             assert value / self.STEPS == spmd.counters[counter] / self.STEPS
+
+
+    @pytest.mark.parametrize("mode", ["coalesced", "overlap"])
+    def test_periodic_interiors(self, mode):
+        """SPMD ranks take the driver's ``periodic``: a lid-driven
+        channel open along x, where the x wrap crosses ranks, ends with
+        the in-process driver's interiors bit for bit."""
+        grid, periodic = (2, 2, 1), (True, False, False)
+        forest = _dense_forest(grid=grid, ranks=3)
+        options = dict(
+            flag_setter=_x_periodic_channel(grid), periodic=periodic, comm_mode=mode
+        )
+        conditions = [NoSlip(), UBB(velocity=(0.05, 0.02, 0.0))]
+        sim = DistributedSimulation(
+            forest, TRT.from_tau(0.65), boundaries=conditions, **options
+        ).run(self.STEPS)
+        result = run_spmd_simulation(
+            VirtualMPI(forest.n_processes), forest, TRT.from_tau(0.65),
+            self.STEPS, conditions=conditions, **options,
+        )
+        assert set(result) == set(sim.fields)
+        for key, arr in result.items():
+            assert np.array_equal(arr, sim.fields[key].interior_view), key
+
+
+def _x_periodic_channel(grid):
+    """Flag setter: no-slip y walls and floor, a moving +z lid, no wall
+    across x, and a small obstacle in the first x column of blocks so
+    the flow varies along the periodic axis."""
+
+    def setter(blk, ff):
+        d = ff.data
+        gx, gy, gz = blk.grid_index
+        if gy == 0:
+            d[:, 0] = fl.NO_SLIP
+        if gy == grid[1] - 1:
+            d[:, -1] = fl.NO_SLIP
+        if gz == 0:
+            d[:, :, 0] = fl.NO_SLIP
+        if gz == grid[2] - 1:
+            d[:, :, -1] = fl.VELOCITY_BC
+        if gx == 0:
+            d[2:4, 2:4, 1:3] = fl.NO_SLIP
+
+    return setter
 
 
 class TestCommModesExported:

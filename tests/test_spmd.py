@@ -175,6 +175,14 @@ class TestSpmdRestore:
         write_state(path, {k: v for k, v in arrays.items() if k != dropped}, step=4)
         self._assert_restore_fails(path, f"lacks block {dropped!r}")
 
+    def test_extra_block(self, tmp_path):
+        arrays = self._checkpoint(tmp_path)
+        extra = "pdf:not-a-block"
+        arrays[extra] = arrays[min(k for k in arrays if k.startswith("pdf:"))]
+        path = str(tmp_path / "extra.npz")
+        write_state(path, arrays, step=4)
+        self._assert_restore_fails(path, f"the forest lacks: {[extra]}")
+
     def _assert_shape_rejected(self, tmp_path, kind):
         arrays = self._checkpoint(tmp_path)
         key = min(k for k in arrays if k.startswith(f"{kind}:"))
