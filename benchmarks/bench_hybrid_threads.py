@@ -5,8 +5,8 @@ The paper's Figure 5 varies the SMT level within one node (45 -> 62 ->
 ladder) while the domain stays fixed — the node-level half of the
 hybrid MPI+OpenMP execution model.  This benchmark is that experiment
 on the :mod:`repro.exec` sweep engine: one large dense block, the
-``vectorized`` kernel, and a worker pool of 1/2/4 threads sweeping
-interior slabs.
+``vectorized`` kernel, swept inline at one worker (the serial engine)
+and by a pool of 2/4 threads sweeping interior slabs.
 
 Honest measurement on a time-shared host
 ----------------------------------------
@@ -69,7 +69,6 @@ def _build(workers: int) -> Simulation:
         cells=CELLS,
         collision=TRT.from_tau(0.65),
         kernel="vectorized",
-        exec_mode="threads",
         workers=workers,
     )
     sim.flags.fill(fl.FLUID)

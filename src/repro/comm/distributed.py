@@ -207,21 +207,17 @@ class DistributedSimulation(BlockDriver):
             (independent of ghost layers, runs between pack and
             unpack) and a one-cell frontier shell (runs after).
             Bit-identical to the other modes.
-    exec_mode:
-        Intra-rank sweep execution strategy (see :mod:`repro.exec`):
-        ``"serial"`` runs every sweep inline; ``"threads"`` gives the
-        kernel and boundary sweeps a persistent work-stealing pool of
-        ``workers`` threads — the OpenMP axis of the paper's hybrid
-        aPbT configurations.  Work items are whole blocks when there
-        are at least as many blocks as workers, and interior *slabs* of
-        dense blocks otherwise (the single-large-block regime).  NumPy
-        and the ``compiled`` tier's ``ctypes`` call release the GIL
-        inside the kernels, so work items genuinely
-        execute concurrently, and results are bit-identical to serial
-        runs for every worker count.  ``None`` (default) selects
-        ``"threads"`` when ``workers > 1``.
     workers:
-        Worker threads for ``exec_mode="threads"``.
+        Intra-rank sweep workers (see :mod:`repro.exec`).  One worker
+        runs every sweep inline; more give the kernel and boundary
+        sweeps a persistent work-stealing pool of ``workers`` threads —
+        the OpenMP axis of the paper's hybrid aPbT configurations.  Work
+        items are whole blocks when there are at least as many blocks as
+        workers, and interior *slabs* of dense blocks otherwise (the
+        single-large-block regime).  NumPy and the ``compiled`` tier's
+        ``ctypes`` call release the GIL inside the kernels, so work
+        items genuinely execute concurrently, and results are
+        bit-identical to serial runs for every worker count.
     comm:
         This process's endpoint (a :class:`~repro.comm.vmpi.Comm` or
         :class:`~repro.comm.vmpi.ReliableComm`) when the driver steps one
@@ -262,7 +258,6 @@ class DistributedSimulation(BlockDriver):
         sparse_kernel: str = "interval",
         filtered_communication: bool = True,
         comm_mode: str = "per-face",
-        exec_mode: Optional[str] = None,
         workers: int = 1,
         *,
         comm: Optional[Union[Comm, ReliableComm]] = None,
@@ -272,6 +267,11 @@ class DistributedSimulation(BlockDriver):
             raise ConfigurationError("forest must be balanced first")
         check_comm_mode(comm_mode)
         self.timeloop = TimeLoop(tree=tree if tree is not None else TimingTree())
+        # Built before any block, so bad ``workers`` fail fast; a pool
+        # starts its threads on the first round, so a later failure
+        # leaves no threads behind.
+        self.engine = make_engine(workers, self.timeloop.tree)
+        self.timeloop.engine = self.engine
         self.comm = comm
         self.comm_mode = comm_mode
         self.forest = forest
@@ -324,10 +324,6 @@ class DistributedSimulation(BlockDriver):
             executors.append(executor)
             remote_dst |= dst
         self.exchange = _InProcessRanks(executors) if comm is None else executors[0]
-        # Started after every executor is built, so a rejected
-        # configuration leaves no worker threads behind.
-        self.engine = make_engine(exec_mode, workers, self.timeloop.tree)
-        self.timeloop.engine = self.engine
         self.schedule = BlockSweepSchedule(
             self.runtimes,
             self.exchange,

@@ -12,7 +12,9 @@ endpoint (``comm=``): the driver builds only that rank's blocks (from
 in-process driver builds.  :func:`spmd_rank_program` only wraps the
 endpoint, steps the driver in lockstep with the other ranks and returns
 the interiors; the tests assert the results are bit-identical to the
-in-process driver's.
+in-process driver's.  Each rank keeps one timing ledger: the tree it
+hands both its channel and its driver, which the caller reduces across
+ranks with :func:`~repro.perf.timing.reduce_trees`.
 
 Resilience
 ----------
@@ -69,14 +71,14 @@ def spmd_rank_program(
     """One rank's complete simulation: build the rank's
     :class:`~repro.comm.distributed.DistributedSimulation` (``options``
     are its keywords — ``geometry``, ``flag_setter``, ``periodic``,
-    ``comm_mode``, ``exec_mode``, ``workers``, ...), step it in lockstep
+    ``comm_mode``, ``workers``, ...), step it in lockstep
     with the other ranks, and return the final interior PDFs of the
     local blocks (keyed by block id).
 
-    ``conditions`` are the driver's ``boundaries``.  ``exec_mode`` /
-    ``workers`` give each rank an intra-rank sweep engine — the paper's
-    hybrid aPbT configurations: ``a`` virtual MPI ranks each driving
-    ``b`` worker threads.
+    ``conditions`` are the driver's ``boundaries``.  ``workers`` gives
+    each rank an intra-rank sweep engine — the paper's hybrid aPbT
+    configurations: ``a`` virtual MPI ranks each driving ``b`` worker
+    threads.
 
     ``tree`` is the rank's timing tree (a fresh one when ``None``): the
     driver's sweeps with their sub-scopes, the per-step ``sync``

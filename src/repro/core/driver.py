@@ -215,6 +215,6 @@ class BlockDriver:
     def timing_report(self) -> str:
         """Hierarchical timing tree of the run (waLBerla's timing pool):
         sweeps with their sub-scopes, per-tier kernel timers and
-        counters, and the sweep engine's worker-utilization line."""
+        counters (the sweep engine's ``exec.*`` among them)."""
         self._require_ready("timing_report()")
         return self.timeloop.timing_report()

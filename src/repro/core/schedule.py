@@ -166,7 +166,7 @@ class BlockSweepSchedule:
     engine:
         The rank's sweep engine (:mod:`repro.exec`).
     tree:
-        Timing tree for per-tier kernel timers and counters, or ``None``.
+        Timing tree for per-tier kernel timers and counters.
     overlap:
         Split dense blocks into an inner box swept while the exchange
         is in flight and a one-cell frontier swept after it.
@@ -188,7 +188,7 @@ class BlockSweepSchedule:
         runtimes: Mapping[object, BlockRuntime],
         exchange,
         engine: ExecutionEngine,
-        tree: Optional[TimingTree],
+        tree: TimingTree,
         overlap: bool,
         remote_dst: Collection[object],
     ):
@@ -308,9 +308,8 @@ class BlockSweepSchedule:
 
     # -- sweeps ---------------------------------------------------------------
     def _count_updates(self) -> None:
-        if self.tree is not None:
-            self.tree.add_counter("cells_updated", self.cells_per_step)
-            self.tree.add_counter("fluid_cell_updates", self.fluid_per_step)
+        self.tree.add_counter("cells_updated", self.cells_per_step)
+        self.tree.add_counter("fluid_cell_updates", self.fluid_per_step)
 
     def _apply_boundaries(self) -> None:
         self.engine.run(self.boundary_tasks)
@@ -358,7 +357,7 @@ class BlockSweepSchedule:
         else:
             self._exposed_seconds += comm_wall
         denom = self._inner_seconds + self._exposed_seconds
-        if self.tree is not None and denom > 0.0:
+        if denom > 0.0:
             self.tree.set_counter(
                 "comm.overlap_efficiency", self._inner_seconds / denom
             )

@@ -74,13 +74,12 @@ class Simulation(BlockDriver):
     periodic:
         Per-axis periodicity: ghost layers on periodic axes are wrapped
         from the opposite interior face before each step.
-    exec_mode, workers:
-        Intra-rank sweep execution (see :mod:`repro.exec` and
-        :func:`~repro.exec.make_engine`): ``"threads"`` gives the
+    workers:
+        Intra-rank sweep workers (see :mod:`repro.exec` and
+        :func:`~repro.exec.make_engine`): more than one gives the
         sweeps a persistent pool of ``workers`` threads, the kernel
         sweep cut into interior slabs (slowest-varying axis) —
-        bit-identical to serial for every worker count.  ``None``
-        (default) selects ``"threads"`` when ``workers > 1``.
+        bit-identical to serial for every worker count.
     """
 
     def __init__(
@@ -91,7 +90,6 @@ class Simulation(BlockDriver):
         kernel: Optional[str] = None,
         body_force=None,
         periodic: Optional[Tuple[bool, ...]] = None,
-        exec_mode: Optional[str] = None,
         workers: int = 1,
     ):
         self.model = model
@@ -113,7 +111,6 @@ class Simulation(BlockDriver):
                 f"periodic needs {model.dim} entries, got {periodic}"
             )
         self.periodic = tuple(bool(p) for p in periodic)
-        self.exec_mode = exec_mode
         self.workers = workers
 
     # -- configuration ------------------------------------------------------
@@ -148,7 +145,7 @@ class Simulation(BlockDriver):
             )
         }
         self.timeloop = TimeLoop()
-        self.engine = make_engine(self.exec_mode, self.workers, self.timeloop.tree)
+        self.engine = make_engine(self.workers, self.timeloop.tree)
         self.timeloop.engine = self.engine
         # The block plan of repro.comm is 3-D only; a single block's
         # ghost exchange is the periodic wrap, for any lattice model.

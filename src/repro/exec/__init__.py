@@ -17,13 +17,14 @@ strategies:
   along the slowest-varying axis into per-worker subregion views, each
   swept through the PR-3 ``region_view`` machinery.
 
+The rank's ``workers`` count picks the engine: one worker runs every
+sweep inline, more share a pool (:func:`~repro.exec.engine.make_engine`).
 Parallel sweeps are *bit-identical* to serial ones: tasks write
 disjoint destination regions and per-cell arithmetic does not depend on
 the decomposition.  See ``docs/hybrid-parallelism.md``.
 """
 
 from .engine import (
-    EXEC_MODES,
     ExecutionEngine,
     RoundHandle,
     SerialEngine,
@@ -34,7 +35,6 @@ from .engine import (
 from .partition import slab_boxes, slabs_per_block
 
 __all__ = [
-    "EXEC_MODES",
     "ExecutionEngine",
     "RoundHandle",
     "SerialEngine",

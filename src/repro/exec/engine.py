@@ -5,7 +5,9 @@ of a list of :class:`SweepTask` items — typically the per-block or
 per-slab pieces of one sweep of one time step.  Tasks must write
 disjoint regions (the decompositions in :mod:`repro.exec.partition`
 and the drivers guarantee this), so execution order is irrelevant and
-results are bit-identical to a serial sweep.
+results are bit-identical to a serial sweep.  The worker count alone
+picks the engine (:func:`make_engine`): one worker runs inline on the
+calling thread (:class:`SerialEngine`), more run on a pool.
 
 Scheduling (``ThreadedEngine``)
 -------------------------------
@@ -29,7 +31,9 @@ path ``max_w(cpu_w)`` is the wall time the round would take if every
 worker owned a hardware thread, which is exactly the quantity the
 paper's Figure 5 varies.  With a timing tree attached the engine emits
 the ``exec.*`` counters and files per-worker busy times as
-``worker:<i>`` children of the dispatching sweep's scope.
+``worker:<i>`` children of the dispatching sweep's scope; the drivers
+always attach their time loop's tree, so these counters are the one
+report of the engine's work.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from ..errors import ConfigurationError
 from ..perf.timing import TimingNode, TimingTree
 
 __all__ = [
-    "EXEC_MODES",
     "SweepTask",
     "RoundHandle",
     "ExecutionEngine",
@@ -51,10 +54,6 @@ __all__ = [
     "ThreadedEngine",
     "make_engine",
 ]
-
-#: The execution strategies a driver can request.
-EXEC_MODES = ("serial", "threads")
-
 
 class SweepTask:
     """One independent unit of sweep work.
@@ -106,7 +105,7 @@ class RoundHandle:
 
 
 class ExecutionEngine:
-    """Common state and reporting shared by the serial/threaded engines.
+    """Common state and accounting shared by the serial/threaded engines.
 
     Cumulative statistics (across all rounds since construction):
 
@@ -201,26 +200,12 @@ class ExecutionEngine:
                 if counts[w]:
                     tree.record_at(anchor, f"worker:{w}", wall[w])
 
-    def summary(self) -> str:
-        """One-line utilization summary for reports."""
-        frac = (
-            self.busy_wall_seconds / (self.workers * self.dispatch_wall_seconds)
-            if self.dispatch_wall_seconds > 0.0
-            else 0.0
-        )
-        return (
-            f"{self.mode} engine: {self.workers} worker(s), "
-            f"{self.tasks_run} tasks ({self.claims} claimed, "
-            f"{self.steals} stolen), busy fraction {frac:.2f}, "
-            f"critical path {self.critical_path_seconds:.4f} s"
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} workers={self.workers}>"
 
 
 class SerialEngine(ExecutionEngine):
-    """Inline execution on the calling thread (``exec_mode="serial"``).
+    """Inline execution on the calling thread (``workers=1``).
 
     Emits the same ``exec.*`` accounting as the threaded engine (with
     every task a claim and the critical path equal to the full busy CPU
@@ -254,7 +239,7 @@ class SerialEngine(ExecutionEngine):
 
 class ThreadedEngine(ExecutionEngine):
     """Persistent worker pool with per-worker deques and stealing
-    (``exec_mode="threads"``).
+    (``workers > 1``).
 
     Threads are daemonic and started lazily on the first round; call
     :meth:`shutdown` for a deterministic teardown (the drivers and the
@@ -433,28 +418,12 @@ class ThreadedEngine(ExecutionEngine):
                             cond.notify_all()
 
 
-def make_engine(
-    exec_mode: Optional[str] = None,
-    workers: int = 1,
-    tree: Optional[TimingTree] = None,
-) -> ExecutionEngine:
-    """Build the engine for ``exec_mode`` (one of :data:`EXEC_MODES`).
-
-    ``None`` selects ``"threads"`` when ``workers > 1`` and ``"serial"``
-    otherwise; ``workers`` must be at least 1 in every mode.
-    ``"serial"`` runs inline;  ``"threads"`` builds a
-    :class:`ThreadedEngine` with a pool of ``workers`` persistent
-    threads (``workers=1`` is a valid single-worker pool — useful for
-    isolating dispatch overhead).
-    """
+def make_engine(workers: int = 1, tree: Optional[TimingTree] = None) -> ExecutionEngine:
+    """Build a rank's sweep engine: a :class:`SerialEngine` for one
+    worker, a :class:`ThreadedEngine` pool of ``workers`` persistent
+    threads for more (``workers < 1`` is rejected)."""
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if exec_mode is None:
-        exec_mode = "threads" if workers > 1 else "serial"
-    if exec_mode not in EXEC_MODES:
-        raise ConfigurationError(
-            f"exec_mode must be one of {EXEC_MODES}, got {exec_mode!r}"
-        )
-    if exec_mode == "serial":
+    if workers == 1:
         return SerialEngine(tree)
     return ThreadedEngine(workers, tree)

@@ -25,7 +25,6 @@ from .report import (
     format_comm_breakdown,
     format_comparison,
     format_table,
-    format_timing_tree,
     print_header,
 )
 
@@ -38,5 +37,5 @@ __all__ = [
     "paper_coronary_tree", "paper_geometry",
     "ProfileResult", "profile_spmd_cavity",
     "format_comparison", "format_table", "print_header",
-    "format_comm_breakdown", "format_timing_tree",
+    "format_comm_breakdown",
 ]

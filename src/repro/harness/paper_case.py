@@ -112,7 +112,7 @@ class ProfileResult:
 
     def report(self) -> str:
         """Aligned text: reduced tree, per-sweep breakdown, derived rates."""
-        from .report import format_comm_breakdown, format_timing_tree
+        from .report import format_comm_breakdown
 
         title = (
             f"{self.scenario}: {self.blocks} blocks of "
@@ -120,7 +120,7 @@ class ProfileResult:
             f"{self.steps} steps"
         )
         lines = [
-            format_timing_tree(self.reduced, title=title),
+            self.reduced.render(title=title),
             "",
             format_comm_breakdown(self.reduced),
             "derived metrics:",

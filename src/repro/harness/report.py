@@ -16,7 +16,6 @@ __all__ = [
     "format_table",
     "format_comparison",
     "print_header",
-    "format_timing_tree",
     "format_comm_breakdown",
 ]
 
@@ -56,16 +55,6 @@ def format_comparison(
 def print_header(title: str) -> str:
     bar = "=" * max(len(title), 20)
     return f"\n{bar}\n{title}\n{bar}"
-
-
-def format_timing_tree(tree, title: str = "timing tree") -> str:
-    """Render a (reduced) timing tree as an aligned text block.
-
-    Accepts either a :class:`~repro.perf.timing.TimingTree` or a
-    :class:`~repro.perf.timing.ReducedTimingTree`; both expose
-    ``render``.
-    """
-    return tree.render(title=title)
 
 
 def format_comm_breakdown(reduced: ReducedTimingTree) -> str:

@@ -19,7 +19,7 @@ The ``compiled`` tier needs a C compiler at run time;
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Tuple, Union
 
 import numpy as np
 
@@ -115,13 +115,8 @@ class InstrumentedKernel:
         return f"<instrumented {self.kernel!r} as {self.scope_name}>"
 
 
-def instrument_kernel(
-    kernel: Kernel, tree: Optional[TimingTree], name: str
-) -> Kernel:
-    """Wrap ``kernel`` with per-call timing under scope ``tier:<name>``;
-    a ``None`` tree returns the kernel unchanged (zero overhead)."""
-    if tree is None:
-        return kernel
+def instrument_kernel(kernel: Kernel, tree: TimingTree, name: str) -> Kernel:
+    """Wrap ``kernel`` with per-call timing under scope ``tier:<name>``."""
     return InstrumentedKernel(kernel, tree, f"tier:{name}")
 
 

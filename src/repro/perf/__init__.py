@@ -19,8 +19,6 @@ from .timing import (
     TimingNode,
     TimingTree,
     best_of,
-    clear_timing_registry,
-    get_timing_tree,
     reduce_over_comm,
     reduce_trees,
 )
@@ -55,7 +53,7 @@ __all__ = [
     "bandwidth_utilization", "comm_bandwidth", "flops_estimate",
     "mflups", "mlups", "parallel_efficiency",
     "ReducedTimingNode", "ReducedTimingTree", "TimerStats", "TimingNode",
-    "TimingTree", "best_of", "clear_timing_registry", "get_timing_tree",
+    "TimingTree", "best_of",
     "reduce_over_comm", "reduce_trees",
     "IslandTreeNetwork", "NetworkModel", "TorusNetwork",
     "cross_island_fraction", "exchange_time_from_counters", "network_for",

@@ -17,9 +17,10 @@ instrument for the reproduction:
   :class:`~repro.comm.vmpi.VirtualMPI` world, mirroring waLBerla's
   reduced timing pool; counters are summed, gauges averaged over the
   ranks that report them.
-* a process-wide registry (:func:`get_timing_tree`) so decoupled
-  subsystems can share one tree by name, like waLBerla's globally
-  registered timing pools.
+
+A simulation driver owns one tree and hands it to every layer it builds
+(time loop, exchange, sweep engine, kernels), so a rank's run has one
+timing ledger.
 
 Everything is measured with ``time.perf_counter``; recording a closed
 scope costs a few microseconds, small against an LBM sweep (see
@@ -45,8 +46,6 @@ __all__ = [
     "ReducedTimingTree",
     "reduce_trees",
     "reduce_over_comm",
-    "get_timing_tree",
-    "clear_timing_registry",
     "best_of",
     "KNOWN_COUNTERS",
     "register_counter",
@@ -626,29 +625,6 @@ def reduce_over_comm(
     if gathered is None:
         return None
     return reduce_trees([TimingTree.from_dict(d) for d in gathered])
-
-
-# -- process-wide registry ---------------------------------------------------
-
-_REGISTRY: Dict[str, TimingTree] = {}
-_REGISTRY_LOCK = threading.Lock()
-
-
-def get_timing_tree(name: str = "default") -> TimingTree:
-    """Return the process-wide tree registered under ``name``, creating
-    it on first use (waLBerla's globally shared timing pools)."""
-    with _REGISTRY_LOCK:
-        tree = _REGISTRY.get(name)
-        if tree is None:
-            tree = TimingTree()
-            _REGISTRY[name] = tree
-        return tree
-
-
-def clear_timing_registry() -> None:
-    """Drop every registered tree (tests / fresh runs)."""
-    with _REGISTRY_LOCK:
-        _REGISTRY.clear()
 
 
 # -- measurement helper ------------------------------------------------------

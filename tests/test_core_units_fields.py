@@ -125,9 +125,9 @@ class TestTimeLoop:
         loop = TimeLoop().add("x", lambda: None)
         loop.run(5)
         assert loop.timings()["x"] >= 0.0
-        assert loop.sweeps[0].calls == 5
+        assert loop.tree.node("x").stats.calls == 5
         loop.reset_timings()
-        assert loop.sweeps[0].calls == 0
+        assert loop.tree.node("x") is None
         assert loop.steps_run == 0
 
     def test_fraction(self):
@@ -139,11 +139,11 @@ class TestTimeLoop:
             .add("fast", lambda: None)
         )
         loop.run(3)
-        assert loop.fraction("slow") > 0.8
-        assert loop.fraction("missing") == 0.0
+        assert loop.tree.fraction("slow") > 0.8
+        assert loop.tree.fraction("missing") == 0.0
 
     def test_report_format(self):
         loop = TimeLoop().add("k", lambda: None)
         loop.run(1)
-        rep = loop.report()
+        rep = loop.timing_report()
         assert "1 steps" in rep and "k" in rep

@@ -31,10 +31,10 @@ from repro.comm import (
     VirtualMPI,
     run_spmd_simulation,
 )
+from repro.comm import distributed
 from repro.core import Simulation
 from repro.errors import ConfigurationError
 from repro.exec import (
-    EXEC_MODES,
     SerialEngine,
     SweepTask,
     ThreadedEngine,
@@ -115,7 +115,7 @@ def _counting_tasks(n, log, lock):
                                           ("threads", 3)])
 class TestEngineRunsEveryTaskOnce:
     def test_each_task_exactly_once(self, mode, workers):
-        engine = make_engine(mode, workers)
+        engine = SerialEngine() if mode == "serial" else ThreadedEngine(workers)
         log, lock = [], threading.Lock()
         try:
             for _round in range(3):
@@ -128,7 +128,7 @@ class TestEngineRunsEveryTaskOnce:
         assert engine.claims + engine.steals == engine.tasks_run
 
     def test_empty_round_is_a_noop(self, mode, workers):
-        engine = make_engine(mode, workers)
+        engine = SerialEngine() if mode == "serial" else ThreadedEngine(workers)
         try:
             handle = engine.run_async([])
             assert handle.done
@@ -141,29 +141,29 @@ class TestEngineRunsEveryTaskOnce:
 class TestEngineProtocol:
     def test_bad_mode_and_workers_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_engine("processes")
-        with pytest.raises(ConfigurationError):
             ThreadedEngine(0)
-        assert EXEC_MODES == ("serial", "threads")
 
     def test_default_mode_follows_workers(self):
         assert make_engine().mode == "serial"
-        assert make_engine(None, 1).mode == "serial"
-        engine = make_engine(None, 3)
+        assert make_engine(1).mode == "serial"
+        engine = make_engine(3)
         assert engine.mode == "threads" and engine.workers == 3
         engine.shutdown()
-        # workers is checked in every mode, serial included.
-        for mode in (None, "serial", "threads"):
-            with pytest.raises(ConfigurationError, match="workers"):
-                make_engine(mode, 0)
+        with pytest.raises(ConfigurationError, match="workers"):
+            make_engine(0)
 
-    def test_drivers_reject_bad_workers_through_make_engine(self):
+    def test_drivers_reject_bad_workers_through_make_engine(self, monkeypatch):
         sim = Simulation(cells=(4, 4, 4), collision=TRT.from_tau(0.8), workers=0)
         sim.flags.fill(fl.FLUID)
         with pytest.raises(ConfigurationError, match="workers"):
             sim.finalize()
-        with pytest.raises(ConfigurationError, match="exec_mode"):
-            _dense_dist("per-face", exec_mode="processes")
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("block built before workers was checked")
+
+        monkeypatch.setattr(distributed, "build_block_runtime", no_build)
+        with pytest.raises(ConfigurationError, match="workers"):
+            _dense_dist("per-face", workers=0)
 
     def test_serial_is_inline_and_done(self):
         order = []
@@ -218,7 +218,7 @@ class TestEngineProtocol:
 
     def test_exec_counters_emitted_into_tree(self):
         tree = TimingTree()
-        engine = make_engine("threads", 2, tree)
+        engine = make_engine(2, tree)
         try:
             with tree.scoped("sweep"):
                 engine.run([SweepTask(lambda: None) for _ in range(4)])
@@ -351,7 +351,6 @@ def _cavity_sim(workers, cells=(12, 12, 12)):
         cells=cells,
         collision=TRT.from_tau(0.65),
         kernel="vectorized",
-        exec_mode="threads" if workers > 1 else None,
         workers=workers,
     )
     sim.flags.fill(fl.FLUID)
@@ -512,7 +511,7 @@ class TestSpmdHybrid:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_overlap_threads_bit_identical(self, workers, baseline):
         result = _spmd_run(
-            comm_mode="overlap", exec_mode="threads", workers=workers
+            comm_mode="overlap", workers=workers
         )
         _assert_fields_identical(result, baseline)
 
@@ -524,7 +523,6 @@ class TestSpmdHybrid:
         result = _spmd_run(
             faults=FaultInjector(spec, 7),
             comm_mode="overlap",
-            exec_mode="threads",
             workers=4,
         )
         _assert_fields_identical(result, baseline)
@@ -544,7 +542,6 @@ class TestSpmdHybridChaosSweep:
         result = _spmd_run(
             faults=FaultInjector(spec, seed),
             comm_mode="overlap",
-            exec_mode="threads",
             workers=4,
         )
         _assert_fields_identical(result, baseline)

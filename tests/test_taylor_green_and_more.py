@@ -192,6 +192,6 @@ class TestTimingReport:
         sim.flags.fill(fl.FLUID)
         sim.finalize()
         sim.run(3)
-        rep = sim.timeloop.report()
+        rep = sim.timeloop.timing_report()
         assert "kernel" in rep and "3 steps" in rep
         assert "%" in rep

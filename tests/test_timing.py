@@ -14,8 +14,6 @@ from repro.perf.timing import (
     ReducedTimingTree,
     TimingTree,
     best_of,
-    clear_timing_registry,
-    get_timing_tree,
     reduce_over_comm,
     reduce_trees,
 )
@@ -89,14 +87,6 @@ class TestNestedScopes:
         tree.reset()
         assert tree.node("a") is None
         assert tree.counter("c") == 0.0
-
-    def test_registry(self):
-        clear_timing_registry()
-        a = get_timing_tree("x")
-        assert get_timing_tree("x") is a
-        assert get_timing_tree("y") is not a
-        clear_timing_registry()
-        assert get_timing_tree("x") is not a
 
 
 class TestReduction:
@@ -267,26 +257,45 @@ class TestTimeLoopIntegration:
         assert loop.timings()["a"] == 0.0
 
     def test_untimed_loop_runs_its_checkpoint(self):
-        """A loop without a tree (an SPMD rank run untimed) still calls
-        its checkpoint hook."""
-        loop = TimeLoop(tree=None).add("a", lambda: None)
+        """The checkpoint hook runs every ``every`` steps, under its own
+        top-level scope."""
+        loop = TimeLoop().add("a", lambda: None)
         done = []
         loop.configure_checkpoint(done.append, 2)
         loop.run(5)
         assert done == [2, 4]
+        assert loop.tree.node("checkpoint").stats.calls == 2
 
-    def test_untimed_loop_resets_its_sweeps(self):
-        loop = TimeLoop(tree=None).add("a", lambda: None)
-        loop.run(2)
-        loop.reset_timings()
-        assert loop.steps_run == 0
-        assert loop.timings()["a"] == 0.0 and loop.sweeps[0].calls == 0
+    def test_tree_is_the_only_ledger(self):
+        """Per-sweep timings and the kernel rate of a hybrid overlap run
+        read the tree's sweep nodes, not a second timer."""
+        from repro.balance import balance_forest
+        from repro.blocks import SetupBlockForest
+        from repro.comm import DistributedSimulation
+        from repro.geometry import AABB
+        from repro.lbm import TRT
 
-    def test_untimed_loop_reports_its_sweeps(self):
-        loop = TimeLoop(tree=None).add("a", lambda: None)
-        loop.run(3)
-        report = loop.timing_report()
-        assert "3 steps" in report and "a" in report and "3 calls" in report
+        forest = SetupBlockForest.create(
+            AABB((0, 0, 0), (2, 1, 1)), (2, 1, 1), (6, 6, 6)
+        )
+        balance_forest(forest, 2, strategy="round_robin")
+        sim = DistributedSimulation(
+            forest, TRT.from_tau(0.8), comm_mode="overlap", workers=2
+        )
+        try:
+            sim.run(5)
+        finally:
+            sim.close()
+        loop = sim.timeloop
+        timings = loop.timings()
+        for s in loop.sweeps:
+            assert timings[s.name] == loop.tree.node(s.name).stats.total
+        kernel = sum(
+            loop.tree.node(s.name).stats.total
+            for s in loop.sweeps
+            if "kernel" in s.name
+        )
+        assert sim.mflups() == sim.total_fluid_cells() * 5 / kernel / 1e6
 
     def test_nested_subscopes_from_sweep(self):
         loop = TimeLoop()
