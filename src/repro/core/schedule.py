@@ -22,10 +22,13 @@ uses, also offers ``start()`` (pack, post sends, local copies) and
 ``finish()`` (drain and unpack); in-process, the driver wraps one per
 virtual rank behind the same calls.
 
-Work items are built once.  Closures re-read ``field.src`` /
-``field.dst`` at call time so the two-grid swap stays transparent, and
-every round's tasks write disjoint regions, so any worker count is
-bit-identical to serial execution.  The sweeps look up
+Work items are built once.  Each compiled kernel task is one bound C
+call over its boxes (a slab, an inner box, a frontier's six shells or
+a whole block) or its block's run table; the NumPy tiers run once per
+box on region views.  Both read ``field.src`` / ``field.dst`` at call
+time so the two-grid swap stays transparent, and every round's tasks
+write disjoint regions, so any worker count is bit-identical to serial
+execution.  The sweeps look up
 ``exchange.finish`` and ``engine.run`` / ``engine.run_async`` on every
 call, so wrappers installed on those objects take effect.
 """
@@ -133,23 +136,22 @@ def make_block_kernel(
     return name, make_kernel(name, model, collision, flags.cells)
 
 
-def _region_task(kern, field, box, name: str) -> SweepTask:
-    return SweepTask(
-        lambda: run_kernel_on_region(kern, field.src, field.dst, box),
-        cost=box_cells(box),
-        name=name,
-    )
-
-
-def _frontier_task(kern, field, boxes, cost: float, name: str) -> SweepTask:
-    def fn() -> None:
-        if boxes is None:  # sparse kernel: whole-block sweep
+def _sweep_task(kern, field, boxes, cost: float, name: str) -> SweepTask:
+    """The task that sweeps ``boxes`` of a block (``None``: the whole
+    block).  A kernel that binds (the compiled tier) makes one C call
+    over all of them; any other runs once per box on its region views
+    (:func:`~repro.lbm.kernels.registry.run_kernel_on_region`)."""
+    if hasattr(kern.kernel, "bind"):
+        fn = kern.bind(field, boxes)
+    elif boxes is None:
+        def fn() -> None:
             kern(field.src, field.dst)
-            return
-        for box in boxes:
-            run_kernel_on_region(kern, field.src, field.dst, box)
+    else:
+        def fn() -> None:
+            for box in boxes:
+                run_kernel_on_region(kern, field.src, field.dst, box)
 
-    return SweepTask(fn, cost=max(cost, 1.0), name=name)
+    return SweepTask(fn, cost=cost, name=name)
 
 
 class BlockSweepSchedule:
@@ -236,18 +238,13 @@ class BlockSweepSchedule:
                 if key in dense and slabs > 1:
                     full = ((0,) * len(cells), cells)
                     self.kernel_tasks.extend(
-                        _region_task(kern, field, box, f"{key}:slab{i}")
+                        _sweep_task(kern, field, [box], box_cells(box), f"{key}:slab{i}")
                         for i, box in enumerate(slab_boxes(full, slabs))
                     )
                 else:
-                    self.kernel_tasks.append(
-                        SweepTask(
-                            (lambda kern=kern, field=field:
-                             kern(field.src, field.dst)),
-                            cost=float(processed[key]),
-                            name=f"{key}:block",
-                        )
-                    )
+                    self.kernel_tasks.append(_sweep_task(
+                        kern, field, None, float(processed[key]), f"{key}:block"
+                    ))
             return
 
         inner_boxes: Dict[object, tuple] = {}
@@ -266,18 +263,20 @@ class BlockSweepSchedule:
             )
         for key, box in inner_boxes.items():
             self.inner_tasks.extend(
-                _region_task(kernels[key], runtimes[key].field, sb, f"{key}:inner{i}")
+                _sweep_task(
+                    kernels[key], runtimes[key].field, [sb], box_cells(sb),
+                    f"{key}:inner{i}",
+                )
                 for i, sb in enumerate(slab_boxes(box, inner_slabs))
             )
         for key, kern in kernels.items():
             inner = inner_boxes.get(key)
             cost = total[key] - (box_cells(inner) if inner else 0)
-            self.frontier_tasks.append(
-                _frontier_task(
-                    kern, runtimes[key].field, frontier_boxes.get(key),
-                    float(cost), f"{key}:frontier",
-                )
-            )
+            # A sparse kernel sweeps its whole block here.
+            self.frontier_tasks.append(_sweep_task(
+                kern, runtimes[key].field, frontier_boxes.get(key),
+                max(float(cost), 1.0), f"{key}:frontier",
+            ))
         remote = set(remote_dst)
         self.reapply = [
             key for key, rt in runtimes.items()

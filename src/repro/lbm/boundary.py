@@ -23,9 +23,10 @@ from the wall cell ``w`` into the fluid cell ``x = w + e_a``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .. import flagdefs as fl
 from ..errors import ConfigurationError
@@ -72,22 +73,6 @@ class PressureABB:
 Condition = Union[NoSlip, UBB, PressureABB]
 
 
-def _shift_mask(mask: np.ndarray, e: Sequence[int]) -> np.ndarray:
-    """``out[w] = mask[w + e]`` with out-of-range treated as False."""
-    out = np.zeros_like(mask)
-    src_sl, dst_sl = [], []
-    for n, ec in zip(mask.shape, e):
-        ec = int(ec)
-        if ec >= 0:
-            dst_sl.append(slice(0, n - ec))
-            src_sl.append(slice(ec, n))
-        else:
-            dst_sl.append(slice(-ec, n))
-            src_sl.append(slice(0, n + ec))
-    out[tuple(dst_sl)] = mask[tuple(src_sl)]
-    return out
-
-
 def _validate(model: LatticeModel, cond: Condition) -> None:
     """Reject a condition that cannot apply to ``model``: a UBB velocity
     needs one component per model dimension."""
@@ -100,6 +85,46 @@ def _validate(model: LatticeModel, cond: Condition) -> None:
             )
     elif not isinstance(cond, (NoSlip, PressureABB)):
         raise ConfigurationError(f"unknown condition {cond!r}")
+
+
+#: Coefficient rows already computed, by the key :func:`_coefficients`
+#: makes: every block of a run shares its conditions.  Emptied when it
+#: reaches :data:`_COEF_LIMIT` rows (a time-dependent UBB makes a new
+#: condition per update).
+_COEF_ROWS: Dict[tuple, np.ndarray] = {}
+_COEF_LIMIT = 64
+
+
+def _coefficients(model: LatticeModel, cond: Condition) -> np.ndarray:
+    """Per-direction coefficients of ``cond`` on ``model`` (read-only):
+    the UBB momentum correction ``6 w_a rho0 (e_a . u_wall)``, the
+    PressureABB prefactor ``2 w_a rho_w``, zero for no-slip and for the
+    rest direction.  Computed once per condition, keyed by the exact
+    bits of its parameters."""
+    if isinstance(cond, UBB):
+        params = (*cond.velocity, cond.rho0)
+    elif isinstance(cond, PressureABB):
+        params = (cond.rho_w,)
+    else:
+        params = ()
+    key = (model.name, type(cond), tuple(float(v).hex() for v in params))
+    row = _COEF_ROWS.get(key)
+    if row is not None:
+        return row
+    w = model.weights
+    row = np.zeros(model.q, dtype=np.float64)
+    for a in range(1, model.q):
+        if isinstance(cond, UBB):
+            e = model.velocities[a].astype(np.float64)
+            uw = np.asarray(cond.velocity, dtype=np.float64)
+            row[a] = 6.0 * float(w[a]) * cond.rho0 * float(np.dot(e, uw))
+        elif isinstance(cond, PressureABB):
+            row[a] = 2.0 * float(w[a]) * cond.rho_w
+    row.flags.writeable = False
+    if len(_COEF_ROWS) >= _COEF_LIMIT:
+        _COEF_ROWS.clear()
+    _COEF_ROWS[key] = row
+    return row
 
 
 #: Loop code of each condition type, as the compiled dispatcher reads it.
@@ -175,10 +200,15 @@ class BoundaryHandling:
         # or ghost) are legal.
         fluid = (self.flag_field.data & fl.FLUID) != 0
         q, n_cond = model.q, len(self._conditions)
-        # near[a - 1, w]: the cell w + e_a is fluid.
-        near = np.zeros((q - 1,) + padded, dtype=bool)
-        for a in range(1, q):
-            near[a - 1] = _shift_mask(fluid, model.velocities[a])
+        # near[a - 1, w]: the cell w + e_a is fluid (none beyond the
+        # field).  Window i of the fluid mask padded by one cell is the
+        # mask shifted by i - 1, so one gather takes all q - 1 shifts.
+        ring = np.zeros(tuple(n + 2 for n in padded), dtype=bool)
+        ring[(slice(1, -1),) * model.dim] = fluid
+        windows = as_strided(
+            ring, (3,) * model.dim + padded, ring.strides * 2, writeable=False
+        )
+        near = windows[tuple(model.velocities[1:].T + 1)]
         walls = np.zeros((n_cond, 1) + padded, dtype=bool)
         for k, c in enumerate(self._conditions):
             walls[k, 0] = (self.flag_field.data & np.uint8(c.flag)) != 0
@@ -186,7 +216,7 @@ class BoundaryHandling:
         # nonzero over the stacked masks, split into its three indices.
         hits = np.flatnonzero(walls & near[None])
         pair, wall = np.divmod(hits, fluid.size)  # pair = k * (q - 1) + a - 1
-        step = np.array([int(np.dot(e, strides)) for e in model.velocities], dtype=np.int64)
+        step = model.velocities.astype(np.int64) @ np.array(strides, dtype=np.int64)
         self._wall = wall
         self._fluid = wall + step[pair % (q - 1) + 1]
         # off[k, a] .. off[k, a + 1]: the links of condition k, direction
@@ -199,18 +229,11 @@ class BoundaryHandling:
     def _refresh(self) -> None:
         """Recompute the per-condition loop codes and coefficients."""
         model = self.model
-        w = model.weights
         kind = np.zeros(len(self._conditions), dtype=np.int64)
         coef = np.zeros((len(self._conditions), model.q), dtype=np.float64)
         for k, cond in enumerate(self._conditions):
             kind[k] = next(code for cls, code in _KINDS.items() if isinstance(cond, cls))
-            for a in range(1, model.q):
-                if isinstance(cond, UBB):
-                    e = model.velocities[a].astype(np.float64)
-                    uw = np.asarray(cond.velocity, dtype=np.float64)
-                    coef[k, a] = 6.0 * float(w[a]) * cond.rho0 * float(np.dot(e, uw))
-                elif isinstance(cond, PressureABB):
-                    coef[k, a] = 2.0 * float(w[a]) * cond.rho_w
+            coef[k] = _coefficients(model, cond)
         self._kind = kind
         self._coef = coef
         # Arguments of the compiled loop after the field pointer and its

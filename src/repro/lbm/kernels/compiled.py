@@ -15,8 +15,11 @@ per process, and call it from Python.
   - the generated **row loop**, which performs, per cell, the same IEEE
     operations in the same order as
     :class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`;
-  - the **dense sweep** (:class:`CompiledD3Q19Kernel`), one row-loop
-    call per ``(x, y)`` line of a halo-inclusive view;
+  - the **box sweep** (:class:`CompiledD3Q19Kernel`), one row-loop
+    call per ``(x, y)`` line of each box of a box table: a kernel call
+    sweeps one box, a view's interior, and a bound sweep (see below)
+    all the boxes of one task — a slab, an inner box, a frontier's six
+    shells or a whole block;
   - the **sparse sweep** (:class:`CompiledIntervalKernel`, the
     ``interval`` strategy of §4.3), one row-loop call per maximal
     contiguous fluid run of a block;
@@ -45,13 +48,22 @@ per process, and call it from Python.
   ``-march=native`` and no OpenMP: intra-rank threading stays with
   :mod:`repro.exec`, and ``ctypes`` releases the GIL during the call,
   so the engine's workers run kernels concurrently.
-* **Argument checks.** The sweeps take halo-inclusive views (region
-  views, slabs, overlap boxes) and pass the data pointers and element
-  strides to C; the rows along the innermost (z) axis must be
-  contiguous, as every view of a C-ordered PDF field is.  The boundary
-  loop indexes a whole C-contiguous field by flat spatial index.
-  Before any pointer reaches C the arguments are checked and anything
-  a loop cannot read as-is is rejected, never reinterpreted.
+* **Argument checks.** The sweeps pass the data pointers and element
+  strides of a field pair to C; the rows along the innermost (z) axis
+  must be contiguous, as every view of a C-ordered PDF field is.  The
+  boundary loop indexes a whole C-contiguous field by flat spatial
+  index.  Before any pointer reaches C the arguments are checked and
+  anything a loop cannot read as-is is rejected, never reinterpreted.
+* **Bound sweeps.** A kernel call checks its arguments every time.
+  ``bind(field, boxes)`` instead returns a zero-argument call for one
+  block's grid pair, one C call per task: it checks the pair and reads
+  the pointers on its first call, then only tests that ``field.src`` /
+  ``field.dst`` are the same two arrays (in either order, for the
+  two-grid swap), and checks any other array again before its address
+  reaches C.  The block schedule
+  (:class:`~repro.core.schedule.BlockSweepSchedule`) binds every
+  compiled kernel task, as waLBerla's generated sweeps take their
+  per-block arguments once.
 
 :func:`available` tells whether the loops built in this process; the
 registry's :func:`~repro.lbm.kernels.registry.default_dense_kernel`
@@ -96,10 +108,10 @@ __all__ = [
 
 Collision = Union[SRT, TRT]
 
-#: Exported C entry points: the dense and the sparse sweep, the
+#: Exported C entry points: the box (dense) and the sparse sweep, the
 #: boundary-link dispatcher and the ghost copy.
 ENTRIES = {
-    "dense": "d3q19_stream_collide",
+    "boxes": "d3q19_sweep_boxes",
     "sparse": "d3q19_sparse_sweep",
     "boundary": "d3q19_boundary",
     "ghost_copy": "ghost_copy",
@@ -215,19 +227,24 @@ def _row_call(indent: str, x: str, y: str, z: str, n: str) -> List[str]:
     return out
 
 
-def _dense_function() -> List[str]:
-    """C source of the dense sweep over a whole halo-inclusive view."""
+def _boxes_function() -> List[str]:
+    """C source of the dense sweep: one :func:`_row_function` call per
+    ``(x, y)`` line of each box ``(x0, y0, z0, x1, y1, z1)`` of the
+    int64 box table (interior coordinates, ``hi`` exclusive)."""
     out = [
-        f"void {ENTRIES['dense']}(const double *src, double *dst,",
-        "    ptrdiff_t nx, ptrdiff_t ny, ptrdiff_t nz,",
+        f"void {ENTRIES['boxes']}(const double *src, double *dst,",
+        "    const int64_t *boxes, ptrdiff_t nbox,",
         "    ptrdiff_t sq, ptrdiff_t sx, ptrdiff_t sy,",
         "    double lam_e, double lam_o)",
         "{",
-        "    for (ptrdiff_t x = 1; x <= nx; ++x) {",
-        "        for (ptrdiff_t y = 1; y <= ny; ++y) {",
+        "    for (ptrdiff_t b = 0; b < nbox; ++b) {",
+        "        const int64_t *box = boxes + 6 * b;",
+        "        const ptrdiff_t z = box[2] + 1, n = box[5] - box[2];",
+        "        for (ptrdiff_t x = box[0] + 1; x <= box[3]; ++x) {",
+        "            for (ptrdiff_t y = box[1] + 1; y <= box[4]; ++y) {",
     ]
-    out += _row_call(" " * 12, "x", "y", "1", "nz")
-    out += ["        }", "    }", "}"]
+    out += _row_call(" " * 16, "x", "y", "z", "n")
+    out += ["            }", "        }", "    }", "}"]
     return out
 
 
@@ -432,10 +449,12 @@ def generate_source() -> str:
     D3Q19 SoA layout (SRT runs as TRT with ``lam_e == lam_o``, exactly
     as in the NumPy tiers).
 
-    * ``d3q19_stream_collide(src, dst, nx, ny, nz, sq, sx, sy, lam_e,
-      lam_o)`` sweeps the ``nx*ny*nz`` interior of a halo-inclusive
-      field pair whose element strides are ``sq`` (PDF axis), ``sx`` /
-      ``sy`` (outer cell axes) and 1 (innermost axis);
+    * ``d3q19_sweep_boxes(src, dst, boxes, nbox, sq, sx, sy, lam_e,
+      lam_o)`` sweeps the ``nbox`` boxes ``(x0, y0, z0, x1, y1, z1)``
+      (interior coordinates, ``hi`` exclusive) of an int64 box table
+      over a halo-inclusive field pair whose element strides are ``sq``
+      (PDF axis), ``sx`` / ``sy`` (outer cell axes) and 1 (innermost
+      axis);
     * ``d3q19_sparse_sweep(src, dst, runs, nruns, sq, sx, sy, lam_e,
       lam_o)`` sweeps the ``nruns`` contiguous fluid runs ``(x, y, z0,
       n)`` of an int64 run table, same layout;
@@ -463,7 +482,7 @@ def generate_source() -> str:
         "#include <stdint.h>",
         "",
     ]
-    for part in (_row_function(), _dense_function(), _sparse_function(),
+    for part in (_row_function(), _boxes_function(), _sparse_function(),
                  _boundary_functions(), _ghost_copy_function()):
         lines += part
         lines.append("")
@@ -474,7 +493,7 @@ class _Build(NamedTuple):
     """Outcome of this process's one build attempt: the loaded entry
     points, or ``None`` and the reason they are missing."""
 
-    dense: Any = None
+    boxes: Any = None
     sparse: Any = None
     boundary: Any = None
     ghost_copy: Any = None
@@ -486,7 +505,7 @@ _build: Optional[_Build] = None
 
 #: ctypes argument types of each entry point.
 _ARGTYPES = {
-    "dense": [ctypes.c_void_p] * 2 + [ctypes.c_ssize_t] * 6 + [ctypes.c_double] * 2,
+    "boxes": [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 4 + [ctypes.c_double] * 2,
     "sparse": [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 4 + [ctypes.c_double] * 2,
     "boundary": [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t]
     + [ctypes.c_void_p] * 5,
@@ -550,7 +569,7 @@ def _get_build() -> _Build:
 def available() -> bool:
     """Whether the compiled loops built and loaded in this process
     (builds them on first call)."""
-    return _get_build().dense is not None
+    return _get_build().boxes is not None
 
 
 def _require(key: str) -> Any:
@@ -594,14 +613,85 @@ def _check_buffers(src: np.ndarray, dst: np.ndarray) -> None:
         raise ValueError("src and dst must not overlap (two-grid scheme)")
 
 
+def _box_table(boxes, cells: Tuple[int, ...]) -> np.ndarray:
+    """Box table of ``boxes`` (:data:`~repro.lbm.kernels.common.Box`):
+    one int64 row ``(x0, y0, z0, x1, y1, z1)`` per box, C order.
+    Rejects a box that does not lie in an interior of ``cells``."""
+    table = np.array(
+        [tuple(lo) + tuple(hi) for lo, hi in boxes], dtype=np.int64
+    ).reshape(-1, 6)
+    lo, hi = table[:, :3], table[:, 3:]
+    if (lo < 0).any() or (hi < lo).any() or (hi > np.asarray(cells)).any():
+        raise ValueError(f"boxes {list(boxes)} do not lie in an interior of {cells} cells")
+    return table
+
+
+@allocation_free(steady_state=True, warmup=("_bind",))
+class _BoundSweep:
+    """One compiled sweep bound to one block's grid pair: a zero-argument
+    callable that makes a single C call over a table (boxes or runs).
+
+    The first call reads ``field.src`` / ``field.dst``, runs ``check``
+    on them — it raises :class:`ValueError` for a pair the loop cannot
+    read as-is, and returns the table — and keeps the two arrays, their
+    addresses and the loop's other arguments.  Every later call only
+    tests that the field holds the same two arrays, in either order
+    (the two-grid swap); any other array is checked again, and rejected,
+    before its address reaches C.  Grids of another shape than the first
+    pair's are rejected too.
+    """
+
+    __slots__ = (
+        "_fn", "_field", "_check", "_lam", "_table", "_args", "_a", "_b", "_pa", "_pb",
+    )
+
+    def __init__(self, fn, field, check, lam: Tuple[float, float]):
+        self._fn = fn
+        self._field = field
+        self._check = check
+        self._lam = lam
+        self._table: Optional[np.ndarray] = None
+        self._a = self._b = None
+        self._pa = self._pb = 0
+        self._args: tuple = ()
+
+    def __call__(self) -> None:
+        field = self._field
+        src, dst = field.src, field.dst
+        if src is self._a and dst is self._b:
+            self._fn(self._pa, self._pb, *self._args)
+        elif src is self._b and dst is self._a:
+            self._fn(self._pb, self._pa, *self._args)
+        else:
+            self._bind(src, dst)
+            self._fn(self._pa, self._pb, *self._args)
+
+    def _bind(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Check a new grid pair and keep its loop arguments (the table
+        stays referenced, so its address stays valid).  A pair of
+        another shape than the first one is rejected: the task's boxes
+        were cut for that block."""
+        if self._a is not None and src.shape != self._a.shape:
+            raise ValueError(
+                f"grid shape {src.shape} != {self._a.shape}, the shape this sweep is bound to"
+            )
+        table = self._check(src, dst)
+        sq, sx, sy, _ = src.strides
+        self._table = table
+        self._args = (table.ctypes.data, len(table), sq // 8, sx // 8, sy // 8, *self._lam)
+        self._a, self._b = src, dst
+        self._pa, self._pb = src.ctypes.data, dst.ctypes.data
+
+
 @allocation_free(steady_state=True)
 class CompiledD3Q19Kernel:
     """Fused D3Q19 stream-collide step in generated, compiled C.
 
     Bit-identical to :class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`
     on any halo-inclusive view with contiguous rows; owns no scratch
-    memory.  Construction
-    builds the library on first use and raises
+    memory.  A call sweeps one box, the view's interior;
+    :meth:`bind` sweeps any list of boxes of one block in one C call.
+    Construction builds the library on first use and raises
     :class:`~repro.errors.ConfigurationError` if it cannot.
     """
 
@@ -611,20 +701,42 @@ class CompiledD3Q19Kernel:
     def __init__(self, collision: Collision):
         self.collision = collision
         self._lam_e, self._lam_o = _lambdas(collision)
-        self._fn = _require("dense")
+        self._fn = _require("boxes")
+        #: Per view shape: the one-box table of its interior and its address.
+        self._views: dict = {}
 
     def __call__(self, src: np.ndarray, dst: np.ndarray) -> None:
         """Run one time step: ``dst[interior] = collide(pull(src))``."""
         check_pdf_args(D3Q19, src, dst)
         _check_buffers(src, dst)
-        _, nx, ny, nz = src.shape
+        view = self._views.get(src.shape)
+        if view is None:
+            table = _box_table([((0, 0, 0), tuple(n - 2 for n in src.shape[1:]))],
+                               src.shape[1:])
+            view = self._views[src.shape] = (table, table.ctypes.data)
         sq, sx, sy, _ = src.strides
         self._fn(
-            src.ctypes.data, dst.ctypes.data,
-            nx - 2, ny - 2, nz - 2,
-            sq // 8, sx // 8, sy // 8,
-            self._lam_e, self._lam_o,
+            src.ctypes.data, dst.ctypes.data, view[1], 1,
+            sq // 8, sx // 8, sy // 8, self._lam_e, self._lam_o,
         )
+
+    def bind(self, field, boxes=None) -> _BoundSweep:
+        """A zero-argument call that sweeps ``boxes`` (a list of
+        :data:`~repro.lbm.kernels.common.Box`; ``None``: the whole
+        interior) of ``field``'s current grid pair in one C call.
+
+        Nothing is read here: the first call checks the pair (as a call
+        of the kernel does) and the boxes against its interior, and
+        later calls check only that the pair is the same (see
+        :class:`_BoundSweep`)."""
+
+        def check(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+            check_pdf_args(D3Q19, src, dst)
+            _check_buffers(src, dst)
+            cells = tuple(n - 2 for n in src.shape[1:])
+            return _box_table([((0, 0, 0), cells)] if boxes is None else boxes, cells)
+
+        return _BoundSweep(self._fn, field, check, (self._lam_e, self._lam_o))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<compiled kernel, D3Q19, {self.collision}>"
@@ -654,11 +766,16 @@ class CompiledIntervalKernel(IntervalAccounting):
         self.runs = fluid_runs(self.mask)
         self._runs_ptr = self.runs.ctypes.data
 
-    def __call__(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Run one time step on the fluid cells of ``mask``."""
+    def _check(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Reject a pair the run table cannot sweep; returns the table."""
         check_pdf_args(D3Q19, src, dst)
         check_mask(self.mask, src)
         _check_buffers(src, dst)
+        return self.runs
+
+    def __call__(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Run one time step on the fluid cells of ``mask``."""
+        self._check(src, dst)
         sq, sx, sy, _ = src.strides
         self._fn(
             src.ctypes.data, dst.ctypes.data,
@@ -666,6 +783,15 @@ class CompiledIntervalKernel(IntervalAccounting):
             sq // 8, sx // 8, sy // 8,
             self._lam_e, self._lam_o,
         )
+
+    def bind(self, field, boxes=None) -> _BoundSweep:
+        """A zero-argument call that sweeps the run table over
+        ``field``'s current grid pair in one C call, checked as
+        :meth:`CompiledD3Q19Kernel.bind` describes.  A sparse block is
+        swept whole: ``boxes`` must be ``None``."""
+        if boxes is not None:
+            raise ValueError("the interval kernel sweeps whole blocks; boxes must be None")
+        return _BoundSweep(self._fn, field, self._check, (self._lam_e, self._lam_o))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<compiled interval kernel, {len(self.runs)} runs, {self.collision}>"
