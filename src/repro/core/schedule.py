@@ -22,12 +22,15 @@ uses, also offers ``start()`` (pack, post sends, local copies) and
 ``finish()`` (drain and unpack); in-process, the driver wraps one per
 virtual rank behind the same calls.
 
-Work items are built once.  Each compiled kernel task is one bound C
-call over its boxes (a slab, an inner box, a frontier's six shells or
-a whole block) or its block's run table; the NumPy tiers run once per
-box on region views.  Both read ``field.src`` / ``field.dst`` at call
-time so the two-grid swap stays transparent, and every round's tasks
-write disjoint regions, so any worker count is bit-identical to serial
+Work items are built once.  The items the generated library sweeps
+are the entries of one table per round (an entry is a slab, an inner
+box, a frontier's six shells or a whole block as a box table, or a
+sparse block's run table; a boundary entry is one block's link
+tables), which the engine walks in one C call per participant; the
+NumPy tiers run once per box on region views.  A table's grid pointers
+are refreshed from ``field.src`` / ``field.dst`` before every round, so
+the two-grid swap stays transparent, and every round's items write
+disjoint regions, so any worker count is bit-identical to serial
 execution.  The sweeps look up
 ``exchange.finish`` and ``engine.run`` / ``engine.run_async`` on every
 call, so wrappers installed on those objects take effect.
@@ -37,13 +40,21 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Collection, Dict, List, Mapping, Optional, Tuple, Union
+from functools import partial
+from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .. import flagdefs as fl
 from ..errors import ConfigurationError
-from ..exec import ExecutionEngine, RoundHandle, SweepTask, slab_boxes, slabs_per_block
+from ..exec import (
+    ExecutionEngine,
+    RoundHandle,
+    SweepRound,
+    SweepTask,
+    slab_boxes,
+    slabs_per_block,
+)
 from ..lbm.boundary import BoundaryHandling
 from ..lbm.collision import SRT, TRT
 from ..lbm.kernels import compiled
@@ -63,7 +74,7 @@ from .field import PdfField
 from .flags import FlagField
 from .timeloop import TimeLoop
 
-__all__ = ["BlockRuntime", "BlockSweepSchedule", "make_block_kernel"]
+__all__ = ["BlockRuntime", "BlockSweepSchedule", "WorkItem", "make_block_kernel"]
 
 
 class BlockRuntime:
@@ -137,13 +148,10 @@ def make_block_kernel(
 
 
 def _sweep_task(kern, field, boxes, cost: float, name: str) -> SweepTask:
-    """The task that sweeps ``boxes`` of a block (``None``: the whole
-    block).  A kernel that binds (the compiled tier) makes one C call
-    over all of them; any other runs once per box on its region views
+    """The NumPy-path task that sweeps ``boxes`` of a block (``None``:
+    the whole block), once per box on its region views
     (:func:`~repro.lbm.kernels.registry.run_kernel_on_region`)."""
-    if hasattr(kern.kernel, "bind"):
-        fn = kern.bind(field, boxes)
-    elif boxes is None:
+    if boxes is None:
         def fn() -> None:
             kern(field.src, field.dst)
     else:
@@ -152,6 +160,14 @@ def _sweep_task(kern, field, boxes, cost: float, name: str) -> SweepTask:
                 run_kernel_on_region(kern, field.src, field.dst, box)
 
     return SweepTask(fn, cost=cost, name=name)
+
+
+class WorkItem(NamedTuple):
+    """One block, slab or frontier of a round, as the engine counts it:
+    a table entry or a NumPy task."""
+
+    name: str
+    cost: float
 
 
 class BlockSweepSchedule:
@@ -174,15 +190,21 @@ class BlockSweepSchedule:
         is in flight and a one-cell frontier swept after it.
     remote_dst:
         Ids of blocks whose ghost layers receive data from other ranks;
-        under overlap, those whose boundary links write into the ghost
-        shell re-apply boundary handling after the unpack.
+        under overlap, the boundary links of those that write into the
+        ghost shell are re-applied after the unpack.
 
     Decomposition is hybrid: with at least as many blocks as workers
     each block is one work item; with fewer, each dense block's interior
     (or inner box) is cut into :func:`~repro.exec.slabs_per_block` slabs
     along the slowest axis.  Sparse blocks always stay whole — their
     index lists are built for the full padded shape — and frontier
-    shells stay one item per block.
+    shells stay one item per block.  Each round is a
+    :class:`~repro.exec.SweepRound`: one entry table of the items the
+    generated library sweeps, over one per-rank
+    :class:`~repro.lbm.kernels.compiled.GridTable`, plus NumPy tasks
+    for the rest; ``boundary_tasks``, ``kernel_tasks``, ``inner_tasks``
+    and ``frontier_tasks`` list one :class:`WorkItem` per block, slab or
+    frontier, as ``exec.tasks`` counts them.
     """
 
     def __init__(
@@ -215,36 +237,32 @@ class BlockSweepSchedule:
         self.fluid_per_step = sum(rt.fluid_cells for rt in runtimes.values())
         dense = [key for key, rt in runtimes.items() if rt.kernel_name in KERNEL_TIERS]
         threaded = engine.mode == "threads"
+        self._kernels = kernels
+        self._grids = compiled.GridTable(len(runtimes))
 
-        self.boundary_tasks = [
-            SweepTask(
-                (lambda h=rt.handler, field=rt.field: h.apply(field.src)),
-                cost=float(total[key]),
-                name=f"{key}:boundary",
-            )
-            for key, rt in runtimes.items()
-        ]
-        self.kernel_tasks: List[SweepTask] = []
-        self.inner_tasks: List[SweepTask] = []
-        self.frontier_tasks: List[SweepTask] = []
+        self.boundary_round, self.boundary_tasks = self._boundary_round(
+            [(key, False, float(total[key]), f"{key}:boundary") for key in runtimes]
+        )
+        self.kernel_tasks: List[WorkItem] = []
+        self.inner_tasks: List[WorkItem] = []
+        self.frontier_tasks: List[WorkItem] = []
         self.reapply: List[object] = []
         if not overlap:
             slabs = 1
             if threaded:
                 slabs = slabs_per_block(len(runtimes), len(dense), engine.workers)
-            for key, kern in kernels.items():
-                field = runtimes[key].field
+            items = []
+            for key in kernels:
                 cells = runtimes[key].cells
                 if key in dense and slabs > 1:
                     full = ((0,) * len(cells), cells)
-                    self.kernel_tasks.extend(
-                        _sweep_task(kern, field, [box], box_cells(box), f"{key}:slab{i}")
+                    items.extend(
+                        (key, [box], box_cells(box), f"{key}:slab{i}")
                         for i, box in enumerate(slab_boxes(full, slabs))
                     )
                 else:
-                    self.kernel_tasks.append(_sweep_task(
-                        kern, field, None, float(processed[key]), f"{key}:block"
-                    ))
+                    items.append((key, None, float(processed[key]), f"{key}:block"))
+            self.kernel_round, self.kernel_tasks = self._kernel_round(items)
             return
 
         inner_boxes: Dict[object, tuple] = {}
@@ -261,31 +279,72 @@ class BlockSweepSchedule:
             inner_slabs = slabs_per_block(
                 len(inner_boxes), len(inner_boxes), engine.workers
             )
-        for key, box in inner_boxes.items():
-            self.inner_tasks.extend(
-                _sweep_task(
-                    kernels[key], runtimes[key].field, [sb], box_cells(sb),
-                    f"{key}:inner{i}",
-                )
-                for i, sb in enumerate(slab_boxes(box, inner_slabs))
-            )
-        for key, kern in kernels.items():
+        self.inner_round, self.inner_tasks = self._kernel_round([
+            (key, [sb], box_cells(sb), f"{key}:inner{i}")
+            for key, box in inner_boxes.items()
+            for i, sb in enumerate(slab_boxes(box, inner_slabs))
+        ])
+        items = []
+        for key in kernels:
             inner = inner_boxes.get(key)
             cost = total[key] - (box_cells(inner) if inner else 0)
             # A sparse kernel sweeps its whole block here.
-            self.frontier_tasks.append(_sweep_task(
-                kern, runtimes[key].field, frontier_boxes.get(key),
-                max(float(cost), 1.0), f"{key}:frontier",
-            ))
+            items.append((key, frontier_boxes.get(key), max(float(cost), 1.0), f"{key}:frontier"))
+        self.frontier_round, self.frontier_tasks = self._kernel_round(items)
         remote = set(remote_dst)
         self.reapply = [
             key for key, rt in runtimes.items()
             if key in remote and rt.handler.writes_ghost_cells()
         ]
+        # Only the ghost-shell links, in one C call (see _finish_comm).
+        self._reapply_round, _ = self._boundary_round(
+            [(key, True, 1.0, f"{key}:reapply") for key in self.reapply]
+        )
         # Overlap-efficiency accounting (see :meth:`_finish_comm`).
         self._inner_handle: Optional[RoundHandle] = None
         self._inner_seconds = 0.0
         self._exposed_seconds = 0.0
+
+    # -- rounds -----------------------------------------------------------------
+    def _kernel_round(self, items) -> Tuple[SweepRound, List[WorkItem]]:
+        """The round of ``items`` — ``(key, boxes, cost, name)`` per
+        block, slab or frontier — and one :class:`WorkItem` per item.
+        A kernel that gives table entries (the compiled tier) joins the
+        entry table; any other runs as a NumPy-path task."""
+        table_items, tasks = [], []
+        for key, boxes, cost, name in items:
+            kern, field = self._kernels[key], self.runtimes[key].field
+            if hasattr(kern.kernel, "table_entry"):
+                table_items.append((field, kern.kernel, boxes, cost, kern.scope_name))
+            else:
+                tasks.append(_sweep_task(kern, field, boxes, cost, name))
+        table = None
+        if table_items:
+            table = compiled.kernel_table(self._grids, table_items, self.tree)
+        listed = [WorkItem(name, cost) for _, _, cost, name in items]
+        return SweepRound(table, tasks), listed
+
+    def _boundary_round(self, items) -> Tuple[SweepRound, List[WorkItem]]:
+        """The boundary round of ``items`` — ``(key, ghost_only, cost,
+        name)`` per block — and one :class:`WorkItem` per block: blocks
+        whose handler has a compiled loop join the boundary table, the
+        others apply in NumPy."""
+        table_items, tasks = [], []
+        for key, ghost_only, cost, name in items:
+            rt = self.runtimes[key]
+            if rt.handler.compiled:
+                links = partial(rt.handler.table_links, ghost_only)
+                table_items.append((rt.field, rt.handler.check_grid, links, cost))
+            else:
+                tasks.append(SweepTask(
+                    (lambda h=rt.handler, field=rt.field: h.apply(field.src)),
+                    cost=cost, name=name,
+                ))
+        table = None
+        if table_items:
+            table = compiled.boundary_table(self._grids, table_items)
+        listed = [WorkItem(name, cost) for _, _, cost, name in items]
+        return SweepRound(table, tasks), listed
 
     def register(self, loop: TimeLoop) -> TimeLoop:
         """Append this schedule's sweeps to ``loop``; returns ``loop``."""
@@ -311,24 +370,25 @@ class BlockSweepSchedule:
         self.tree.add_counter("fluid_cell_updates", self.fluid_per_step)
 
     def _apply_boundaries(self) -> None:
-        self.engine.run(self.boundary_tasks)
+        self.engine.run(self.boundary_round)
 
     def _run_kernels(self) -> None:
-        self.engine.run(self.kernel_tasks)
+        self.engine.run(self.kernel_round)
         self._count_updates()
 
     def _run_inner_kernels(self) -> None:
         """Dispatch the inner-slab round.
 
-        A threaded engine returns as soon as the tasks are queued, so
-        the next sweep (``communication finish``) drains the exchange
-        concurrently with the inner compute: the unpack writes ghost
-        layers of ``src`` while the inner slabs write interior regions
-        of ``dst``, which are disjoint.  The serial engine runs the
-        round inline, which is the synchronous schedule.
+        A threaded engine returns as soon as its C threads have the
+        table, so the next sweep (``communication finish``) drains the
+        exchange concurrently with the inner compute, and then joins
+        it: the unpack writes ghost layers of ``src`` while the inner
+        slabs write interior regions of ``dst``, which are disjoint.
+        The serial engine runs the round inline, which is the
+        synchronous schedule.
         """
         t0 = time.perf_counter()
-        self._inner_handle = self.engine.run_async(self.inner_tasks)
+        self._inner_handle = self.engine.run_async(self.inner_round)
         if self._inner_handle.done:  # serial engine ran inline
             self._inner_seconds += time.perf_counter() - t0
 
@@ -336,12 +396,18 @@ class BlockSweepSchedule:
         """Complete the exchange, restore boundary ghost writes, join the
         in-flight inner round, and update the ``comm.overlap_efficiency``
         gauge: compute hidden behind the exchange as a fraction of that
-        compute plus the exposed communication time."""
+        compute plus the exposed communication time.
+
+        The ghost-shell links re-apply in one C call on this thread,
+        through the grid pointers the boundary round refreshed this
+        step; blocks without a compiled loop apply in NumPy."""
         t0 = time.perf_counter()
         self.exchange.finish()
-        for key in self.reapply:
-            rt = self.runtimes[key]
-            rt.handler.apply(rt.field.src)
+        reapply = self._reapply_round
+        if reapply.table is not None:
+            reapply.table.run()
+        for task in reapply.tasks:
+            task.fn()
         comm_wall = time.perf_counter() - t0
         handle, self._inner_handle = self._inner_handle, None
         if handle is not None and not handle.done:
@@ -362,7 +428,7 @@ class BlockSweepSchedule:
             )
 
     def _run_frontier_kernels(self) -> None:
-        self.engine.run(self.frontier_tasks)
+        self.engine.run(self.frontier_round)
         self._count_updates()
 
     def _swap_all(self) -> None:

@@ -9,7 +9,9 @@ worker pool that executes its per-step sweeps with two decomposition
 strategies:
 
 * **block-level** scheduling — each dense/sparse block on the rank is
-  an independent work item, claimed work-queue style from per-worker
+  an independent work item: an entry of the round's compiled table,
+  claimed from one atomic counter by the threads of the generated
+  library, or a NumPy task claimed work-queue style from per-worker
   deques with work stealing (Feichtinger et al.'s patch-level
   parallelization), and
 * **slab-level** splitting — a single large block's interior (or its
@@ -28,6 +30,7 @@ from .engine import (
     ExecutionEngine,
     RoundHandle,
     SerialEngine,
+    SweepRound,
     SweepTask,
     ThreadedEngine,
     make_engine,
@@ -38,6 +41,7 @@ __all__ = [
     "ExecutionEngine",
     "RoundHandle",
     "SerialEngine",
+    "SweepRound",
     "SweepTask",
     "ThreadedEngine",
     "make_engine",

@@ -1,53 +1,69 @@
-"""The sweep engine: persistent worker pools with work stealing.
+"""The sweep engine: a C worker pool for compiled tables, a Python
+pool with work stealing for NumPy tasks.
 
-One engine serves one (virtual-MPI) rank.  A *round* is the execution
-of a list of :class:`SweepTask` items — typically the per-block or
-per-slab pieces of one sweep of one time step.  Tasks must write
-disjoint regions (the decompositions in :mod:`repro.exec.partition`
-and the drivers guarantee this), so execution order is irrelevant and
-results are bit-identical to a serial sweep.  The worker count alone
-picks the engine (:func:`make_engine`): one worker runs inline on the
-calling thread (:class:`SerialEngine`), more run on a pool.
+One engine serves one (virtual-MPI) rank.  A *round* is one sweep of
+one time step: a :class:`SweepRound` — the
+:class:`~repro.lbm.kernels.compiled.EntryTable` of every block the
+generated library sweeps plus the :class:`SweepTask` items of the
+others — or a plain list of tasks.  Items must write disjoint regions
+(the decompositions in :mod:`repro.exec.partition` and the drivers
+guarantee this), so execution order is irrelevant and results are
+bit-identical to a serial sweep.  The worker count alone picks the
+engine (:func:`make_engine`): one worker runs inline on the calling
+thread (:class:`SerialEngine`, a table in one C call), more run on a
+pool.
 
 Scheduling (``ThreadedEngine``)
 -------------------------------
-Tasks are sharded deterministically onto per-worker deques by greedy
-LPT (largest cost first, onto the least-loaded queue).  A worker claims
-from the *front* of its own deque (counted as ``exec.claims``) and,
-when empty, steals from the *back* of a peer's (``exec.steals``) — the
-classic work-stealing split that keeps owner and thief on opposite
-ends.  The pool is persistent: threads are started on the first round
-and reused every step, so the steady state performs no thread churn and
-no field-sized allocation.  The GIL is released inside the large
-contiguous NumPy ufunc chunks of the kernels, so slabs and blocks
-genuinely execute concurrently.
+A round's table runs on the C pool
+(:class:`~repro.lbm.kernels.compiled.SweepPool`): ``workers - 1``
+pthreads and the thread that waits for the round claim entries from
+one atomic counter, with no Python between entries.  NumPy tasks are
+sharded deterministically onto per-worker deques of Python threads by
+greedy LPT (largest cost first, onto the least-loaded queue).  A
+worker claims from the *front* of its own deque (counted as
+``exec.claims``) and, when empty, steals from the *back* of a peer's
+(``exec.steals``) — the classic work-stealing split that keeps owner
+and thief on opposite ends; the GIL is released inside the large
+contiguous NumPy ufunc chunks of the kernels.  Both pools are
+persistent: each starts its threads on the first round that needs
+them (none during set-up) and reuses them every step, so the steady
+state performs no thread churn and no field-sized allocation.
 
 Accounting
 ----------
 Per round the engine accumulates, per worker, busy wall seconds and
-busy *CPU* seconds (``time.thread_time``).  The CPU measure is what
-makes the SMT-ladder analog honest on a time-shared host: the critical
-path ``max_w(cpu_w)`` is the wall time the round would take if every
-worker owned a hardware thread, which is exactly the quantity the
-paper's Figure 5 varies.  With a timing tree attached the engine emits
-the ``exec.*`` counters and files per-worker busy times as
-``worker:<i>`` children of the dispatching sweep's scope; the drivers
-always attach their time loop's tree, so these counters are the one
-report of the engine's work.
+busy *CPU* seconds (``time.thread_time`` in Python, the per-participant
+records of the C pool).  The CPU measure is what makes the SMT-ladder
+analog honest on a time-shared host: the critical path
+``max_w(cpu_w)`` is the wall time the round would take if every worker
+owned a hardware thread, which is exactly the quantity the paper's
+Figure 5 varies.  With a timing tree attached the engine emits the
+``exec.*`` counters and files per-worker busy times as ``worker:<i>``
+children of the dispatching sweep's scope; the drivers always attach
+their time loop's tree, so these counters are the one report of the
+engine's work.  A table records its own per-kernel ``tier:<name>``
+timers once per round.  A round with both a table and NumPy tasks runs
+the C participants beside the Python workers (up to ``2 * workers - 1``
+threads at once): worker slot ``w`` sums C participant ``w`` and
+Python worker ``w``, and the critical path is the largest single
+thread's CPU time.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 from ..errors import ConfigurationError
 from ..perf.timing import TimingNode, TimingTree
 
 __all__ = [
     "SweepTask",
+    "SweepRound",
     "RoundHandle",
     "ExecutionEngine",
     "SerialEngine",
@@ -74,6 +90,36 @@ class SweepTask:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SweepTask {self.name or self.fn!r} cost={self.cost:g}>"
+
+
+class SweepRound:
+    """One round of a sweep: a compiled entry table plus NumPy tasks.
+
+    ``table`` is an :class:`~repro.lbm.kernels.compiled.EntryTable` of
+    every block the generated library sweeps (``None`` when there is
+    none): the engine refreshes its grid pointers before anything runs
+    (a rejected grid raises :class:`ValueError` with nothing started),
+    walks it in one C call per participant, and records its kernel
+    timers after.  ``tasks`` are the :class:`SweepTask` items of the
+    other blocks.  Either part may be empty.
+    """
+
+    __slots__ = ("table", "tasks")
+
+    def __init__(self, table=None, tasks: Sequence[SweepTask] = ()):
+        self.table = table
+        self.tasks = list(tasks)
+
+
+#: What ``run`` / ``run_async`` take: a round or a plain list of tasks.
+Work = Union[SweepRound, Sequence[SweepTask]]
+
+
+def _parts(work: Work):
+    """``(table, tasks)`` of a round or a list of tasks."""
+    if isinstance(work, SweepRound):
+        return work.table, work.tasks
+    return None, work
 
 
 class RoundHandle:
@@ -135,14 +181,16 @@ class ExecutionEngine:
         self.dispatch_wall_seconds = 0.0
         self.critical_path_seconds = 0.0
         self.worker_cpu_seconds = [0.0] * self.workers
+        self._pool = None
 
     # -- the driver-facing protocol -----------------------------------------
-    def run(self, tasks: Sequence[SweepTask]) -> None:
-        """Execute ``tasks`` and block until all are done."""
-        self.run_async(tasks).wait()
+    def run(self, work: Work) -> None:
+        """Execute a round and block until it is done."""
+        self.run_async(work).wait()
 
-    def run_async(self, tasks: Sequence[SweepTask]) -> RoundHandle:
-        """Dispatch ``tasks`` and return a :class:`RoundHandle`.
+    def run_async(self, work: Work) -> RoundHandle:
+        """Dispatch a round (a :class:`SweepRound` or a list of tasks)
+        and return a :class:`RoundHandle`.
 
         At most one round may be in flight per engine; the threaded
         engine computes concurrently with the caller (the overlap
@@ -151,7 +199,21 @@ class ExecutionEngine:
         raise NotImplementedError
 
     def shutdown(self) -> None:
-        """Stop worker threads (no-op for the serial engine)."""
+        """Join the C pool's threads, if any (idempotent; a later round
+        starts a new pool)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
+
+    def _table_pool(self):
+        """The C pool of this engine, started on first use — and again
+        in a forked child, which has none of its parent's threads."""
+        pool = self._pool
+        if pool is None or pool.pid != os.getpid():
+            from ..lbm.kernels.compiled import SweepPool
+
+            pool = self._pool = SweepPool(self.workers)
+        return pool
 
     # -- shared bookkeeping --------------------------------------------------
     def _wait_round(self) -> None:  # pragma: no cover - overridden
@@ -167,19 +229,24 @@ class ExecutionEngine:
         counts: Sequence[int],
         dispatch_wall: float,
         anchor: Optional[TimingNode],
+        critical: Optional[float] = None,
     ) -> None:
         """Fold one finished round into the cumulative statistics and
-        (when a tree is attached) the timing counters/scopes."""
+        (when a tree is attached) the timing counters/scopes.
+        ``critical`` is the round's critical path when a slot sums more
+        than one thread (default: the largest ``cpu[w]``)."""
         self.tasks_run += n_tasks
         self.claims += claims
         self.steals += steals
         busy = 0.0
-        critical = 0.0
+        slot_max = 0.0
         for w in range(self.workers):
             busy += wall[w]
             self.worker_cpu_seconds[w] += cpu[w]
-            if cpu[w] > critical:
-                critical = cpu[w]
+            if cpu[w] > slot_max:
+                slot_max = cpu[w]
+        if critical is None:
+            critical = slot_max
         self.busy_wall_seconds += busy
         self.dispatch_wall_seconds += dispatch_wall
         self.critical_path_seconds += critical
@@ -218,19 +285,27 @@ class SerialEngine(ExecutionEngine):
     def __init__(self, tree: Optional[TimingTree] = None):
         super().__init__(1, tree)
 
-    def run_async(self, tasks: Sequence[SweepTask]) -> RoundHandle:
-        """Execute ``tasks`` immediately; the handle is already done."""
+    def run_async(self, work: Work) -> RoundHandle:
+        """Execute the round on this thread — its table in one C call,
+        then its tasks; the handle is already done."""
+        table, tasks = _parts(work)
+        if table is not None:
+            table.prepare()
         t0w = time.perf_counter()
         t0c = time.thread_time()
+        if table is not None:
+            table.run()
         for task in tasks:
             task.fn()
         wall = time.perf_counter() - t0w
         cpu = time.thread_time() - t0c
-        n = len(tasks)
+        n = len(tasks) + (len(table) if table is not None else 0)
         anchor = self.tree.current if self.tree is not None else None
         self._account_round(
             n, n, 0, (wall,), (cpu,), (n,), wall, anchor
         )
+        if table is not None:
+            table.finish()
         return RoundHandle(self, finished=True)
 
     def _wait_round(self) -> None:
@@ -238,12 +313,16 @@ class SerialEngine(ExecutionEngine):
 
 
 class ThreadedEngine(ExecutionEngine):
-    """Persistent worker pool with per-worker deques and stealing
-    (``workers > 1``).
+    """A pool of ``workers`` participants (``workers > 1``).
 
-    Threads are daemonic and started lazily on the first round; call
-    :meth:`shutdown` for a deterministic teardown (the drivers and the
-    benchmarks do).  One round may be in flight at a time.
+    A round's entry table runs on the C pool (``workers - 1`` pthreads
+    of the generated library, started on the first table round, plus
+    the thread that waits); its NumPy tasks run on persistent Python
+    worker threads with per-worker deques and stealing, started on the
+    first round that has any.  Call :meth:`shutdown` for a
+    deterministic teardown (the drivers and the benchmarks do).  One
+    round may be in flight at a time.  A forked child starts its own
+    threads on first use.
     """
 
     mode = "threads"
@@ -255,10 +334,11 @@ class ThreadedEngine(ExecutionEngine):
         self._pending = 0
         self._epoch = 0
         self._stop = False
-        self._started = False
+        self._pid = 0
         self._in_flight = False
         self._anchor: Optional[TimingNode] = None
         self._dispatch_t0 = 0.0
+        self._round_table = None
         self._threads: List[threading.Thread] = []
         self._errors: List[BaseException] = []
         # Per-round, per-worker accumulators (reset at dispatch, read at
@@ -271,9 +351,18 @@ class ThreadedEngine(ExecutionEngine):
 
     # -- lifecycle -----------------------------------------------------------
     def _ensure_started(self) -> None:
-        if self._started:
+        """Start the Python workers, once per process (a forked child
+        has none of its parent's threads) and again after
+        :meth:`shutdown`."""
+        pid = os.getpid()
+        if self._pid == pid:
             return
-        self._started = True
+        if self._pid:
+            self._cond = threading.Condition()
+            self._queues = [deque() for _ in range(self.workers)]
+            self._threads = []
+        self._pid = pid
+        self._stop = False
         for w in range(self.workers):
             t = threading.Thread(
                 target=self._worker_loop,
@@ -285,13 +374,16 @@ class ThreadedEngine(ExecutionEngine):
             t.start()
 
     def shutdown(self) -> None:
-        """Stop and join the worker threads (idempotent)."""
+        """Stop and join the worker threads (idempotent; a later round
+        starts new ones)."""
         with self._cond:
             self._stop = True
             self._cond.notify_all()
         for t in self._threads:
             t.join(timeout=5.0)
         self._threads = []
+        self._pid = 0
+        super().shutdown()
 
     def __del__(self):  # pragma: no cover - GC-time best effort
         try:
@@ -302,24 +394,30 @@ class ThreadedEngine(ExecutionEngine):
             pass
 
     # -- dispatch ------------------------------------------------------------
-    def run_async(self, tasks: Sequence[SweepTask]) -> RoundHandle:
-        """Shard ``tasks`` onto the worker deques and wake the pool."""
+    def run_async(self, work: Work) -> RoundHandle:
+        """Start the round's table on the C pool and shard its tasks
+        onto the Python worker deques; returns at once."""
         if self._in_flight:
             raise ConfigurationError(
                 "a round is already in flight on this engine"
             )
-        self._ensure_started()
-        n = len(tasks)
+        table, tasks = _parts(work)
         anchor = self.tree.current if self.tree is not None else None
-        if n == 0:
+        if table is None and not tasks:
             zeros = [0.0] * self.workers
             self._account_round(
                 0, 0, 0, zeros, zeros, [0] * self.workers, 0.0, anchor
             )
             return RoundHandle(self, finished=True)
+        pool = None
+        if table is not None:
+            table.prepare()
+            pool = self._table_pool()
+        if tasks:
+            self._ensure_started()
         # Deterministic greedy LPT: heaviest task first onto the
         # least-loaded queue (ties broken by worker index).
-        order = sorted(range(n), key=lambda i: (-tasks[i].cost, i))
+        order = sorted(range(len(tasks)), key=lambda i: (-tasks[i].cost, i))
         loads = [0.0] * self.workers
         with self._cond:
             for w in range(self.workers):
@@ -334,30 +432,56 @@ class ThreadedEngine(ExecutionEngine):
                 loads[w] += tasks[i].cost
                 self._queues[w].append(tasks[i])
             self._anchor = anchor
-            self._pending = n
-            self._epoch += 1
+            self._round_table = table
+            self._pending = len(tasks)
             self._in_flight = True
             self._dispatch_t0 = time.perf_counter()
-            self._cond.notify_all()
+            if tasks:
+                self._epoch += 1
+                self._cond.notify_all()
+        if pool is not None:
+            pool.start(table)
         return RoundHandle(self)
 
     def _wait_round(self) -> None:
-        """Block until the in-flight round drains, then account it."""
+        """Join the table's round on this thread, wait for the tasks to
+        drain, then account the round.
+
+        In a round with both parts, C participant ``w`` (``0`` is this
+        thread) and Python worker ``w`` are two threads that ran at the
+        same time: slot ``w`` (``worker:<w>``, ``worker_cpu_seconds``)
+        sums both, and the critical path is the largest of the
+        ``2 * workers`` per-thread CPU times, not of the slot sums."""
+        table, self._round_table = self._round_table, None
+        if table is not None:
+            self._pool.wait()
         with self._cond:
             while self._pending > 0:
                 self._cond.wait()
             dispatch_wall = time.perf_counter() - self._dispatch_t0
-            n = sum(self._round_counts)
-            claims = sum(self._round_claims)
-            steals = sum(self._round_steals)
             anchor = self._anchor
             self._anchor = None
             self._in_flight = False
             errors = list(self._errors)
             del self._errors[:]
+        critical = max(self._round_cpu)
+        if table is not None:
+            pool = self._pool
+            for w in range(self.workers):
+                k = int(pool.count[w])
+                if k:
+                    cpu = float(pool.cpu[w])
+                    if cpu > critical:
+                        critical = cpu
+                    self._round_wall[w] += float(pool.wall[w])
+                    self._round_cpu[w] += cpu
+                    self._round_claims[w] += k
+                    self._round_counts[w] += k
+            table.finish()
         self._account_round(
-            n, claims, steals, self._round_wall, self._round_cpu,
-            self._round_counts, dispatch_wall, anchor,
+            sum(self._round_counts), sum(self._round_claims), sum(self._round_steals),
+            self._round_wall, self._round_cpu, self._round_counts, dispatch_wall, anchor,
+            critical,
         )
         if errors:
             raise errors[0]

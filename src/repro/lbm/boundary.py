@@ -23,7 +23,8 @@ from the wall cell ``w`` into the fluid cell ``x = w + e_a``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -127,6 +128,16 @@ def _coefficients(model: LatticeModel, cond: Condition) -> np.ndarray:
     return row
 
 
+@lru_cache(maxsize=16)
+def _shell(shape: Tuple[int, ...]) -> np.ndarray:
+    """Flat mask of the ghost shell of a padded ``shape`` (read-only)."""
+    inner = np.zeros(shape, dtype=bool)
+    inner[(slice(1, -1),) * len(shape)] = True
+    shell = ~inner.ravel()
+    shell.flags.writeable = False
+    return shell
+
+
 #: Loop code of each condition type, as the compiled dispatcher reads it.
 _KINDS = {
     NoSlip: compiled.BOUNDARY_KINDS.index("noslip"),
@@ -179,8 +190,20 @@ class BoundaryHandling:
                 raise ConfigurationError(f"duplicate boundary flag {c.flag}")
             seen.add(c.flag)
         self._build()
+        # Written in place by every refresh: entry tables hold their
+        # addresses.
+        n_cond = len(self._conditions)
+        self._kind = np.zeros(n_cond, dtype=np.int64)
+        self._coef = np.zeros((n_cond, model.q), dtype=np.float64)
         self._refresh()
+        self._ghost: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._loop = compiled.boundary_loop() if model.name == "D3Q19" else None
+        # Arguments of the compiled loop after the field pointer and its
+        # PDF-axis stride; the arrays live as long as the handler.
+        self._loop_args = (
+            n_cond, self._kind.ctypes.data, self._wall.ctypes.data,
+            self._fluid.ctypes.data, self._off.ctypes.data, self._coef.ctypes.data,
+        )
 
     @property
     def conditions(self) -> Tuple[Condition, ...]:
@@ -227,21 +250,10 @@ class BoundaryHandling:
         self._off = start[np.arange(n_cond)[:, None] * (q - 1) + first]
 
     def _refresh(self) -> None:
-        """Recompute the per-condition loop codes and coefficients."""
-        model = self.model
-        kind = np.zeros(len(self._conditions), dtype=np.int64)
-        coef = np.zeros((len(self._conditions), model.q), dtype=np.float64)
+        """Write the per-condition loop codes and coefficients, in place."""
         for k, cond in enumerate(self._conditions):
-            kind[k] = next(code for cls, code in _KINDS.items() if isinstance(cond, cls))
-            coef[k] = _coefficients(model, cond)
-        self._kind = kind
-        self._coef = coef
-        # Arguments of the compiled loop after the field pointer and its
-        # PDF-axis stride; the arrays live as long as the handler.
-        self._loop_args = (
-            len(self._conditions), kind.ctypes.data, self._wall.ctypes.data,
-            self._fluid.ctypes.data, self._off.ctypes.data, coef.ctypes.data,
-        )
+            self._kind[k] = next(code for cls, code in _KINDS.items() if isinstance(cond, cls))
+            self._coef[k] = _coefficients(self.model, cond)
 
     def replace(self, old: Condition, new: Condition) -> int:
         """Replace every active condition equal to ``old`` with ``new``;
@@ -267,15 +279,54 @@ class BoundaryHandling:
         """Total number of boundary links handled per application."""
         return int(self._wall.size)
 
+    @property
+    def compiled(self) -> bool:
+        """Whether the compiled tier's loop sweeps this handler's links."""
+        return self._loop is not None
+
+    def _in_shell(self, cells: np.ndarray) -> np.ndarray:
+        """Which of the flat spatial indices ``cells`` lie in the ghost shell."""
+        return _shell(self.flag_field.data.shape)[cells]
+
+    def _ghost_links(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(wall, fluid, off)`` of the links that touch the ghost shell
+        — the wall cell they write or the cell they read — in the layout
+        of the full tables (built once)."""
+        if self._ghost is None:
+            shell = self._in_shell(self._wall) | self._in_shell(self._fluid)
+            before = np.zeros(shell.size + 1, dtype=np.int64)
+            np.cumsum(shell, out=before[1:])
+            self._ghost = (self._wall[shell], self._fluid[shell], before[self._off])
+        return self._ghost
+
     def writes_ghost_cells(self) -> bool:
         """True if any boundary link writes a wall cell in the ghost shell.
 
         A later ghost unpack overwrites such writes, so the overlap
-        schedule re-applies the (idempotent) sweep after the exchange.
+        schedule re-applies the links that touch the ghost shell after
+        the exchange (see :meth:`table_links`).
         """
-        shape = self.flag_field.data.shape
-        coords = np.unravel_index(self._wall, shape)
-        return any(bool(((c == 0) | (c == n - 1)).any()) for c, n in zip(coords, shape))
+        return bool(self._in_shell(self._wall).any())
+
+    def table_links(self, ghost_only: bool = False):
+        """``(kind, wall, fluid, off, coef)`` of a boundary-table entry
+        (:func:`~repro.lbm.kernels.compiled.boundary_table`) for a
+        handler the compiled loop sweeps (:attr:`compiled`).
+        ``ghost_only`` keeps the links that write or read a ghost-shell
+        cell: a ghost unpack writes only ghost cells, and no link reads
+        a wall cell, so those are the only links whose result an unpack
+        can change.  The arrays are the handler's own; :meth:`replace`
+        rewrites ``kind`` and ``coef`` in place, so a table stays
+        valid."""
+        wall, fluid, off = self._ghost_links() if ghost_only else (
+            self._wall, self._fluid, self._off
+        )
+        return self._kind, wall, fluid, off, self._coef
+
+    def check_grid(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Reject a grid pair the compiled loop cannot index as-is."""
+        for f in (src, dst):
+            compiled.check_boundary_field(f, self.flag_field.data.shape)
 
     def apply(self, src: np.ndarray) -> None:
         """Write boundary PDFs into ``src`` (call before the LBM sweep)."""

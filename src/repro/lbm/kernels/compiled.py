@@ -10,21 +10,21 @@ per process, and call it from Python.
 
 * **Generator.** :func:`generate_source` emits C from :data:`D3Q19` and
   :func:`~repro.lbm.kernels.d3q19.build_pair_table` — the tables the
-  NumPy tiers use.  Five loops share one source:
+  NumPy tiers use.  Five loops and a worker pool share one source:
 
   - the generated **row loop**, which performs, per cell, the same IEEE
     operations in the same order as
     :class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`;
   - the **box sweep** (:class:`CompiledD3Q19Kernel`), one row-loop
     call per ``(x, y)`` line of each box of a box table: a kernel call
-    sweeps one box, a view's interior, and a bound sweep (see below)
-    all the boxes of one task — a slab, an inner box, a frontier's six
+    sweeps one box, a view's interior, and a table entry (see below)
+    all the boxes of one item — a slab, an inner box, a frontier's six
     shells or a whole block;
   - the **sparse sweep** (:class:`CompiledIntervalKernel`, the
     ``interval`` strategy of §4.3), one row-loop call per maximal
     contiguous fluid run of a block;
   - the **boundary links** — NoSlip, UBB and PressureABB loops behind
-    one dispatcher, which
+    one dispatcher, which a boundary-table entry or
     :class:`~repro.lbm.boundary.BoundaryHandling` calls once per block
     and sweep — in the NumPy boundary path's operation order;
   - the **ghost copy**, which
@@ -34,7 +34,12 @@ per process, and call it from Python.
     the PDF directions the receiver pulls) and run tables
     (:func:`ghost_copy_table`) that leave out the cells the sending
     block flags OUTSIDE.  It moves 64-bit words, so every value
-    arrives bit for bit.
+    arrives bit for bit;
+  - the **entry tables and the worker pool**: ``table_walk`` walks an
+    int64 sweep or boundary entry table (:class:`EntryTable`), and
+    ``pool_create`` / ``pool_start`` / ``pool_wait`` /
+    ``pool_destroy`` run one table per round on ``workers - 1``
+    pthreads plus the calling thread (:class:`SweepPool`).
 
   With ``-ffp-contract=off`` (no fused multiply-add) and no
   ``-ffast-math`` every loop is bit-identical to its NumPy path; the
@@ -43,27 +48,30 @@ per process, and call it from Python.
   sparse and the boundary results do not depend on the backend.
 * **Build.** The first :func:`available` call or kernel construction
   compiles the source, once per process, with
-  ``cc -O3 -ffp-contract=off -shared -fPIC`` into a private temporary
-  directory and loads it with :mod:`ctypes`.  No
-  ``-march=native`` and no OpenMP: intra-rank threading stays with
-  :mod:`repro.exec`, and ``ctypes`` releases the GIL during the call,
-  so the engine's workers run kernels concurrently.
+  ``cc -O3 -ffp-contract=off -pthread -shared -fPIC`` into a private
+  temporary directory and loads it with :mod:`ctypes`.  No
+  ``-march=native`` and no OpenMP: an OpenMP region cannot return to
+  Python halfway through, and the overlap schedule drains the ghost
+  exchange on the calling thread while the pool sweeps.  ``ctypes``
+  releases the GIL during every call.
 * **Argument checks.** The sweeps pass the data pointers and element
   strides of a field pair to C; the rows along the innermost (z) axis
   must be contiguous, as every view of a C-ordered PDF field is.  The
   boundary loop indexes a whole C-contiguous field by flat spatial
   index.  Before any pointer reaches C the arguments are checked and
   anything a loop cannot read as-is is rejected, never reinterpreted.
-* **Bound sweeps.** A kernel call checks its arguments every time.
-  ``bind(field, boxes)`` instead returns a zero-argument call for one
-  block's grid pair, one C call per task: it checks the pair and reads
-  the pointers on its first call, then only tests that ``field.src`` /
-  ``field.dst`` are the same two arrays (in either order, for the
-  two-grid swap), and checks any other array again before its address
-  reaches C.  The block schedule
-  (:class:`~repro.core.schedule.BlockSweepSchedule`) binds every
-  compiled kernel task, as waLBerla's generated sweeps take their
-  per-block arguments once.
+* **Entry tables.** A kernel call checks its arguments every time.
+  A round of the block schedule
+  (:class:`~repro.core.schedule.BlockSweepSchedule`) is instead one
+  :class:`EntryTable` over the rank's :class:`GridTable` — one row of
+  grid pointers and strides per block — as waLBerla's generated sweeps
+  take their per-block arguments once.  Before each round the grid
+  table only tests that ``field.src`` / ``field.dst`` are the row's two
+  arrays (in either order, for the two-grid swap) and checks any other
+  array — the kernel's and the boundary loop's checks and the shape —
+  before its address reaches C.  Every participant claims entries
+  from one atomic counter; entries write disjoint regions, so the
+  result does not depend on the thread count.
 
 :func:`available` tells whether the loops built in this process; the
 registry's :func:`~repro.lbm.kernels.registry.default_dense_kernel`
@@ -75,10 +83,12 @@ uses it to pick ``compiled`` or ``vectorized``, the same test picks the
 from __future__ import annotations
 
 import ctypes
+import os
 import shutil
 import subprocess
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 from typing import Any, List, NamedTuple, Optional, Tuple, Union
 
@@ -96,25 +106,36 @@ __all__ = [
     "BOUNDARY_KINDS",
     "CompiledD3Q19Kernel",
     "CompiledIntervalKernel",
+    "EntryTable",
     "GHOST_SEGMENT_FIELDS",
     "GhostBox",
+    "GridTable",
+    "SweepPool",
     "available",
     "boundary_loop",
+    "boundary_table",
     "check_boundary_field",
     "generate_source",
     "ghost_copy_loop",
     "ghost_copy_table",
+    "kernel_table",
 ]
 
 Collision = Union[SRT, TRT]
 
 #: Exported C entry points: the box (dense) and the sparse sweep, the
-#: boundary-link dispatcher and the ghost copy.
+#: boundary-link dispatcher, the ghost copy, the table walk and the
+#: worker pool.
 ENTRIES = {
     "boxes": "d3q19_sweep_boxes",
     "sparse": "d3q19_sparse_sweep",
     "boundary": "d3q19_boundary",
     "ghost_copy": "ghost_copy",
+    "table_walk": "table_walk",
+    "pool_create": "pool_create",
+    "pool_start": "pool_start",
+    "pool_wait": "pool_wait",
+    "pool_destroy": "pool_destroy",
 }
 
 #: How many runs ahead the sparse sweep prefetches a run's rows.
@@ -127,8 +148,10 @@ BOUNDARY_KINDS = ("noslip", "ubb", "pressure_abb")
 #: Compiler flags.  ``-ffp-contract=off`` forbids fused multiply-adds,
 #: which round once where NumPy rounds twice; no ``-ffast-math`` (it
 #: reassociates) and no ``-march=native`` (the build must not depend on
-#: the build host's vector extensions for its results).
-CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+#: the build host's vector extensions for its results).  ``-pthread``
+#: for the worker pool; no OpenMP, whose parallel region cannot return
+#: to Python halfway through, as the overlap schedule needs.
+CFLAGS = ("-O3", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 
 _COMPONENTS = ("ux", "uy", "uz")
 
@@ -444,10 +467,273 @@ def _ghost_copy_function() -> List[str]:
     ]
 
 
+#: Int64 fields of one row of a :class:`GridTable` (element strides
+#: ``sq`` / ``sx`` / ``sy`` of the pair; the innermost stride is 1).
+GRID_FIELDS = ("src", "dst", "sq", "sx", "sy")
+#: Int64 fields of one sweep-table entry: the block's grid-table row,
+#: :data:`SWEEP_KINDS` code, box or run table address and length, and
+#: the two collision rates (their float64 bits).
+SWEEP_FIELDS = ("grid", "kind", "table", "n", "lam_e", "lam_o")
+#: Int64 fields of one boundary-table entry: the block's grid-table row,
+#: its condition count and the addresses of its link tables (see
+#: :class:`~repro.lbm.boundary.BoundaryHandling`).
+BOUNDARY_FIELDS = ("grid", "ncond", "kind", "wall", "fluid", "off", "coef")
+#: Sweep-entry kinds: a box table (dense) or a run table (``interval``).
+SWEEP_KINDS = ("boxes", "runs")
+#: Table operations, as ``table_walk`` and ``pool_start`` take them.
+TABLE_OPS = ("sweep", "boundary")
+
+
+def _table_functions() -> List[str]:
+    """C source of the table walks and the worker pool.
+
+    ``table_walk`` runs entries ``0 .. n - 1`` of a table on the calling
+    thread.  The pool runs one table per round on
+    ``nthreads`` pthreads plus the thread that calls ``pool_wait``:
+    every participant claims the next entry from one atomic counter, so
+    the entries (which write disjoint regions) may run in any order on
+    any thread.  ``pool_wait`` returns once every entry has run; a
+    thread that woke too late to claim one is waited for only by the
+    next ``pool_start``.  Per participant (the caller is 0) the pool
+    records busy wall and CPU seconds and the entries claimed, and per
+    entry its wall seconds.
+    """
+    g = {name: i for i, name in enumerate(GRID_FIELDS)}
+    sw = {name: i for i, name in enumerate(SWEEP_FIELDS)}
+    bd = {name: i for i, name in enumerate(BOUNDARY_FIELDS)}
+    boxes, runs = SWEEP_KINDS.index("boxes"), SWEEP_KINDS.index("runs")
+
+    def at(table: str, fields: dict, name: str) -> str:
+        return f"{table}[{fields[name]}]"
+
+    def ptr(ctype: str, expr: str) -> str:
+        return f"({ctype} *)(uintptr_t){expr}"
+
+    row = f"grid + {len(GRID_FIELDS)} * e"
+    strides = f"{at('g', g, 'sq')}, {at('g', g, 'sx')}, {at('g', g, 'sy')}"
+    links = ", ".join(
+        ptr("const int64_t", at("e", bd, name)) for name in ("kind", "wall", "fluid", "off")
+    )
+    return [
+        "static double seconds(clockid_t clock)",
+        "{",
+        "    struct timespec t;",
+        "    clock_gettime(clock, &t);",
+        "    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;",
+        "}",
+        "",
+        "static void sweep_entry(const int64_t *grid, const int64_t *e)",
+        "{",
+        f"    const int64_t *g = {row}[{sw['grid']}];",
+        "    double lam_e, lam_o;",
+        f"    memcpy(&lam_e, e + {sw['lam_e']}, sizeof lam_e);",
+        f"    memcpy(&lam_o, e + {sw['lam_o']}, sizeof lam_o);",
+        f"    const double *src = {ptr('const double', at('g', g, 'src'))};",
+        f"    double *dst = {ptr('double', at('g', g, 'dst'))};",
+        f"    const int64_t *t = {ptr('const int64_t', at('e', sw, 'table'))};",
+        f"    if ({at('e', sw, 'kind')} == {boxes})",
+        f"        {ENTRIES['boxes']}(src, dst, t, {at('e', sw, 'n')}, {strides}, lam_e, lam_o);",
+        f"    else if ({at('e', sw, 'kind')} == {runs})",
+        f"        {ENTRIES['sparse']}(src, dst, t, {at('e', sw, 'n')}, {strides}, lam_e, lam_o);",
+        "}",
+        "",
+        "static void boundary_entry(const int64_t *grid, const int64_t *e)",
+        "{",
+        f"    const int64_t *g = {row}[{bd['grid']}];",
+        f"    {ENTRIES['boundary']}({ptr('double', at('g', g, 'src'))}, {at('g', g, 'sq')},",
+        f"        {at('e', bd, 'ncond')}, {links},",
+        f"        {ptr('const double', at('e', bd, 'coef'))});",
+        "}",
+        "",
+        "typedef void (*entry_fn)(const int64_t *, const int64_t *);",
+        "static const entry_fn ENTRY_FN[2] = {sweep_entry, boundary_entry};",
+        f"static const ptrdiff_t ENTRY_W[2] = {{{len(SWEEP_FIELDS)}, {len(BOUNDARY_FIELDS)}}};",
+        "",
+        f"void {ENTRIES['table_walk']}(int op, const int64_t *grid, const int64_t *entries,",
+        "    ptrdiff_t n, double *times)",
+        "{",
+        "    for (ptrdiff_t i = 0; i < n; ++i) {",
+        "        const double t0 = seconds(CLOCK_MONOTONIC);",
+        "        ENTRY_FN[op](grid, entries + ENTRY_W[op] * i);",
+        "        times[i] = seconds(CLOCK_MONOTONIC) - t0;",
+        "    }",
+        "}",
+        "",
+        "typedef struct pool pool_t;",
+        "typedef struct { pool_t *pool; int id; } worker_t;",
+        "",
+        "struct pool {",
+        "    pthread_mutex_t mu;",
+        "    pthread_cond_t go, done, idle;",
+        "    pthread_t *threads;",
+        "    worker_t *workers;",
+        "    int nthreads, busy, stop;",
+        "    uint64_t epoch;",
+        "    pid_t pid;",
+        "    /* The round: written under mu while no thread is busy. */",
+        "    int op;",
+        "    const int64_t *grid, *entries;",
+        "    ptrdiff_t n, next, finished;",
+        "    double *times;",
+        "    /* Per participant; the caller is 0. */",
+        "    double *wall, *cpu;",
+        "    int64_t *count;",
+        "};",
+        "",
+        "/* Claim and run entries until none is left; returns how many ran. */",
+        "static ptrdiff_t participate(pool_t *p, int id)",
+        "{",
+        "    ptrdiff_t i = __atomic_fetch_add(&p->next, 1, __ATOMIC_RELAXED);",
+        "    if (i >= p->n)",
+        "        return 0;",
+        "    const double w0 = seconds(CLOCK_MONOTONIC);",
+        "    const double c0 = seconds(CLOCK_THREAD_CPUTIME_ID);",
+        "    const entry_fn fn = ENTRY_FN[p->op];",
+        "    const ptrdiff_t width = ENTRY_W[p->op];",
+        "    ptrdiff_t k = 0;",
+        "    for (; i < p->n; i = __atomic_fetch_add(&p->next, 1, __ATOMIC_RELAXED)) {",
+        "        const double t0 = seconds(CLOCK_MONOTONIC);",
+        "        fn(p->grid, p->entries + width * i);",
+        "        p->times[i] = seconds(CLOCK_MONOTONIC) - t0;",
+        "        ++k;",
+        "    }",
+        "    p->wall[id] = seconds(CLOCK_MONOTONIC) - w0;",
+        "    p->cpu[id] = seconds(CLOCK_THREAD_CPUTIME_ID) - c0;",
+        "    p->count[id] = k;",
+        "    return k;",
+        "}",
+        "",
+        "static void *worker_main(void *arg)",
+        "{",
+        "    pool_t *p = ((worker_t *)arg)->pool;",
+        "    const int id = ((worker_t *)arg)->id;",
+        "    uint64_t seen = 0;",
+        "    pthread_mutex_lock(&p->mu);",
+        "    for (;;) {",
+        "        while (!p->stop && p->epoch == seen)",
+        "            pthread_cond_wait(&p->go, &p->mu);",
+        "        if (p->stop)",
+        "            break;",
+        "        seen = p->epoch;",
+        "        pthread_mutex_unlock(&p->mu);",
+        "        const ptrdiff_t k = participate(p, id);",
+        "        pthread_mutex_lock(&p->mu);",
+        "        p->finished += k;",
+        "        if (k && p->finished == p->n)",
+        "            pthread_cond_signal(&p->done);",
+        "        if (--p->busy == 0)",
+        "            pthread_cond_signal(&p->idle);",
+        "    }",
+        "    pthread_mutex_unlock(&p->mu);",
+        "    return NULL;",
+        "}",
+        "",
+        "static void pool_free(pool_t *p)",
+        "{",
+        "    pthread_mutex_lock(&p->mu);",
+        "    p->stop = 1;",
+        "    pthread_cond_broadcast(&p->go);",
+        "    pthread_mutex_unlock(&p->mu);",
+        "    for (int t = 0; t < p->nthreads; ++t)",
+        "        pthread_join(p->threads[t], NULL);",
+        "    pthread_cond_destroy(&p->go);",
+        "    pthread_cond_destroy(&p->done);",
+        "    pthread_cond_destroy(&p->idle);",
+        "    pthread_mutex_destroy(&p->mu);",
+        "    free(p->threads);",
+        "    free(p->workers);",
+        "    free(p);",
+        "}",
+        "",
+        f"void *{ENTRIES['pool_create']}(int nthreads, double *wall, double *cpu, int64_t *count)",
+        "{",
+        "    pool_t *p = calloc(1, sizeof *p);",
+        "    if (p == NULL)",
+        "        return NULL;",
+        "    p->threads = calloc(nthreads > 0 ? nthreads : 1, sizeof *p->threads);",
+        "    p->workers = calloc(nthreads > 0 ? nthreads : 1, sizeof *p->workers);",
+        "    if (p->threads == NULL || p->workers == NULL) {",
+        "        free(p->threads);",
+        "        free(p->workers);",
+        "        free(p);",
+        "        return NULL;",
+        "    }",
+        "    pthread_mutex_init(&p->mu, NULL);",
+        "    pthread_cond_init(&p->go, NULL);",
+        "    pthread_cond_init(&p->done, NULL);",
+        "    pthread_cond_init(&p->idle, NULL);",
+        "    p->pid = getpid();",
+        "    p->wall = wall;",
+        "    p->cpu = cpu;",
+        "    p->count = count;",
+        "    /* Signals stay with the process's own threads. */",
+        "    sigset_t all, old;",
+        "    sigfillset(&all);",
+        "    pthread_sigmask(SIG_SETMASK, &all, &old);",
+        "    for (int t = 0; t < nthreads; ++t) {",
+        "        p->workers[t].pool = p;",
+        "        p->workers[t].id = t + 1;",
+        "        if (pthread_create(&p->threads[t], NULL, worker_main, &p->workers[t]) != 0)",
+        "            break;",
+        "        p->nthreads = t + 1;",
+        "    }",
+        "    pthread_sigmask(SIG_SETMASK, &old, NULL);",
+        "    if (p->nthreads != nthreads) {",
+        "        pool_free(p);",
+        "        return NULL;",
+        "    }",
+        "    return p;",
+        "}",
+        "",
+        f"void {ENTRIES['pool_start']}(void *pool, int op, const int64_t *grid,",
+        "    const int64_t *entries, ptrdiff_t n, double *times)",
+        "{",
+        "    pool_t *p = pool;",
+        "    pthread_mutex_lock(&p->mu);",
+        "    while (p->busy)",
+        "        pthread_cond_wait(&p->idle, &p->mu);",
+        "    p->op = op;",
+        "    p->grid = grid;",
+        "    p->entries = entries;",
+        "    p->n = n;",
+        "    p->times = times;",
+        "    p->next = 0;",
+        "    p->finished = 0;",
+        "    for (int t = 0; t <= p->nthreads; ++t) {",
+        "        p->wall[t] = p->cpu[t] = 0.0;",
+        "        p->count[t] = 0;",
+        "    }",
+        "    p->busy = p->nthreads;",
+        "    ++p->epoch;",
+        "    pthread_cond_broadcast(&p->go);",
+        "    pthread_mutex_unlock(&p->mu);",
+        "}",
+        "",
+        f"void {ENTRIES['pool_wait']}(void *pool)",
+        "{",
+        "    pool_t *p = pool;",
+        "    const ptrdiff_t k = participate(p, 0);",
+        "    pthread_mutex_lock(&p->mu);",
+        "    p->finished += k;",
+        "    while (p->finished < p->n)",
+        "        pthread_cond_wait(&p->done, &p->mu);",
+        "    pthread_mutex_unlock(&p->mu);",
+        "}",
+        "",
+        f"void {ENTRIES['pool_destroy']}(void *pool)",
+        "{",
+        "    pool_t *p = pool;",
+        "    /* A forked child has none of its parent's threads to join. */",
+        "    if (p->pid == getpid())",
+        "        pool_free(p);",
+        "}",
+    ]
+
+
 def generate_source() -> str:
     """C source of the compiled tier: five generated loops over one
-    D3Q19 SoA layout (SRT runs as TRT with ``lam_e == lam_o``, exactly
-    as in the NumPy tiers).
+    D3Q19 SoA layout, and the tables and pool that run them (SRT runs
+    as TRT with ``lam_e == lam_o``, exactly as in the NumPy tiers).
 
     * ``d3q19_sweep_boxes(src, dst, boxes, nbox, sq, sx, sy, lam_e,
       lam_o)`` sweeps the ``nbox`` boxes ``(x0, y0, z0, x1, y1, z1)``
@@ -467,7 +753,18 @@ def generate_source() -> str:
     * ``ghost_copy(ptrs, segs, nseg, runs, planes)`` copies the
       ``nseg`` regions of a segment table (:data:`GHOST_SEGMENT_FIELDS`,
       built with its run and plane tables by :func:`ghost_copy_table`)
-      between the arrays of the pointer table ``ptrs``.
+      between the arrays of the pointer table ``ptrs``;
+    * ``table_walk(op, grid, entries, n, times)`` runs entries ``0 ..
+      n - 1`` of a table (``op`` indexes :data:`TABLE_OPS`; the entries
+      are :data:`SWEEP_FIELDS` or :data:`BOUNDARY_FIELDS`) over the grid
+      rows of ``grid`` (:data:`GRID_FIELDS`) and writes each entry's
+      wall seconds to ``times``;
+    * ``pool_create(nthreads, wall, cpu, count)`` starts ``nthreads``
+      pthreads, ``pool_start(pool, op, grid, entries, n, times)`` hands
+      them a table (``op`` indexes :data:`TABLE_OPS`) and returns,
+      ``pool_wait(pool)`` runs entries on the caller until none is left
+      and returns once all have run, ``pool_destroy(pool)`` joins the
+      threads; see :func:`_table_functions`.
 
     Both sweeps call the same generated row loop, so the dense and the
     sparse path perform the same IEEE operations per cell.
@@ -475,15 +772,22 @@ def generate_source() -> str:
     lines = [
         "/* Generated by repro.lbm.kernels.compiled: D3Q19 fused",
         " * pull-stream-collide (dense and sparse sweeps, SRT/TRT, two-grid,",
-        " * SoA with contiguous rows), link-wise boundary conditions and the",
-        " * ghost-region copy. */",
+        " * SoA with contiguous rows), link-wise boundary conditions, the",
+        " * ghost-region copy, and the entry tables and worker pool. */",
+        "#define _GNU_SOURCE",
         "#include <math.h>",
+        "#include <pthread.h>",
+        "#include <signal.h>",
         "#include <stddef.h>",
         "#include <stdint.h>",
+        "#include <stdlib.h>",
+        "#include <string.h>",
+        "#include <time.h>",
+        "#include <unistd.h>",
         "",
     ]
     for part in (_row_function(), _boxes_function(), _sparse_function(),
-                 _boundary_functions(), _ghost_copy_function()):
+                 _boundary_functions(), _ghost_copy_function(), _table_functions()):
         lines += part
         lines.append("")
     return "\n".join(lines)
@@ -497,6 +801,11 @@ class _Build(NamedTuple):
     sparse: Any = None
     boundary: Any = None
     ghost_copy: Any = None
+    table_walk: Any = None
+    pool_create: Any = None
+    pool_start: Any = None
+    pool_wait: Any = None
+    pool_destroy: Any = None
     reason: str = ""
 
 
@@ -511,6 +820,13 @@ _ARGTYPES = {
     + [ctypes.c_void_p] * 5,
     "ghost_copy": [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t]
     + [ctypes.c_void_p] * 2,
+    "table_walk": [ctypes.c_int] + [ctypes.c_void_p] * 2
+    + [ctypes.c_ssize_t, ctypes.c_void_p],
+    "pool_create": [ctypes.c_int] + [ctypes.c_void_p] * 3,
+    "pool_start": [ctypes.c_void_p, ctypes.c_int] + [ctypes.c_void_p] * 2
+    + [ctypes.c_ssize_t, ctypes.c_void_p],
+    "pool_wait": [ctypes.c_void_p],
+    "pool_destroy": [ctypes.c_void_p],
 }
 
 
@@ -552,7 +868,7 @@ def _compile_and_load() -> _Build:
     for key, symbol in ENTRIES.items():
         fn = getattr(lib, symbol)
         fn.argtypes = _ARGTYPES[key]
-        fn.restype = None
+        fn.restype = ctypes.c_void_p if key == "pool_create" else None
         fns[key] = fn
     return _Build(**fns)
 
@@ -626,63 +942,6 @@ def _box_table(boxes, cells: Tuple[int, ...]) -> np.ndarray:
     return table
 
 
-@allocation_free(steady_state=True, warmup=("_bind",))
-class _BoundSweep:
-    """One compiled sweep bound to one block's grid pair: a zero-argument
-    callable that makes a single C call over a table (boxes or runs).
-
-    The first call reads ``field.src`` / ``field.dst``, runs ``check``
-    on them — it raises :class:`ValueError` for a pair the loop cannot
-    read as-is, and returns the table — and keeps the two arrays, their
-    addresses and the loop's other arguments.  Every later call only
-    tests that the field holds the same two arrays, in either order
-    (the two-grid swap); any other array is checked again, and rejected,
-    before its address reaches C.  Grids of another shape than the first
-    pair's are rejected too.
-    """
-
-    __slots__ = (
-        "_fn", "_field", "_check", "_lam", "_table", "_args", "_a", "_b", "_pa", "_pb",
-    )
-
-    def __init__(self, fn, field, check, lam: Tuple[float, float]):
-        self._fn = fn
-        self._field = field
-        self._check = check
-        self._lam = lam
-        self._table: Optional[np.ndarray] = None
-        self._a = self._b = None
-        self._pa = self._pb = 0
-        self._args: tuple = ()
-
-    def __call__(self) -> None:
-        field = self._field
-        src, dst = field.src, field.dst
-        if src is self._a and dst is self._b:
-            self._fn(self._pa, self._pb, *self._args)
-        elif src is self._b and dst is self._a:
-            self._fn(self._pb, self._pa, *self._args)
-        else:
-            self._bind(src, dst)
-            self._fn(self._pa, self._pb, *self._args)
-
-    def _bind(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Check a new grid pair and keep its loop arguments (the table
-        stays referenced, so its address stays valid).  A pair of
-        another shape than the first one is rejected: the task's boxes
-        were cut for that block."""
-        if self._a is not None and src.shape != self._a.shape:
-            raise ValueError(
-                f"grid shape {src.shape} != {self._a.shape}, the shape this sweep is bound to"
-            )
-        table = self._check(src, dst)
-        sq, sx, sy, _ = src.strides
-        self._table = table
-        self._args = (table.ctypes.data, len(table), sq // 8, sx // 8, sy // 8, *self._lam)
-        self._a, self._b = src, dst
-        self._pa, self._pb = src.ctypes.data, dst.ctypes.data
-
-
 @allocation_free(steady_state=True)
 class CompiledD3Q19Kernel:
     """Fused D3Q19 stream-collide step in generated, compiled C.
@@ -690,7 +949,8 @@ class CompiledD3Q19Kernel:
     Bit-identical to :class:`~repro.lbm.kernels.vectorized.VectorizedD3Q19Kernel`
     on any halo-inclusive view with contiguous rows; owns no scratch
     memory.  A call sweeps one box, the view's interior;
-    :meth:`bind` sweeps any list of boxes of one block in one C call.
+    :meth:`table_entry` describes any list of boxes of one block as one
+    entry of a :class:`EntryTable`.
     Construction builds the library on first use and raises
     :class:`~repro.errors.ConfigurationError` if it cannot.
     """
@@ -705,10 +965,14 @@ class CompiledD3Q19Kernel:
         #: Per view shape: the one-box table of its interior and its address.
         self._views: dict = {}
 
-    def __call__(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Run one time step: ``dst[interior] = collide(pull(src))``."""
+    def check(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Reject a pair the box sweep cannot read as-is."""
         check_pdf_args(D3Q19, src, dst)
         _check_buffers(src, dst)
+
+    def __call__(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Run one time step: ``dst[interior] = collide(pull(src))``."""
+        self.check(src, dst)
         view = self._views.get(src.shape)
         if view is None:
             table = _box_table([((0, 0, 0), tuple(n - 2 for n in src.shape[1:]))],
@@ -720,23 +984,13 @@ class CompiledD3Q19Kernel:
             sq // 8, sx // 8, sy // 8, self._lam_e, self._lam_o,
         )
 
-    def bind(self, field, boxes=None) -> _BoundSweep:
-        """A zero-argument call that sweeps ``boxes`` (a list of
-        :data:`~repro.lbm.kernels.common.Box`; ``None``: the whole
-        interior) of ``field``'s current grid pair in one C call.
-
-        Nothing is read here: the first call checks the pair (as a call
-        of the kernel does) and the boxes against its interior, and
-        later calls check only that the pair is the same (see
-        :class:`_BoundSweep`)."""
-
-        def check(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-            check_pdf_args(D3Q19, src, dst)
-            _check_buffers(src, dst)
-            cells = tuple(n - 2 for n in src.shape[1:])
-            return _box_table([((0, 0, 0), cells)] if boxes is None else boxes, cells)
-
-        return _BoundSweep(self._fn, field, check, (self._lam_e, self._lam_o))
+    def table_entry(self, boxes, cells: Tuple[int, ...]) -> Tuple[str, np.ndarray, float, float]:
+        """``(kind, table, lam_e, lam_o)`` of a sweep-table entry over
+        ``boxes`` (a list of :data:`~repro.lbm.kernels.common.Box`;
+        ``None``: the whole interior) of a block of ``cells`` interior
+        cells; rejects a box outside that interior."""
+        table = _box_table([((0, 0, 0), cells)] if boxes is None else boxes, cells)
+        return "boxes", table, self._lam_e, self._lam_o
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<compiled kernel, D3Q19, {self.collision}>"
@@ -766,16 +1020,15 @@ class CompiledIntervalKernel(IntervalAccounting):
         self.runs = fluid_runs(self.mask)
         self._runs_ptr = self.runs.ctypes.data
 
-    def _check(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Reject a pair the run table cannot sweep; returns the table."""
+    def check(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Reject a pair the run table cannot sweep."""
         check_pdf_args(D3Q19, src, dst)
         check_mask(self.mask, src)
         _check_buffers(src, dst)
-        return self.runs
 
     def __call__(self, src: np.ndarray, dst: np.ndarray) -> None:
         """Run one time step on the fluid cells of ``mask``."""
-        self._check(src, dst)
+        self.check(src, dst)
         sq, sx, sy, _ = src.strides
         self._fn(
             src.ctypes.data, dst.ctypes.data,
@@ -784,17 +1037,262 @@ class CompiledIntervalKernel(IntervalAccounting):
             self._lam_e, self._lam_o,
         )
 
-    def bind(self, field, boxes=None) -> _BoundSweep:
-        """A zero-argument call that sweeps the run table over
-        ``field``'s current grid pair in one C call, checked as
-        :meth:`CompiledD3Q19Kernel.bind` describes.  A sparse block is
-        swept whole: ``boxes`` must be ``None``."""
+    def table_entry(self, boxes, cells: Tuple[int, ...]) -> Tuple[str, np.ndarray, float, float]:
+        """``(kind, table, lam_e, lam_o)`` of a sweep-table entry over
+        the run table.  A sparse block is swept whole: ``boxes`` must be
+        ``None`` and ``cells`` the mask's shape."""
         if boxes is not None:
             raise ValueError("the interval kernel sweeps whole blocks; boxes must be None")
-        return _BoundSweep(self._fn, field, self._check, (self._lam_e, self._lam_o))
+        if tuple(cells) != self.mask.shape:
+            raise ValueError(f"block of {tuple(cells)} cells != mask {self.mask.shape}")
+        return "runs", self.runs, self._lam_e, self._lam_o
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<compiled interval kernel, {len(self.runs)} runs, {self.collision}>"
+
+
+@allocation_free(steady_state=True, warmup=("_bind",))
+class GridTable:
+    """One rank's table of the grid pairs its entry tables sweep: an
+    int64 row (:data:`GRID_FIELDS`) per block.
+
+    Blocks join while the tables are built (:meth:`slot`), each with
+    the checks its entries need; no pointer is read then.  Before each
+    round :meth:`refresh` tests that each block's ``(field.src,
+    field.dst)`` is the pair in its row, in either order: a swapped
+    pair flips the row's two pointers, and any other pair runs the
+    shape test and every check of the block before its addresses enter
+    the row (a failed check raises :class:`ValueError` and leaves the
+    row as it was).  The table keeps the arrays of every row alive.
+    """
+
+    def __init__(self, capacity: int):
+        #: Rows, C order; the tables' C walks read them.
+        self.rows = np.zeros((capacity, len(GRID_FIELDS)), dtype=np.int64)
+        self._words = memoryview(self.rows).cast("B").cast("q")
+        self._slot_of: dict = {}
+        self._fields: list = []
+        self._shapes: list = []
+        self._checks: list = []
+        self._a: list = []
+        self._b: list = []
+
+    def slot(self, field, check) -> int:
+        """Row of ``field`` (a :class:`~repro.core.field.PdfField`),
+        added on first use; ``check(src, dst)`` joins the checks of its
+        next pair.  The row's shape is that of the current grids."""
+        i = self._slot_of.get(id(field))
+        if i is None:
+            if len(self._fields) == len(self.rows):
+                raise ValueError(f"grid table holds {len(self.rows)} blocks")
+            i = self._slot_of[id(field)] = len(self._fields)
+            self._fields.append(field)
+            self._shapes.append(field.src.shape)
+            self._checks.append([])
+            self._a.append(None)
+            self._b.append(None)
+        if check not in self._checks[i]:
+            self._checks[i].append(check)
+            self._a[i] = self._b[i] = None
+        return i
+
+    def refresh(self) -> None:
+        """Bring every row up to its field's current pair (see above)."""
+        words, width = self._words, len(GRID_FIELDS)
+        a, b = self._a, self._b
+        for i, field in enumerate(self._fields):
+            src, dst = field.src, field.dst
+            if src is a[i] and dst is b[i]:
+                continue
+            if src is b[i] and dst is a[i]:
+                a[i], b[i] = src, dst
+                j = width * i
+                words[j], words[j + 1] = words[j + 1], words[j]
+            else:
+                self._bind(i, src, dst)
+
+    def _bind(self, i: int, src: np.ndarray, dst: np.ndarray) -> None:
+        shape = self._shapes[i]
+        if src.shape != shape or dst.shape != shape:
+            raise ValueError(
+                f"grid shapes {src.shape} / {dst.shape} != {shape}, "
+                "the shape the block's entries are bound to"
+            )
+        for check in self._checks[i]:
+            check(src, dst)
+        sq, sx, sy = (s // 8 for s in src.strides[:3])
+        self.rows[i] = (src.ctypes.data, dst.ctypes.data, sq, sx, sy)
+        self._a[i], self._b[i] = src, dst
+
+
+def _bits(x: float) -> int:
+    """The float64 bits of ``x`` as an int64."""
+    return int(np.float64(x).view(np.int64))
+
+
+@allocation_free(steady_state=True, warmup=("_build",))
+class EntryTable:
+    """One round of compiled work: entries over a :class:`GridTable`,
+    walked by one C call (:meth:`run`, on the calling thread) or by a
+    :class:`SweepPool` round.
+
+    Made by :func:`kernel_table` and :func:`boundary_table` from one
+    item per block, slab or frontier, and built on first use, so that
+    set-up reads no grid and makes no table.  The entries are ordered
+    by decreasing cost, so that participants claiming the next one
+    balance their load.  The table keeps every box, run and link array
+    an entry points to.  A round is :meth:`prepare` (refresh the grid
+    pointers), the walk (:meth:`run` or a pool round), then
+    :meth:`finish`, which records one ``tier:<name>`` timer per kernel
+    name — the summed wall time of its entries — under the scope that
+    was current at :meth:`prepare`.
+    """
+
+    def __init__(self, grids: GridTable, op: str, items, make_row, tree=None):
+        self.grids = grids
+        self._op = op
+        self._items = list(items)
+        self._make_row = make_row
+        self._tree = tree
+        self._anchor = None
+        #: ``table_walk`` / ``pool_start`` arguments (``None`` until built).
+        self.args: Optional[tuple] = None
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def _build(self) -> None:
+        """Make the entries: per item ``make_row(grids, item)`` gives
+        ``(row, cost, tier, keep)`` and registers the block's checks."""
+        made = [self._make_row(self.grids, item) for item in self._items]
+        order = sorted(range(len(made)), key=lambda k: (-made[k][1], k))
+        self.entries = np.array([made[k][0] for k in order], dtype=np.int64)
+        self.times = np.zeros(len(made))
+        self._keep = [m[3] for m in made]
+        names = [made[k][2] for k in order]
+        self._tiers = [
+            (name, np.array([n == name for n in names], dtype=np.float64))
+            for name in dict.fromkeys(n for n in names if n is not None)
+        ]
+        self._walk = _require("table_walk")
+        self.args = (
+            TABLE_OPS.index(self._op), self.grids.rows.ctypes.data,
+            self.entries.ctypes.data, len(made), self.times.ctypes.data,
+        )
+
+    def prepare(self) -> None:
+        """Refresh the grid pointers (may raise :class:`ValueError`, then
+        nothing has run) and note the scope the round records under."""
+        if self.args is None:
+            self._build()
+        self.grids.refresh()
+        if self._tree is not None:
+            self._anchor = self._tree.current
+
+    def run(self) -> None:
+        """Walk every entry on the calling thread, in one C call, through
+        the grid pointers of the last refresh."""
+        if self.args is None:
+            self._build()
+        self._walk(*self.args)
+
+    def finish(self) -> None:
+        """Record the round's per-name kernel timers."""
+        anchor, self._anchor = self._anchor, None
+        if anchor is None:
+            return
+        for name, weights in self._tiers:
+            self._tree.record_at(anchor, name, float(weights @ self.times))
+
+
+def _sweep_row(grids: GridTable, item):
+    field, kernel, boxes, cost, tier = item
+    cells = tuple(n - 2 for n in field.src.shape[1:])
+    kind, table, lam_e, lam_o = kernel.table_entry(boxes, cells)
+    row = (
+        grids.slot(field, kernel.check), SWEEP_KINDS.index(kind), table.ctypes.data,
+        len(table), _bits(lam_e), _bits(lam_o),
+    )
+    return row, cost, tier, table
+
+
+def kernel_table(grids: GridTable, items, tree=None) -> EntryTable:
+    """The sweep table of ``items``, one ``(field, kernel, boxes, cost,
+    tier)`` per block, slab or frontier: ``kernel`` is a compiled kernel
+    (its :meth:`~CompiledD3Q19Kernel.table_entry` gives the entry and
+    its ``check`` joins the block's grid checks), ``tier`` the timer
+    name its entries record into ``tree``."""
+    return EntryTable(grids, "sweep", items, _sweep_row, tree)
+
+
+def _boundary_row(grids: GridTable, item):
+    field, check, get_links, cost = item
+    links = get_links()
+    for arr, dtype in zip(links, (np.int64,) * 4 + (np.float64,)):
+        if arr.dtype != dtype or not arr.flags.c_contiguous:
+            raise ValueError(f"link table must be C-contiguous {np.dtype(dtype)}")
+    row = (grids.slot(field, check), len(links[0]), *(arr.ctypes.data for arr in links))
+    return row, cost, None, links
+
+
+def boundary_table(grids: GridTable, items) -> EntryTable:
+    """The boundary table of ``items``, one ``(field, check, links,
+    cost)`` per block: ``links()`` gives ``(kind, wall, fluid, off,
+    coef)`` (see
+    :meth:`~repro.lbm.boundary.BoundaryHandling.table_links`), and
+    ``check`` joins the block's grid checks."""
+    return EntryTable(grids, "boundary", items, _boundary_row)
+
+
+def _destroy_pool(destroy, ptr: int, stats) -> None:
+    """Stop and join a pool's threads (the C side skips a pool this
+    process did not create); ``stats`` stay alive until then."""
+    destroy(ptr)
+
+
+class SweepPool:
+    """``workers - 1`` pthreads of the generated library that run
+    :class:`EntryTable` rounds with the calling thread.
+
+    :meth:`start` hands a table to the threads and returns at once;
+    :meth:`wait` makes the caller claim entries too and returns once
+    every entry has run.  Per participant (the caller is 0) ``wall``,
+    ``cpu`` and ``count`` hold the last round's busy wall and CPU
+    seconds and entries claimed.  :meth:`close`, or the garbage
+    collection of the pool, joins the threads; in a forked child the
+    threads are the parent's, so ``pid`` tells its owner to build a new
+    pool there and the old one is never waited on.
+    """
+
+    def __init__(self, workers: int):
+        build = _get_build()
+        if build.pool_create is None:
+            raise ConfigurationError(f"compiled kernel tier unavailable: {build.reason}")
+        self.workers = int(workers)
+        self.wall = np.zeros(self.workers)
+        self.cpu = np.zeros(self.workers)
+        self.count = np.zeros(self.workers, dtype=np.int64)
+        ptr = build.pool_create(
+            self.workers - 1, self.wall.ctypes.data, self.cpu.ctypes.data,
+            self.count.ctypes.data,
+        )
+        if not ptr:
+            raise OSError(f"cannot start {self.workers - 1} sweep pool threads")
+        self.pid = os.getpid()
+        self._ptr = ptr
+        self._start = build.pool_start
+        self._wait = build.pool_wait
+        self.close = weakref.finalize(
+            self, _destroy_pool, build.pool_destroy, ptr, (self.wall, self.cpu, self.count)
+        )
+
+    def start(self, table: EntryTable) -> None:
+        """Start a round over ``table`` (already prepared)."""
+        self._start(self._ptr, *table.args)
+
+    def wait(self) -> None:
+        """Join the round on the calling thread until every entry ran."""
+        self._wait(self._ptr)
 
 
 def check_boundary_field(f: np.ndarray, shape: Tuple[int, ...]) -> None:

@@ -92,10 +92,10 @@ class InstrumentedKernel:
     ``tier:<name>`` via :meth:`~repro.perf.timing.TimingTree.record` —
     no scope push, so concurrent per-block kernel calls from a thread
     pool are safe (they accumulate CPU time under the enclosing
-    ``kernel`` sweep).  :meth:`bind` times the wrapped kernel's bound
-    sweeps the same way (it needs a wrapped kernel that binds).
-    ``processed_cells`` and other attributes of the wrapped kernel are
-    forwarded.
+    ``kernel`` sweep).  A compiled kernel's entries in a round's table
+    (:class:`~repro.lbm.kernels.compiled.EntryTable`) record under the
+    same name, once per round.  ``processed_cells`` and other
+    attributes of the wrapped kernel are forwarded.
     """
 
     def __init__(self, kernel: Kernel, tree: TimingTree, name: str):
@@ -108,20 +108,6 @@ class InstrumentedKernel:
         t0 = time.perf_counter()
         self.kernel(src, dst)
         self.tree.record(self.scope_name, time.perf_counter() - t0)
-
-    def bind(self, field, boxes=None) -> Callable[[], None]:
-        """The wrapped kernel's bound sweep (see
-        :meth:`~repro.lbm.kernels.compiled.CompiledD3Q19Kernel.bind`),
-        recorded like a call: one ``tier:<name>`` entry per C call."""
-        call = self.kernel.bind(field, boxes)
-        tree, name = self.tree, self.scope_name
-
-        def timed() -> None:
-            t0 = time.perf_counter()
-            call()
-            tree.record(name, time.perf_counter() - t0)
-
-        return timed
 
     def __getattr__(self, attr: str):
         """Forward e.g. ``processed_cells`` / ``model`` to the wrapped kernel."""

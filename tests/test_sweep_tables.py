@@ -1,14 +1,15 @@
-"""One compiled call per sweep task: the bound box and run tables.
+"""One compiled table per sweep round: box, run and link tables.
 
-* bits: whole ``src`` grids after 30 steps of the bound sweeps against
-  the per-region path (the compiled kernels' ``bind`` removed, so every
-  box is its own call on region views) — dense slabs, overlap inner and
-  frontier boxes on 2 ranks with 1, 2 and 4 workers, coalesced sparse
-  blocks and a channel with an obstacle — and against the NumPy tiers;
+* bits: whole ``src`` grids after 30 steps of the entry tables against
+  the per-region path (the compiled kernels' ``table_entry`` removed, so
+  every box is its own call on region views) — dense slabs, overlap
+  inner and frontier boxes on 2 ranks with 1, 2 and 4 workers,
+  coalesced sparse blocks and a channel with an obstacle — and against
+  the NumPy tiers;
 * a checkpoint save and load, then 5 more steps, bit-identical;
-* a grid the loop cannot read as-is is rejected before its address
+* a grid the loop cannot read as-is is rejected before any address
   reaches C;
-* one ``tier:compiled`` record per frontier task per step;
+* one ``tier:compiled`` record per kernel round and kernel name;
 * without the compiled tier, the NumPy kernels run once per box.
 """
 
@@ -112,22 +113,37 @@ def _tasks(sim):
     return sched.kernel_tasks + sched.inner_tasks + sched.frontier_tasks
 
 
+def _round_names(sim):
+    """Kernel timer records per step of the table path: one per kernel
+    round and kernel name it sweeps."""
+    sched = sim.schedule
+    rounds = (
+        [sched.inner_tasks, sched.frontier_tasks] if sched.overlap else [sched.kernel_tasks]
+    )
+    keys = {str(key): key for key in sim.runtimes}
+    return sum(
+        len({sim.runtimes[keys[t.name.rsplit(":", 1)[0]]].kernel_name for t in tasks})
+        for tasks in rounds
+    )
+
+
 def _run(build, steps):
     sim = build()
     try:
         sim.run(steps)
-        return _grids(sim), _tier_calls(sim) / steps, len(_tasks(sim))
+        return _grids(sim), _tier_calls(sim) / steps, (_round_names(sim), len(_tasks(sim)))
     finally:
         sim.close()
 
 
 @pytest.fixture
 def per_region(monkeypatch):
-    """Force the per-region path: the compiled kernels do not bind."""
+    """Force the per-region path: the compiled kernels give no table
+    entries."""
 
     def force():
-        monkeypatch.delattr(compiled.CompiledD3Q19Kernel, "bind")
-        monkeypatch.delattr(compiled.CompiledIntervalKernel, "bind")
+        monkeypatch.delattr(compiled.CompiledD3Q19Kernel, "table_entry")
+        monkeypatch.delattr(compiled.CompiledIntervalKernel, "table_entry")
 
     return force
 
@@ -135,11 +151,11 @@ def per_region(monkeypatch):
 @needs_cc
 @pytest.mark.parametrize("case", list(CASES))
 def test_bound_sweeps_match_the_per_region_path(case, per_region):
-    bound, calls, tasks = _run(CASES[case], STEPS)
-    # One C call per kernel task and step.
-    assert calls == tasks
+    bound, calls, (names, tasks) = _run(CASES[case], STEPS)
+    # One timer record per kernel round and kernel name, per step.
+    assert calls == names
     per_region()
-    reference, ref_calls, ref_tasks = _run(CASES[case], STEPS)
+    reference, ref_calls, (_, ref_tasks) = _run(CASES[case], STEPS)
     assert ref_tasks == tasks
     if case.startswith("overlap") or case == "channel-obstacle":
         assert ref_calls > calls  # six frontier calls per dense block
@@ -149,7 +165,7 @@ def test_bound_sweeps_match_the_per_region_path(case, per_region):
 
 
 @needs_cc
-@pytest.mark.parametrize("case", ["dense-slabs", "overlap-w2", "coalesced-sparse"])
+@pytest.mark.parametrize("case", list(CASES))
 def test_bound_sweeps_match_numpy(case, monkeypatch):
     """The box and run tables against the NumPy tiers (a forced failed
     build), which share no code with the C loops."""
@@ -198,18 +214,21 @@ BAD_GRIDS = {
 )
 def test_grid_the_sweep_cannot_address_rejected(case, task, grid):
     """A block grid replaced by one the loop cannot read as-is is
-    rejected before its address reaches C: ``dst`` stays untouched."""
+    rejected before any address reaches C: the round sweeping the
+    block's ``task`` item leaves every ``dst`` untouched."""
     sim = _sparse_sim() if case == "sparse" else _lid_forest_sim(case, 1)
     try:
         sim.run(2)
         key = next(iter(sim.fields))
-        (bound,) = [t for t in _tasks(sim) if t.name == f"{key}{task}"]
+        assert len([t for t in _tasks(sim) if t.name == f"{key}{task}"]) == 1
+        sweep = sim.schedule.frontier_round if task == ":frontier" else sim.schedule.kernel_round
         field = sim.fields[key]
         field.src = BAD_GRIDS[grid](field.src)
-        before = field.dst.copy()
+        before = {k: f.dst.copy() for k, f in sim.fields.items()}
         with pytest.raises(ValueError):
-            bound.fn()
-        assert np.array_equal(field.dst, before)
+            sim.engine.run(sweep)
+        for k, f in sim.fields.items():
+            assert np.array_equal(f.dst, before[k]), k
     finally:
         sim.close()
 
@@ -222,12 +241,11 @@ def test_a_consistent_pair_of_another_shape_rejected():
     try:
         sim.run(1)
         key = next(iter(sim.fields))
-        (bound,) = [t for t in _tasks(sim) if t.name == f"{key}:frontier"]
         field = sim.fields[key]
         shape = field.src.shape[:-1] + (field.src.shape[-1] + 2,)
         field.src, field.dst = np.ones(shape), np.zeros(shape)
         with pytest.raises(ValueError, match="bound to"):
-            bound.fn()
+            sim.engine.run(sim.schedule.frontier_round)
         assert not field.dst.any()
     finally:
         sim.close()
@@ -271,8 +289,9 @@ def backend(request, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_frontier_records_per_step(backend, workers):
-    """Compiled: one ``tier:compiled`` record per frontier task and
-    step.  NumPy: the per-region path, one record per frontier box."""
+    """Compiled: one ``tier:compiled`` record per frontier round (one
+    kernel name) and step.  NumPy: the per-region path, one record per
+    frontier box."""
     steps = 3
     sim = _lid_forest_sim("overlap", workers)
     try:
@@ -282,10 +301,10 @@ def test_frontier_records_per_step(backend, workers):
         assert n_tasks == len(sim.fields)
         if backend == "compiled":
             assert all(isinstance(k, compiled.CompiledD3Q19Kernel) for k in kernels)
-            assert _frontier_records(sim) == steps * n_tasks
+            assert _frontier_records(sim) == steps
             assert sim.timeloop.tree.node("frontier kernel", "tier:compiled")
         else:
-            assert not any(hasattr(k, "bind") for k in kernels)
+            assert not any(hasattr(k, "table_entry") for k in kernels)
             assert {rt.kernel_name for rt in sim.runtimes.values()} == {"vectorized"}
             assert _frontier_records(sim) == steps * n_tasks * 6
     finally:
@@ -294,14 +313,16 @@ def test_frontier_records_per_step(backend, workers):
 
 def test_sparse_blocks_without_the_compiled_tier(backend):
     """Sparse blocks are one task each either way; without the compiled
-    tier the NumPy ``interval`` kernel runs (it has no ``bind``)."""
+    tier the NumPy ``interval`` kernel runs (it gives no table entry)
+    once per block, with it the table records once per kernel name."""
     sim = _sparse_sim(workers=1)
     try:
         sim.run(2)
         kernels = [rt.kernel for rt in sim.runtimes.values() if rt.kernel_name == "interval"]
         assert kernels
-        binds = [hasattr(k, "bind") for k in kernels]
-        assert all(binds) if backend == "compiled" else not any(binds)
-        assert _tier_calls(sim) == 2 * len(sim.schedule.kernel_tasks)
+        tables = [hasattr(k, "table_entry") for k in kernels]
+        assert all(tables) if backend == "compiled" else not any(tables)
+        per_step = _round_names(sim) if backend == "compiled" else len(sim.schedule.kernel_tasks)
+        assert _tier_calls(sim) == 2 * per_step
     finally:
         sim.close()
